@@ -286,9 +286,19 @@ def _prepare_out_dir(config: RunConfig, targets) -> Path:
 
 
 def _table(config: RunConfig):
-    if config.table_cache:
-        os.environ["REGFRAC_TABLE_CACHE"] = config.table_cache
-    return build_near_table(config.dim, config.sigma)
+    """Fetch the kernel table, pointing the disk cache at
+    ``config.table_cache`` for this call only."""
+    if not config.table_cache:
+        return build_near_table(config.dim, config.sigma)
+    previous = os.environ.get("REGFRAC_TABLE_CACHE")
+    os.environ["REGFRAC_TABLE_CACHE"] = config.table_cache
+    try:
+        return build_near_table(config.dim, config.sigma)
+    finally:
+        if previous is None:
+            del os.environ["REGFRAC_TABLE_CACHE"]
+        else:
+            os.environ["REGFRAC_TABLE_CACHE"] = previous
 
 
 def _run_constants(config: RunConfig) -> int:
@@ -315,6 +325,10 @@ def _run_constants(config: RunConfig) -> int:
 def _run_eigen(config: RunConfig) -> int:
     grid = _grid(config)
     mask = _init_mask(config, grid)
+    n_interior = len(mask.interior_idx)
+    if config.emit_matrix and n_interior > 2048:
+        raise CliError("matrix dump limited to 2048 interior nodes, "
+                       f"grid has {n_interior}")
     targets = []
     if config.emit_json:
         targets.append("eigen.json")
@@ -324,9 +338,6 @@ def _run_eigen(config: RunConfig) -> int:
         targets.append("matrix.rfrm")
     out = _prepare_out_dir(config, targets)
     form = assemble(mask, config.sigma, table=_table(config))
-    if config.emit_matrix and form.size > 2048:
-        raise CliError("matrix dump limited to 2048 interior nodes, "
-                       f"grid has {form.size}")
     result = smallest_eigenpair(form, tol=config.tol,
                                 max_iter=config.eigen_max_iter,
                                 seed=config.seed)

@@ -525,59 +525,27 @@ class RegionalForm:
     node_weights: np.ndarray        # interior lumped masses m_i
     boundary_weights: np.ndarray
     complement_potential: np.ndarray  # kappa_i on interior nodes
-    dense: bool
-    _matrix: np.ndarray | None = field(default=None, repr=False)
-    _near_rows: np.ndarray | None = field(default=None, repr=False)
-    _near_cols: np.ndarray | None = field(default=None, repr=False)
-    _near_vals: np.ndarray | None = field(default=None, repr=False)
-    _far_diag: np.ndarray | None = field(default=None, repr=False)
+    _matrix: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return len(self.node_weights)
 
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            raise RuntimeError(
-                "form was assembled matrix-free; no dense matrix available")
         return self._matrix
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.size,):
             raise ValueError(f"vector length {u.shape} != {self.size}")
-        if self._matrix is not None:
-            return self._matrix @ u
-        out = np.zeros_like(u)
-        np.add.at(out, self._near_rows, self._near_vals * u[self._near_cols])
-        out += self._far_diag * u
-        coords = self.mask.interior_coords
-        idx = self.mask.interior_idx
-        m = self.node_weights
-        beta = self.mask.grid.dim + 2.0 * self.sigma
-        chunk = max(1, 4_000_000 // max(1, self.size))
-        for s in range(0, self.size, chunk):
-            sl = slice(s, min(s + chunk, self.size))
-            dx = coords[sl, None, :] - coords[None, :, :]
-            cheb = np.abs(idx[sl, None, :] - idx[None, :, :]).max(axis=-1)
-            with np.errstate(divide="ignore"):
-                ker = np.sum(dx * dx, axis=-1) ** (-beta / 2.0)
-            ker[cheb <= 2] = 0.0
-            w = 2.0 * m[sl, None] * m[None, :] * ker
-            out[sl] -= w @ u
-        return out
+        return self._matrix @ u
 
     def energy(self, u: np.ndarray) -> float:
         return float(np.dot(np.asarray(u, dtype=float), self.apply(u)))
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of the assembled operator (used for preconditioning)."""
-        if self._matrix is not None:
-            return np.ascontiguousarray(np.diag(self._matrix))
-        out = self._far_diag.copy()
-        on = self._near_rows == self._near_cols
-        np.add.at(out, self._near_rows[on], self._near_vals[on])
-        return out
+        return np.diag(self._matrix).copy()
 
     def full_energy(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
@@ -594,7 +562,7 @@ class RegionalForm:
     def dump_matrix(self, path) -> None:
         """Binary dump of the assembled matrix: magic 'RFRM', int32 dim,
         float64 sigma, int64 node count, then the dense matrix row-major
-        little-endian float64.  Requires the dense path."""
+        little-endian float64."""
         A = self.matrix()
         with open(path, "wb") as fh:
             self._dump_header(fh)
@@ -676,14 +644,12 @@ def _complement_potential(mask: DomainMask, sigma: float) -> np.ndarray:
 
 
 def assemble(mask: DomainMask, sigma: float, *,
-             table: NearTable | None = None,
-             dense_limit: int = 8000) -> RegionalForm:
-    """Assemble the regional form for a mask.
+             table: NearTable | None = None) -> RegionalForm:
+    """Assemble the regional form for a mask as a dense N x N matrix.
 
     Deterministic: nodes are ordered lexicographically and every
-    accumulation order is fixed.  Dense up to ``dense_limit`` interior
-    nodes, matrix-free beyond (identical arithmetic for the near part;
-    the far part is then recomputed per apply in row chunks).
+    accumulation order is fixed.  The matrix takes 8 N^2 bytes for N
+    interior nodes.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
@@ -709,23 +675,10 @@ def assemble(mask: DomainMask, sigma: float, *,
     labels[tuple(mask.boundary_idx.T)] = n_int + np.arange(len(mask.boundary_idx))
     labels_flat = labels.ravel()
 
-    dense = n_int <= dense_limit
-    A = np.zeros((n_int, n_int)) if dense else None
-    coo_r: list[np.ndarray] = []
-    coo_c: list[np.ndarray] = []
-    coo_v: list[np.ndarray] = []
+    # entries touching the boundary ring vanish against u=0 except pure
+    # diagonals, which are folded into ``diag``
+    A = np.zeros((n_int, n_int))
     diag = np.zeros(n_int)
-
-    def add_entries(rows, cols, vals):
-        """Accumulate A[rows, cols] += vals for interior pairs; entries
-        touching the boundary ring vanish against u=0 except pure
-        diagonals, which were already folded by the caller."""
-        if dense:
-            np.add.at(A, (rows, cols), vals)
-        else:
-            coo_r.append(rows.copy())
-            coo_c.append(cols.copy())
-            coo_v.append(vals.copy())
 
     def ravel_nodes(node_idx: np.ndarray) -> np.ndarray:
         return np.ravel_multi_index(tuple(node_idx.T), node_shape)
@@ -757,10 +710,10 @@ def assemble(mask: DomainMask, sigma: float, *,
             r = la[both]
             c = lb[both]
             v = wv[both]
-            add_entries(r, r, v)
-            add_entries(c, c, v)
-            add_entries(r, c, -v)
-            add_entries(c, r, -v)
+            np.add.at(A, (r, r), v)
+            np.add.at(A, (c, c), v)
+            np.add.at(A, (r, c), -v)
+            np.add.at(A, (c, r), -v)
         a_only = int_a & ~int_b
         if a_only.any():
             np.add.at(diag, la[a_only], wv[a_only])
@@ -798,7 +751,7 @@ def assemble(mask: DomainMask, sigma: float, *,
         if on_diag.any():
             np.add.at(diag, g1[on_diag], vv[on_diag])
         if off_diag.any():
-            add_entries(g1[off_diag], g2[off_diag], vv[off_diag])
+            np.add.at(A, (g1[off_diag], g2[off_diag]), vv[off_diag])
 
     # ---- far part: midpoint rule at node offsets Chebyshev >= 3
     all_idx = np.concatenate([mask.interior_idx, mask.boundary_idx])
@@ -815,24 +768,11 @@ def assemble(mask: DomainMask, sigma: float, *,
         ker[cheb <= 2] = 0.0
         w = 2.0 * interior_m[sl, None] * all_m[None, :] * ker
         diag[sl] += w.sum(axis=1)
-        if dense:
-            A[sl, :] -= w[:, :n_int]
+        A[sl, :] -= w[:, :n_int]
 
-    form = RegionalForm(
+    A[np.arange(n_int), np.arange(n_int)] += diag
+    return RegionalForm(
         mask=mask, sigma=float(sigma), table=table,
         node_weights=interior_m, boundary_weights=boundary_m,
-        complement_potential=_complement_potential(mask, sigma),
-        dense=dense,
+        complement_potential=_complement_potential(mask, sigma), _matrix=A,
     )
-    if dense:
-        A[np.arange(n_int), np.arange(n_int)] += diag
-        form._matrix = A
-    else:
-        rows = np.concatenate(coo_r) if coo_r else np.zeros(0, dtype=np.int64)
-        cols = np.concatenate(coo_c) if coo_c else np.zeros(0, dtype=np.int64)
-        vals = np.concatenate(coo_v) if coo_v else np.zeros(0)
-        form._near_rows = rows
-        form._near_cols = cols
-        form._near_vals = vals
-        form._far_diag = diag
-    return form

@@ -14,39 +14,16 @@ import numpy as np
 
 from .quadrature import adaptive_gauss_kronrod
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy is
-# well under 1e-12 across (0, 50], which the test sweep pins down.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
-    """Gamma function for positive real arguments via Lanczos (g=7).
+    """Gamma function for positive real arguments (``math.gamma``).
 
     Raises ValueError for zero or negative input rather than following
     the analytic continuation: those only arise from bad parameters.
     """
     if not x > 0.0:
         raise ValueError(f"pole or nonpositive argument: gamma({x})")
-    if x < 0.5:
-        # reflection keeps the series argument in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def sphere_area(n: int) -> float:

@@ -398,10 +398,6 @@ def test_criterion_10_end_to_end_regression(table2, tmp_path):
     state = json.loads((out / "state.json").read_text())
     observed = {k: state[k] for k in ("lambda", "volume", "energy")}
     baseline_path = BASELINES / "penalized_48.json"
-    if not baseline_path.exists():
-        BASELINES.mkdir(exist_ok=True)
-        baseline_path.write_text(json.dumps(observed, sort_keys=True,
-                                            indent=2) + "\n")
     baseline = json.loads(baseline_path.read_text())
     drift = max(abs(observed[k] - baseline[k]) / abs(baseline[k])
                 for k in observed)

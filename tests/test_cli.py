@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regfrac import cli
 from regfrac.cli import (RunConfig, _grid, _init_mask, _pgm_text, echo_text,
                          load_config_file)
 from regfrac.gagliardo import build_near_table
@@ -193,6 +194,41 @@ def test_matrix_dump_binary_header(eigen_run):
     A = np.frombuffer(blob, dtype="<f8", offset=24).reshape(count, count)
     assert np.array_equal(A, A.T)
     assert np.all(np.diag(A) > 0.0)
+
+
+def test_matrix_dump_too_large_rejected_before_assembly(monkeypatch, tmp_path,
+                                                       capsys):
+    calls = []
+
+    def no_assembly(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("assemble called for a rejected run")
+
+    monkeypatch.setattr(cli, "assemble", no_assembly)
+    out = tmp_path / "big"
+    code = cli.main(["eigen", "--n", "1", "--sigma", "0.25", "--grid", "4096",
+                     "--matrix", "--out-dir", str(out)])
+    assert code == 2
+    assert "matrix dump limited to 2048" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("previous", [None, "elsewhere"])
+def test_table_cache_flag_leaves_environment_unchanged(cli_env, monkeypatch,
+                                                      tmp_path, previous):
+    if previous is None:
+        monkeypatch.delenv("REGFRAC_TABLE_CACHE", raising=False)
+    else:
+        monkeypatch.setenv("REGFRAC_TABLE_CACHE", str(tmp_path / previous))
+    before = dict(os.environ)
+    cache = tmp_path / "tables"
+    code = cli.main(["eigen", "--n", "1", "--sigma", "0.25", "--grid", "33",
+                     "--table-cache", str(cache),
+                     "--out-dir", str(tmp_path / "run")])
+    assert code == 0
+    assert list(cache.glob("near1d_*.pkl"))
+    assert dict(os.environ) == before
 
 
 def test_nonconvergence_exit3_partial(cli_env, tmp_path):

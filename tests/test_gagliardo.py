@@ -259,28 +259,11 @@ def test_norm_equivalence_bound(ball_form):
         assert ball_form.full_energy(u) <= bound * ball_form.energy(u)
 
 
-def test_matrix_free_agrees_with_dense(ball_form, table2):
-    free = assemble(ball_form.mask, 0.75, table=table2, dense_limit=0)
-    with pytest.raises(RuntimeError, match="matrix-free"):
-        free.matrix()
-    rng = np.random.default_rng(83)
-    for _ in range(5):
-        u = rng.standard_normal(ball_form.size)
-        dense_out = ball_form.apply(u)
-        free_out = free.apply(u)
-        scale = np.linalg.norm(dense_out)
-        assert np.linalg.norm(dense_out - free_out) <= 1e-12 * scale
-
-
 def test_assembly_deterministic(ball_form, table2):
     again = assemble(ball_form.mask, 0.75, table=table2)
     assert np.array_equal(again.matrix(), ball_form.matrix())
     assert np.array_equal(again.complement_potential,
                           ball_form.complement_potential)
-    free_a = assemble(ball_form.mask, 0.75, table=table2, dense_limit=0)
-    free_b = assemble(ball_form.mask, 0.75, table=table2, dense_limit=0)
-    u = np.random.default_rng(97).standard_normal(ball_form.size)
-    assert np.array_equal(free_a.apply(u), free_b.apply(u))
 
 
 def test_dump_files_roundtrip(ball_form, tmp_path):

@@ -468,14 +468,10 @@ class TestGrowthDiagnostics:
         assert scaled.ratio_sup_l2 == base.ratio_sup_l2 / t
 
     def test_self_baseline(self, growth_state):
-        """Pin the measured sup/L2 ratio against this machine's first
-        honest run; later runs must reproduce it to 1e-6."""
+        """Pin the measured sup/L2 ratio against the committed baseline;
+        runs must reproduce it to 1e-6."""
         diag = growth_diagnostics(growth_state)
         path = Path(__file__).parent / "baselines" / "growth_ratio.json"
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(
-                {"ratio_sup_l2": diag.ratio_sup_l2}, indent=2) + "\n")
         stored = json.loads(path.read_text())["ratio_sup_l2"]
         assert diag.ratio_sup_l2 == pytest.approx(stored, rel=1e-6)
 

@@ -63,8 +63,7 @@ def test_gamma_reference_values():
 
 
 def test_gamma_against_stdlib_on_grid():
-    # math.gamma is an entirely separate implementation; agreement across
-    # the working range pins the Lanczos fit.
+    # agreement across the working range pins gamma to the stdlib
     for x in np.linspace(0.05, 50.0, 777):
         assert gamma(float(x)) == pytest.approx(math.gamma(float(x)), rel=1e-12)
 
