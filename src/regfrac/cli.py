@@ -71,7 +71,6 @@ class RunConfig:
     dirs: int = 96
     seed: int = 0
     out_dir: str = ""
-    table_cache: str = ""
     emit_json: bool = True
     emit_csv: bool = True
     emit_pgm: bool = False
@@ -87,16 +86,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-_PARSERS = {
-    "subcommand": str, "dim": int, "p": float, "sigma": float,
-    "extent": float, "resolution": int, "radius": float, "shape": str,
-    "shape_file": str, "mode": str, "volume": float, "penalty": float,
-    "tol": float, "max_iter": int, "eigen_max_iter": int, "trials": int,
-    "dirs": int, "seed": int, "out_dir": str, "table_cache": str,
-    "emit_json": _parse_bool, "emit_csv": _parse_bool,
-    "emit_pgm": _parse_bool, "emit_matrix": _parse_bool,
-    "force": _parse_bool,
-}
+# field annotations are strings under ``from __future__ import annotations``
+_TYPE_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_PARSERS = {f.name: _TYPE_PARSERS[f.type]
+            for f in dataclasses.fields(RunConfig)}
 
 
 def _format_value(value) -> str:
@@ -129,6 +122,8 @@ def load_config_file(path: Path) -> dict:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
+        if key == "table_cache":  # echoed by older versions; no effect now
+            continue
         if key not in _PARSERS:
             raise CliError(f"{path}:{lineno}: unknown configuration key "
                            f"'{key}'")
@@ -285,22 +280,6 @@ def _prepare_out_dir(config: RunConfig, targets) -> Path:
     return out
 
 
-def _table(config: RunConfig):
-    """Fetch the kernel table, pointing the disk cache at
-    ``config.table_cache`` for this call only."""
-    if not config.table_cache:
-        return build_near_table(config.dim, config.sigma)
-    previous = os.environ.get("REGFRAC_TABLE_CACHE")
-    os.environ["REGFRAC_TABLE_CACHE"] = config.table_cache
-    try:
-        return build_near_table(config.dim, config.sigma)
-    finally:
-        if previous is None:
-            del os.environ["REGFRAC_TABLE_CACHE"]
-        else:
-            os.environ["REGFRAC_TABLE_CACHE"] = previous
-
-
 def _run_constants(config: RunConfig) -> int:
     constant = hardy_constant(config.dim, config.p, config.sigma)
     alpha = 2.0 * config.sigma
@@ -337,7 +316,8 @@ def _run_eigen(config: RunConfig) -> int:
     if config.emit_matrix:
         targets.append("matrix.rfrm")
     out = _prepare_out_dir(config, targets)
-    form = assemble(mask, config.sigma, table=_table(config))
+    form = assemble(mask, config.sigma,
+                    table=build_near_table(config.dim, config.sigma))
     result = smallest_eigenpair(form, tol=config.tol,
                                 max_iter=config.eigen_max_iter,
                                 seed=config.seed)
@@ -374,7 +354,8 @@ def _run_hardy(config: RunConfig) -> int:
     if config.emit_csv:
         targets.append("hardy.csv")
     out = _prepare_out_dir(config, targets)
-    form = assemble(mask, config.sigma, table=_table(config))
+    form = assemble(mask, config.sigma,
+                    table=build_near_table(config.dim, config.sigma))
     corpus = [(label, u) for label, u
               in standard_test_functions(form, seed=config.seed)
               if np.any(u != 0.0)]
@@ -414,7 +395,8 @@ def _run_rearrange(config: RunConfig) -> int:
     report = regional_violation_search(config.sigma, grid,
                                        trials=config.trials,
                                        seed=config.seed,
-                                       table=_table(config))
+                                       table=build_near_table(config.dim,
+                                                              config.sigma))
     if config.emit_json:
         _atomic_write(out / "rearrange.json",
                       _canonical_json(dataclasses.asdict(report)))
@@ -480,7 +462,8 @@ def _run_optimize(config: RunConfig) -> int:
     if emit_images:
         targets.extend(["mask.pgm", "eigen_u.pgm"])
     out = _prepare_out_dir(config, targets)
-    state = _optimize_state(config, grid, init, _table(config))
+    state = _optimize_state(config, grid, init,
+                            build_near_table(config.dim, config.sigma))
     payload = _canonical_json({
         "converged": state.eigen.converged,
         "energy": state.energy_penalized,
@@ -650,9 +633,6 @@ def _add_common(parser: argparse.ArgumentParser, *, geometry: bool) -> None:
                             help="ball radius / square size parameter "
                                  "(default 0.4 * extent)")
         parser.add_argument("--seed", type=int, default=None)
-        parser.add_argument("--table-cache", dest="table_cache",
-                            default=None, metavar="DIR",
-                            help="directory for reusable kernel tables")
         parser.add_argument("--no-json", dest="emit_json",
                             action="store_const", const=False, default=None,
                             help="skip the JSON artifact")

@@ -28,13 +28,10 @@ the full-space energy is the regional energy plus its zero-order term.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
-import os
-import pickle
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -52,7 +49,7 @@ class NearFieldError(RuntimeError):
     """Raised when the near-field quadrature does not stabilize."""
 
 
-_DEFAULT_DEPTH = {1: 14, 2: 8, 3: 4}
+_DEFAULT_DEPTH = {1: 14, 2: 8, 3: 10}
 _DEFAULT_POINTS = {1: 10, 2: 4, 3: 3}
 
 
@@ -87,12 +84,19 @@ def _basis_matrix(local: np.ndarray, verts: list[tuple[int, ...]],
     return out
 
 
-def _quad_boxpairs(lox: np.ndarray, loy: np.ndarray, size: float,
-                   delta: tuple[int, ...], beta: float,
-                   nodes: list[tuple[int, ...]], points: int) -> np.ndarray:
+def _quad_classes(offsets: np.ndarray, corners: np.ndarray,
+                  weights: np.ndarray, size: float, delta: tuple[int, ...],
+                  beta: float, nodes: list[tuple[int, ...]],
+                  points: int) -> np.ndarray:
     """Tensor-Gauss integral of k (b_a(x)-b_a(y))(b_b(x)-b_b(y)) over
-    separated box pairs, accumulated into a patch matrix."""
-    dim = lox.shape[1]
+    weighted separated box pairs, accumulated into a patch matrix.
+
+    Pair (c, r) has its x box at ``corners[r]`` in cell 0, its y box at
+    ``corners[r] + size * offsets[c]`` and weight ``weights[c, r]``; the
+    kernel block depends only on the offset, so it is evaluated once
+    per class c.
+    """
+    dim = corners.shape[1]
     width = len(nodes)
     node_col = {a: i for i, a in enumerate(nodes)}
     verts0 = _cell_vertices(dim)
@@ -100,25 +104,103 @@ def _quad_boxpairs(lox: np.ndarray, loy: np.ndarray, size: float,
     colsd = [node_col[tuple(d + v for d, v in zip(delta, e))] for e in verts0]
     xi, wq = tensor_rule(dim, points)  # on [0,1]^dim
     npts = len(xi)
-    chunk = max(1, 3_000_000 // (npts * npts))
+    x = corners[:, None, :] + size * xi[None, :, :]         # (R,P,dim)
+    X = _basis_matrix(x, verts0, cols0, width)               # x is in cell 0
+    Xt = np.swapaxes(X, 1, 2)
+    chunk = max(1, 2_000_000 // (len(corners) * npts * max(npts, width)))
     Q = np.zeros((width, width))
-    for start in range(0, len(lox), chunk):
-        lx = lox[start:start + chunk]
-        ly = loy[start:start + chunk]
-        x = lx[:, None, :] + size * xi[None, :, :]          # (m,P,dim)
-        y = ly[:, None, :] + size * xi[None, :, :]
-        X = _basis_matrix(x, verts0, cols0, width)           # x is in cell 0
-        Y = _basis_matrix(y - np.asarray(delta, float), verts0, colsd, width)
-        diff = x[:, :, None, :] - y[:, None, :, :]           # (m,P,P,dim)
+    # sums over classes and corners are numpy reductions and BLAS only
+    # sees per-pair products far below its threading threshold, so the
+    # result does not depend on the BLAS thread count
+    for start in range(0, len(offsets), chunk):
+        off = offsets[start:start + chunk]                  # (m,dim)
+        w = weights[start:start + chunk]                    # (m,R)
+        diff = size * (xi[None, :, None, :] - xi[None, None, :, :]
+                       - off[:, None, None, :])              # (m,P,P,dim)
         ker = np.sum(diff * diff, axis=-1) ** (-beta / 2.0)
         K = ker * wq[None, :, None] * wq[None, None, :]      # (m,P,P)
-        kx = K.sum(axis=2)                                   # (m,P)
-        ky = K.sum(axis=1)
-        Q += np.einsum("mia,mi,mib->ab", X, kx, X, optimize=True)
-        Q += np.einsum("mja,mj,mjb->ab", Y, ky, Y, optimize=True)
-        C = np.einsum("mia,mij,mjb->ab", X, K, Y, optimize=True)
+        y = x[None, :, :, :] + size * off[:, None, None, :]  # (m,R,P,dim)
+        Y = _basis_matrix(y - np.asarray(delta, float), verts0, colsd, width)
+        kx = np.einsum("mr,mi->ri", w, K.sum(axis=2))       # (R,P)
+        ky = w[:, :, None] * K.sum(axis=1)[:, None, :]      # (m,R,P)
+        KY = np.einsum("mr,mrib->rib", w, K[:, None] @ Y)   # (R,P,W)
+        Q += (Xt @ (X * kx[..., None])).sum(axis=0)
+        Q += (np.swapaxes(Y, 2, 3) @ (Y * ky[..., None])).sum(axis=(0, 1))
+        C = (Xt @ KY).sum(axis=0)
         Q -= C + C.T
     return Q * size ** (2 * dim)
+
+
+def _corner_nodes(size: float) -> np.ndarray:
+    """Per-axis interpolation nodes for the low corner of a sub-box of
+    the unit cell, which ranges over [0, 1-size] (one node at size 1)."""
+    return np.unique([0.0, 0.5 * (1.0 - size), 1.0 - size])
+
+
+def _lagrange(nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Quadratic Lagrange basis on three nodes at points: (3, len(at))."""
+    return np.array([np.prod([(at - nodes[s]) / (nodes[t] - nodes[s])
+                              for s in range(3) if s != t], axis=0)
+                     for t in range(3)])
+
+
+def _level_increments(dim: int, sigma: float, delta: tuple[int, ...],
+                      depth: int, points: int
+                      ) -> tuple[list[tuple[int, ...]], list[np.ndarray], bool]:
+    """Per-level separated contributions of the graded cell-pair recursion.
+
+    Level L splits both cells of (cell 0, cell delta) into boxes of size
+    2^-L; box pairs at Chebyshev offset >= 2 in box units are integrated,
+    touching ones are split again.  Separation and kernel depend only on
+    the integer offset o = (loy - lox)/size, and each integrand term is a
+    polynomial of degree <= 2 per axis in the box corner lox.  So a class
+    o keeps, in place of its pairs, the summed tensor Lagrange weights of
+    their lox on the corner nodes, which reproduces the pair sum exactly.
+    Child pair (lox + size/2 c, loy + size/2 c') lands in class
+    2o + c' - c.  Returns (patch nodes, increments, complete), complete
+    when no touching pair is left.
+    """
+    beta = dim + 2.0 * sigma
+    nodes = _patch_nodes(dim, delta)
+    size = 1.0
+    classes = {tuple(delta): np.ones(1)}
+    shifts = _cell_vertices(dim)
+    increments: list[np.ndarray] = []
+    for level in range(depth + 1):
+        corners = _corner_nodes(size)
+        grid = np.array(list(itertools.product(corners, repeat=dim)))
+        # two forced subdivision levels give every accepted box pair a
+        # separation-to-size ratio of at least one at a refined scale
+        offsets = sorted(classes)
+        sep = [o for o in offsets if level >= 2 and max(map(abs, o)) >= 2]
+        if sep:
+            increments.append(_quad_classes(
+                np.asarray(sep, float), grid,
+                np.stack([classes[o] for o in sep]), size, delta, beta,
+                nodes, points))
+        else:
+            increments.append(np.zeros((len(nodes), len(nodes))))
+        touching = [o for o in offsets if o not in sep]
+        if not touching:
+            return nodes, increments, True
+        if level == depth:
+            break
+        half = 0.5 * size
+        # per_axis[c][t', t]: weight on child corner node t' of parent
+        # corner node t moved by half * c; kron over the axes gives 3^dim
+        per_axis = [_lagrange(_corner_nodes(half), corners + half * c)
+                    for c in (0, 1)]
+        children: dict[tuple[int, ...], np.ndarray] = {}
+        for o in touching:
+            for c in shifts:
+                w = functools.reduce(np.kron, [per_axis[k] for k in c]) \
+                    @ classes[o]
+                for cp in shifts:
+                    child = tuple(2 * ok + b - a for ok, a, b in zip(o, c, cp))
+                    children[child] = children.get(child, 0.0) + w
+        classes = children
+        size = half
+    return nodes, increments, False
 
 
 def _fit_families(increments: list[np.ndarray], sigma: float, end: int,
@@ -157,44 +239,8 @@ def _patch_form(dim: int, sigma: float, delta: tuple[int, ...], depth: int,
     Returns (patch nodes, form matrix, relative change between the
     extrapolants at depth and depth-1 — the convergence indicator).
     """
-    beta = dim + 2.0 * sigma
-    nodes = _patch_nodes(dim, delta)
-    lox = np.zeros((1, dim))
-    loy = np.asarray([delta], dtype=float)
-    size = 1.0
-    increments: list[np.ndarray] = []
-    child_offs = np.asarray(_cell_vertices(dim), dtype=float)
-    complete = False
-    for level in range(depth + 1):
-        low = np.minimum(lox, loy)
-        high = np.maximum(lox, loy)
-        gap = np.maximum(0.0, high - (low + size))
-        dist = np.sqrt((gap * gap).sum(axis=1))
-        # two forced subdivision levels give every accepted box pair a
-        # separation-to-size ratio of at least one at a refined scale
-        sep = (dist >= size * (1.0 - 1e-12)) if level >= 2 \
-            else np.zeros(len(lox), dtype=bool)
-        if sep.any():
-            increments.append(_quad_boxpairs(
-                lox[sep], loy[sep], size, delta, beta, nodes, points))
-        else:
-            increments.append(np.zeros((len(nodes), len(nodes))))
-        touching = ~sep
-        if not touching.any():
-            complete = True
-            break
-        if level == depth:
-            break
-        tx = lox[touching]
-        ty = loy[touching]
-        half = 0.5 * size
-        cx = (tx[:, None, :] + half * child_offs[None, :, :])
-        cy = (ty[:, None, :] + half * child_offs[None, :, :])
-        m = len(tx)
-        nch = len(child_offs)
-        lox = np.repeat(cx, nch, axis=1).reshape(m * nch * nch, dim)
-        loy = np.tile(cy, (1, nch, 1)).reshape(m * nch * nch, dim)
-        size = half
+    nodes, increments, complete = _level_increments(dim, sigma, delta,
+                                                    depth, points)
     partial = np.add.reduce(increments)
     width = len(nodes)
     nz = [i for i, inc in enumerate(increments) if np.any(inc != 0.0)]
@@ -373,29 +419,6 @@ class NearTable:
 _TABLE_CACHE: dict[tuple, NearTable] = {}
 
 
-def _disk_cache_path(key: tuple) -> Path | None:
-    """Optional on-disk table store, enabled by REGFRAC_TABLE_CACHE.
-
-    Entries are keyed by the full build signature and pickled, so a
-    loaded table is bit-identical to a rebuilt one.  Delete the
-    directory to force rebuilds.
-    """
-    root = os.environ.get("REGFRAC_TABLE_CACHE", "")
-    if not root:
-        return None
-    dim, sigma, depth, points, tol = key
-    name = f"near{dim}d_s{sigma!r}_d{depth}_p{points}_t{tol!r}.pkl"
-    return Path(root) / name
-
-
-def _store_table(cache_path: Path, table: "NearTable") -> None:
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = cache_path.with_name(cache_path.name + ".partial")
-    with open(tmp, "wb") as fh:
-        pickle.dump(table, fh, protocol=4)
-    os.replace(tmp, cache_path)
-
-
 def build_near_table(dim: int, sigma: float, depth: int | None = None,
                      points: int | None = None,
                      convergence_tol: float = 1e-6) -> NearTable:
@@ -418,22 +441,7 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
         points = _DEFAULT_POINTS[dim]
     key = (dim, round(sigma, 12), depth, points, convergence_tol)
     if key in _TABLE_CACHE:
-        table = _TABLE_CACHE[key]
-        cache_path = _disk_cache_path(key)
-        if cache_path is not None and not cache_path.exists():
-            _store_table(cache_path, table)
-        return table
-    cache_path = _disk_cache_path(key)
-    if cache_path is not None and cache_path.exists():
-        try:
-            with open(cache_path, "rb") as fh:
-                table = pickle.load(fh)
-            if (table.dim, round(table.sigma, 12), table.depth,
-                    table.points) == key[:4]:
-                _TABLE_CACHE[key] = table
-                return table
-        except Exception:
-            pass  # unreadable entry: rebuild and overwrite below
+        return _TABLE_CACHE[key]
 
     # canonical cell-pair forms: adjacency classes (for the assembly
     # expansion) plus the Chebyshev-2 classes (for stored hat energies)
@@ -501,8 +509,6 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
                       hat_energies=hat_energies, pair_weights=pair_weights,
                       gap_classes=gap_classes, error_estimate=worst_change)
     _TABLE_CACHE[key] = table
-    if cache_path is not None:
-        _store_table(cache_path, table)
     return table
 
 
@@ -613,7 +619,7 @@ def _complement_potential(mask: DomainMask, sigma: float) -> np.ndarray:
     kappa = np.zeros(n_nodes)
     if len(inact_centers):
         sub_offs = None
-        chunk = max(1, 2_000_000 // max(1, len(inact_centers)))
+        chunk = max(1, (1 << 20) // len(inact_centers))
         for s in range(0, n_nodes, chunk):
             sl = slice(s, min(s + chunk, n_nodes))
             dx = nodes[sl, None, :] - inact_centers[None, :, :]
@@ -753,20 +759,33 @@ def assemble(mask: DomainMask, sigma: float, *,
         if off_diag.any():
             np.add.at(A, (g1[off_diag], g2[off_diag]), vv[off_diag])
 
-    # ---- far part: midpoint rule at node offsets Chebyshev >= 3
+    # ---- far part: midpoint rule at node offsets Chebyshev >= 3, in
+    # row blocks of about 2^20 pairs that reuse three scratch buffers
     all_idx = np.concatenate([mask.interior_idx, mask.boundary_idx])
     all_coords = np.concatenate([mask.interior_coords, mask.boundary_coords])
     all_m = np.concatenate([interior_m, boundary_m])
     n_all = len(all_idx)
-    chunk = max(1, 4_000_000 // max(1, n_all))
-    for s in range(0, n_int, chunk):
-        sl = slice(s, min(s + chunk, n_int))
-        dx = mask.interior_coords[sl, None, :] - all_coords[None, :, :]
-        cheb = np.abs(mask.interior_idx[sl, None, :] - all_idx[None, :, :]).max(axis=-1)
+    rows = min(n_int, max(1, (1 << 20) // n_all))
+    sq_buf = np.empty((rows, n_all, dim))
+    ker_buf = np.empty((rows, n_all))
+    w_buf = np.empty((rows, n_all))
+    for s in range(0, n_int, rows):
+        sl = slice(s, min(s + rows, n_int))
+        m = sl.stop - s
+        sq, ker, w = sq_buf[:m], ker_buf[:m], w_buf[:m]
+        np.subtract(mask.interior_coords[sl, None, :], all_coords[None, :, :],
+                    out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.sum(sq, axis=-1, out=ker)
         with np.errstate(divide="ignore"):
-            ker = np.sum(dx * dx, axis=-1) ** (-beta / 2.0)
-        ker[cheb <= 2] = 0.0
-        w = 2.0 * interior_m[sl, None] * all_m[None, :] * ker
+            ker **= -beta / 2.0
+        near = np.ones((m, n_all), dtype=bool)    # Chebyshev offset <= 2
+        for k in range(dim):
+            near &= np.abs(mask.interior_idx[sl, None, k]
+                           - all_idx[None, :, k]) <= 2
+        ker[near] = 0.0
+        np.multiply(2.0 * interior_m[sl, None], all_m[None, :], out=w)
+        w *= ker
         diag[sl] += w.sum(axis=1)
         A[sl, :] -= w[:, :n_int]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -369,29 +368,17 @@ def test_criterion_09_special_functions():
           f"constants vs oracle {worst:.2e} (bar 1e-8)")
 
 
-def test_criterion_10_end_to_end_regression(table2, tmp_path):
+def test_criterion_10_end_to_end_regression(tmp_path):
     """`optimize --mode penalized` at 48^2, sigma 0.75, seed 1 finishes
     in under 10 minutes and reproduces the committed baseline
     (lambda, volume, energy) to 1e-6."""
-    cache = tmp_path / "tables"
-    env = dict(os.environ)
-    env["REGFRAC_TABLE_CACHE"] = str(cache)
-    old = os.environ.get("REGFRAC_TABLE_CACHE")
-    os.environ["REGFRAC_TABLE_CACHE"] = str(cache)
-    try:
-        build_near_table(2, 0.75)      # write-through seeds the cache
-    finally:
-        if old is None:
-            del os.environ["REGFRAC_TABLE_CACHE"]
-        else:
-            os.environ["REGFRAC_TABLE_CACHE"] = old
     out = tmp_path / "run"
     started = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "regfrac.cli", "optimize", "--mode",
          "penalized", "--n", "2", "--grid", "48", "--sigma", "0.75",
          "--seed", "1", "--out-dir", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     elapsed = time.monotonic() - started
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 600.0, f"run took {elapsed:.0f}s"

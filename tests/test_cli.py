@@ -1,9 +1,9 @@
 """End-to-end command-line tests.
 
-Subprocess runs stay in 1-d (cheap kernel tables) with a shared
-on-disk table cache so repeated invocations do not rebuild quadrature.
-Formatting helpers (PGM orientation, config echo) are unit-tested
-in-process.
+Subprocess runs stay in 1-d, where each invocation builds its kernel
+table in milliseconds; one 3-d run checks that the default table depth
+meets the convergence gate from the command line.  Formatting helpers
+(PGM orientation, config echo) are unit-tested in-process.
 """
 from __future__ import annotations
 
@@ -20,28 +20,13 @@ import pytest
 from regfrac import cli
 from regfrac.cli import (RunConfig, _grid, _init_mask, _pgm_text, echo_text,
                          load_config_file)
-from regfrac.gagliardo import build_near_table
 from regfrac.geometry import write_pbm
 
 
 @pytest.fixture(scope="session")
-def cli_env(tmp_path_factory):
-    """Subprocess environment with a seeded kernel-table cache."""
-    cache = tmp_path_factory.mktemp("tables")
-    env = dict(os.environ)
-    env["REGFRAC_TABLE_CACHE"] = str(cache)
-    old = os.environ.get("REGFRAC_TABLE_CACHE")
-    os.environ["REGFRAC_TABLE_CACHE"] = str(cache)
-    try:
-        build_near_table(1, 0.25)
-        build_near_table(1, 0.75)
-    finally:
-        if old is None:
-            del os.environ["REGFRAC_TABLE_CACHE"]
-        else:
-            os.environ["REGFRAC_TABLE_CACHE"] = old
-    assert list(cache.glob("near1d_*.pkl"))
-    return env
+def cli_env():
+    """Environment for subprocess runs of the command line."""
+    return dict(os.environ)
 
 
 def run_cli(args, env, cwd=None):
@@ -214,21 +199,29 @@ def test_matrix_dump_too_large_rejected_before_assembly(monkeypatch, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("previous", [None, "elsewhere"])
-def test_table_cache_flag_leaves_environment_unchanged(cli_env, monkeypatch,
-                                                      tmp_path, previous):
-    if previous is None:
-        monkeypatch.delenv("REGFRAC_TABLE_CACHE", raising=False)
-    else:
-        monkeypatch.setenv("REGFRAC_TABLE_CACHE", str(tmp_path / previous))
-    before = dict(os.environ)
-    cache = tmp_path / "tables"
-    code = cli.main(["eigen", "--n", "1", "--sigma", "0.25", "--grid", "33",
-                     "--table-cache", str(cache),
-                     "--out-dir", str(tmp_path / "run")])
-    assert code == 0
-    assert list(cache.glob("near1d_*.pkl"))
-    assert dict(os.environ) == before
+def test_legacy_table_cache_key_replays(cli_env, eigen_run, tmp_path):
+    # echoes written before the table cache was removed carry a
+    # table_cache line; it is accepted, ignored, and not echoed again
+    legacy = tmp_path / "legacy.echo"
+    legacy.write_text((eigen_run / "config.echo").read_text()
+                      + "table_cache=/x\n")
+    out = tmp_path / "replay"
+    proc = run_cli(["eigen", "--config", legacy, "--out-dir", out], cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "eigen.json").read_bytes() == \
+        (eigen_run / "eigen.json").read_bytes()
+    keys = [line.split("=", 1)[0]
+            for line in (out / "config.echo").read_text().splitlines()]
+    assert "table_cache" not in keys
+
+
+def test_eigen_three_dimensional(cli_env, tmp_path):
+    # the default 3-d table depth passes the 1e-6 convergence gate
+    out = tmp_path / "cube"
+    proc = run_cli(["eigen", "--n", 3, "--grid", 8, "--out-dir", out],
+                   cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "eigen.json").read_text())["lambda"] > 0.0
 
 
 def test_nonconvergence_exit3_partial(cli_env, tmp_path):
