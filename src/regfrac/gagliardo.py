@@ -19,6 +19,12 @@ boundary ring.  The integral splits exactly into three regions:
 * **far**: dual pairs at node offset three and beyond, with the
   midpoint rule m_i m_j k(x_i - x_j) per ordered pair.
 
+The near and gap data depend only on the offset D between the two cells
+they couple, so the kernel table sums them into one stencil per cell
+offset (Chebyshev norm <= 3: 7, 49 and 343 offsets in 1-, 2- and 3-d).
+Assembly applies each stencil at every pair of active cells (K, K+D) in
+one scatter; only the far part sums over node pairs.
+
 All three pieces are sums of squares, so the assembled form is
 symmetric positive semidefinite by construction, scales exactly as
 h^(n-2*sigma) under grid dilation, and is monotone under domain
@@ -311,78 +317,67 @@ def _offsets_within(dim: int, radius: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------- gap stencils
 
 
-def _quadrant_stencil(dim: int, q: tuple[int, ...]):
-    """Interpolation stencil for the midpoint of quadrant q of a node.
-
-    The quadrant lies in cell (node - 1 + q); its midpoint interpolates
-    the 2^dim cell vertices with per-axis weights 3/4 toward the node.
-    Returns a list of (node-offset, coefficient).
-    """
-    entries = []
-    for v in _cell_vertices(dim):
-        off = tuple(qk + vk - 1 for qk, vk in zip(q, v))
-        coef = 1.0
-        for qk, vk in zip(q, v):
-            near = 0.75 if (qk == 0) == (vk == 1) else 0.25
-            coef *= near
-        entries.append((off, coef))
-    return entries
-
-
 def _gap_geometry(dim: int):
-    """Static gap-block classes for one dimension (sigma-independent).
+    """Static gap layout for one dimension (sigma-independent).
 
-    Each class is (node offset delta, quadrant q of the first node,
-    quadrant q' of the second, squared midpoint distance, bilinear
-    expansion entries).  A block participates exactly when its two
-    quadrant cells are non-adjacent (cell offset Chebyshev >= 2), which
-    is also what keeps it out of the exact near region.
+    A gap class (node offset delta, quadrant q of the first node,
+    quadrant q' of the second) is the block between the two quadrant
+    cells, which sit at cell offset D = delta + q' - q.  It participates
+    exactly when D has Chebyshev norm >= 2, which is also what keeps it
+    out of the exact near region.  Relative to the low vertex of the
+    first quadrant cell, the quadrant midpoints interpolate the vertices
+    v of cell 0 and D + v of cell D, with per-axis weights 3/4 toward
+    the quadrant's node, so the class form is the outer product g g^T
+    of g = (weights of q, -weights of q').
+
+    Returns (layout, squared midpoint distance per class, coefficients
+    (classes, W^2), slots (classes, W^2)).  ``layout`` maps the n cell
+    offsets, in sorted order, to the node offsets (o1, o2) of their W^2
+    stencil entries; slot s * W^2 + e holds entry e of offset s, so
+    weighting the classes by sigma is one multiply and one bincount.
     """
-    classes = []
-    quads = _cell_vertices(dim)
-    for delta in _offsets_within(dim, 2):
-        for q in quads:
-            for qp in quads:
-                cell_off = tuple(d + b - a for d, a, b in zip(delta, q, qp))
-                if max(abs(c) for c in cell_off) < 2:
-                    continue
-                mid = np.asarray(delta, float) + (np.asarray(qp) - np.asarray(q)) / 2.0
-                s_sten = _quadrant_stencil(dim, q)
-                t_sten = [(tuple(d + o for d, o in zip(delta, off)), c)
-                          for off, c in _quadrant_stencil(dim, qp)]
-                acc: dict[tuple, float] = {}
+    verts = np.asarray(_cell_vertices(dim))
+    delta, q, qp = (a.reshape(-1, dim) for a in np.broadcast_arrays(
+        np.asarray(_offsets_within(dim, 2))[:, None, None, :],
+        verts[None, :, None, :], verts[None, None, :, :]))
+    cell_off = delta + qp - q
+    keep = np.abs(cell_off).max(axis=1) >= 2
+    delta, q, qp, cell_off = delta[keep], q[keep], qp[keep], cell_off[keep]
+    mid = delta + 0.5 * (qp - q)
 
-                def add(o1, o2, c):
-                    if o1 == o2:
-                        acc[(o1, o2)] = acc.get((o1, o2), 0.0) + c
-                    else:
-                        acc[(o1, o2)] = acc.get((o1, o2), 0.0) + 0.5 * c
-                        acc[(o2, o1)] = acc.get((o2, o1), 0.0) + 0.5 * c
+    def weights(quad: np.ndarray) -> np.ndarray:
+        return np.where(quad[:, None, :] != verts[None, :, :],
+                        0.75, 0.25).prod(axis=2)
 
-                for (o1, c1) in s_sten:
-                    for (o2, c2) in s_sten:
-                        add(o1, o2, c1 * c2)
-                for (o1, c1) in t_sten:
-                    for (o2, c2) in t_sten:
-                        add(o1, o2, c1 * c2)
-                for (o1, c1) in s_sten:
-                    for (o2, c2) in t_sten:
-                        add(o1, o2, -2.0 * c1 * c2)
-                off1 = np.asarray([k[0] for k in acc], dtype=np.int64)
-                off2 = np.asarray([k[1] for k in acc], dtype=np.int64)
-                vals = np.asarray(list(acc.values()))
-                classes.append((delta, q, qp, float(np.dot(mid, mid)),
-                                off1, off2, vals))
-    return classes
+    g = np.concatenate([weights(q), -weights(qp)], axis=1)
+    width = g.shape[1]
+    offsets, group = np.unique(cell_off, axis=0, return_inverse=True)
+    slots = group.reshape(-1, 1) * width ** 2 + np.arange(width ** 2)
+    coef = (g[:, :, None] * g[:, None, :]).reshape(len(g), width ** 2)
+    rows, cols = np.divmod(np.arange(width ** 2), width)
+    layout = {}
+    for off in offsets:
+        nodes = np.concatenate([verts, off + verts])
+        layout[tuple(off.tolist())] = (nodes[rows], nodes[cols])
+    return layout, np.sum(mid * mid, axis=1), coef, slots
 
 
-_GAP_GEOMETRY_CACHE: dict[int, list] = {}
+_GAP_GEOMETRY_CACHE: dict[int, tuple] = {}
 
 
 def _gap_geometry_cached(dim: int):
     if dim not in _GAP_GEOMETRY_CACHE:
         _GAP_GEOMETRY_CACHE[dim] = _gap_geometry(dim)
     return _GAP_GEOMETRY_CACHE[dim]
+
+
+def _summed_entries(o1: np.ndarray, o2: np.ndarray, vals: np.ndarray):
+    """Local form entries with repeated (o1, o2) node pairs summed."""
+    dim = o1.shape[1]
+    pairs, inv = np.unique(np.concatenate([o1, o2], axis=1), axis=0,
+                           return_inverse=True)
+    summed = np.bincount(inv.reshape(-1), weights=vals, minlength=len(pairs))
+    return pairs[:, :dim], pairs[:, dim:], summed
 
 
 # -------------------------------------------------------------- the table
@@ -398,8 +393,12 @@ class NearTable:
     permutations and reflections, and pinned by an independent quadrature
     oracle in the tests.  ``pair_weights[D]`` is the exact expansion of
     the cell-pair form at cell offset D (Chebyshev <= 1) into nodal pair
-    interactions; ``gap_classes`` carries the midpoint-rule data for the
-    gap region.  Scaling to spacing h multiplies every coefficient by
+    interactions.  ``stencils[D]`` is what assembly reads: for every cell
+    offset D with Chebyshev norm <= 3, the summed local form (o1, o2,
+    vals) of the ordered cell pair (K, K+D), with o1 and o2 node offsets
+    from the low vertex of K — the pair-weight expansion for norm <= 1,
+    the gap classes regrouped by the offset of their quadrant cells for
+    norm 2 and 3.  Scaling to spacing h multiplies every coefficient by
     h^(dim - 2*sigma).
     """
 
@@ -409,7 +408,7 @@ class NearTable:
     points: int
     hat_energies: dict
     pair_weights: dict
-    gap_classes: list
+    stencils: dict
     error_estimate: float
 
     def hat_energy(self, offset: tuple[int, ...]) -> float:
@@ -496,18 +495,26 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
         idx = {a: i for i, a in enumerate(nodes)}
         hat_energies[off] = float(np.mean([Q[idx[v], idx[v]] for v in contact]))
 
-    # sigma-resolved gap classes: multiply the static bilinear entries by
-    # the block volume product and the kernel at the midpoint offset
-    beta = dim + 2.0 * sigma
-    vol2 = 4.0 ** -dim
-    gap_classes = []
-    for (delta, q, qp, mid2, off1, off2, vals) in _gap_geometry_cached(dim):
-        w = vol2 * mid2 ** (-beta / 2.0)
-        gap_classes.append((delta, q, qp, off1, off2, vals * w))
+    # stencils: the pair-weight expansions for adjacent cells, and the
+    # gap classes weighted by the block volume product and the kernel at
+    # the midpoint offset, summed per cell offset
+    stencils: dict[tuple[int, ...], tuple] = {}
+    for off, (a, b, w) in pair_weights.items():
+        stencils[off] = _summed_entries(np.concatenate([a, b, a, b]),
+                                        np.concatenate([a, b, b, a]),
+                                        np.concatenate([w, w, -w, -w]))
+    layout, mid2, coef, slots = _gap_geometry_cached(dim)
+    kernel = 4.0 ** -dim * mid2 ** (-(dim + 2.0 * sigma) / 2.0)
+    vals = np.bincount(slots.ravel(), weights=(coef * kernel[:, None]).ravel(),
+                       minlength=len(layout) * coef.shape[1])
+    for (off, (o1, o2)), v in zip(layout.items(),
+                                  vals.reshape(len(layout), -1)):
+        stencils[off] = (o1, o2, v)
+    stencils = dict(sorted(stencils.items()))
 
     table = NearTable(dim=dim, sigma=float(sigma), depth=depth, points=points,
                       hat_energies=hat_energies, pair_weights=pair_weights,
-                      gap_classes=gap_classes, error_estimate=worst_change)
+                      stencils=stencils, error_estimate=worst_change)
     _TABLE_CACHE[key] = table
     return table
 
@@ -653,9 +660,13 @@ def assemble(mask: DomainMask, sigma: float, *,
              table: NearTable | None = None) -> RegionalForm:
     """Assemble the regional form for a mask as a dense N x N matrix.
 
-    Deterministic: nodes are ordered lexicographically and every
-    accumulation order is fixed.  The matrix takes 8 N^2 bytes for N
-    interior nodes.
+    The near and gap parts take one pass per stencil of the table: the
+    cell pairs (K, K+D) with both cells active gather the labels of the
+    stencil's nodes, and the entries whose two nodes are interior are
+    added to the matrix.  The far part sums the midpoint rule over node
+    pairs in row blocks.  Deterministic: nodes are ordered
+    lexicographically and every accumulation order is fixed.  The
+    matrix takes 8 N^2 bytes for N interior nodes.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
@@ -674,90 +685,33 @@ def assemble(mask: DomainMask, sigma: float, *,
     if n_int == 0:
         raise ValueError("no interior nodes")
 
-    # node labeling over the node grid: 0..N-1 interior, N.. boundary, -1 else
-    node_shape = grid.node_shape
-    labels = np.full(node_shape, -1, dtype=np.int64)
+    # interior labels 0..N-1 over the node grid, N elsewhere: entries
+    # touching the boundary ring vanish against u=0, so only entries
+    # between two interior nodes are kept (of a pair weight joining an
+    # interior and a boundary node, that is its interior diagonal term)
+    labels = np.full(grid.node_shape, n_int, dtype=np.int64)
     labels[tuple(mask.interior_idx.T)] = np.arange(n_int)
-    labels[tuple(mask.boundary_idx.T)] = n_int + np.arange(len(mask.boundary_idx))
-    labels_flat = labels.ravel()
-
-    # entries touching the boundary ring vanish against u=0 except pure
-    # diagonals, which are folded into ``diag``
+    strides = np.asarray(labels.strides) // labels.itemsize
+    labels = labels.ravel()
     A = np.zeros((n_int, n_int))
     diag = np.zeros(n_int)
 
-    def ravel_nodes(node_idx: np.ndarray) -> np.ndarray:
-        return np.ravel_multi_index(tuple(node_idx.T), node_shape)
-
-    # ---- near part: exact cell-pair expansions over adjacent cells
-    padded = np.pad(mask.active, 2, constant_values=False)
-
-    def shifted_active(off: tuple[int, ...]) -> np.ndarray:
-        sl = tuple(slice(2 + o, 2 + o + grid.cells[k]) for k, o in enumerate(off))
-        return padded[sl]
-
-    for cell_off in [(0,) * dim] + _offsets_within(dim, 1):
-        valid = mask.active & shifted_active(cell_off)
-        if not valid.any():
+    # ---- near and gap parts: one summed stencil per cell offset D,
+    # applied at every cell pair (K, K+D) of active cells
+    padded = np.pad(mask.active, 3, constant_values=False)
+    # node index of each cell's low vertex
+    low_vertex = np.arange(labels.size).reshape(grid.node_shape)[
+        tuple(slice(n) for n in grid.cells)]
+    for off, (o1, o2, vals) in table.stencils.items():
+        sl = tuple(slice(3 + o, 3 + o + n) for o, n in zip(off, grid.cells))
+        low = low_vertex[mask.active & padded[sl]]
+        if not len(low):
             continue
-        cells_k = np.argwhere(valid)                    # (m, dim)
-        a_offs, b_offs, ws = table.pair_weights[cell_off]
-        if not len(ws):
-            continue
-        na = (cells_k[:, None, :] + a_offs[None, :, :]).reshape(-1, dim)
-        nb = (cells_k[:, None, :] + b_offs[None, :, :]).reshape(-1, dim)
-        la = labels_flat[ravel_nodes(na)]
-        lb = labels_flat[ravel_nodes(nb)]
-        wv = np.broadcast_to(ws * scale, (len(cells_k), len(ws))).ravel()
-        int_a = la < n_int
-        int_b = lb < n_int
-        both = int_a & int_b
-        if both.any():
-            r = la[both]
-            c = lb[both]
-            v = wv[both]
-            np.add.at(A, (r, r), v)
-            np.add.at(A, (c, c), v)
-            np.add.at(A, (r, c), -v)
-            np.add.at(A, (c, r), -v)
-        a_only = int_a & ~int_b
-        if a_only.any():
-            np.add.at(diag, la[a_only], wv[a_only])
-        b_only = int_b & ~int_a
-        if b_only.any():
-            np.add.at(diag, lb[b_only], wv[b_only])
-
-    # ---- gap part: quadrant-midpoint blocks for non-adjacent cells at
-    # node offsets within Chebyshev two
-    pad_nodes = np.pad(mask.active, 3, constant_values=False)
-    node_range = [np.arange(s) for s in node_shape]
-
-    def quadrant_ok(cell_shift: tuple[int, ...]) -> np.ndarray:
-        # over node indices i: is cell (i - 1 + shift) active?
-        sl = tuple(slice(3 + s - 1, 3 + s - 1 + node_shape[k])
-                   for k, s in enumerate(cell_shift))
-        return pad_nodes[sl]
-
-    for (delta, q, qp, off1, off2, vals) in table.gap_classes:
-        cond = quadrant_ok(q) & quadrant_ok(tuple(d + g for d, g in zip(delta, qp)))
-        if not cond.any():
-            continue
-        i_idx = np.argwhere(cond)                       # (m, dim) node indices
-        m = len(i_idx)
-        me = len(vals)
-        p1 = (i_idx[:, None, :] + off1[None, :, :]).reshape(-1, dim)
-        p2 = (i_idx[:, None, :] + off2[None, :, :]).reshape(-1, dim)
-        g1 = labels_flat[ravel_nodes(p1)].reshape(m, me)
-        g2 = labels_flat[ravel_nodes(p2)].reshape(m, me)
-        vv = np.broadcast_to(vals * scale, (m, me))
-        same = np.all(off1 == off2, axis=1)[None, :]
-        ok = (g1 < n_int) & (g2 < n_int)
-        on_diag = ok & same
-        off_diag = ok & ~same
-        if on_diag.any():
-            np.add.at(diag, g1[on_diag], vv[on_diag])
-        if off_diag.any():
-            np.add.at(A, (g1[off_diag], g2[off_diag]), vv[off_diag])
+        r = labels[low[:, None] + (o1 @ strides)[None, :]]
+        c = labels[low[:, None] + (o2 @ strides)[None, :]]
+        keep = (r < n_int) & (c < n_int)
+        np.add.at(A.reshape(-1), (r * n_int + c)[keep],
+                  np.broadcast_to(vals * scale, r.shape)[keep])
 
     # ---- far part: midpoint rule at node offsets Chebyshev >= 3, in
     # row blocks of about 2^20 pairs that reuse three scratch buffers

@@ -7,6 +7,8 @@ interpolant's double integral (itself validated against a closed form).
 """
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import os
 import struct
@@ -19,7 +21,8 @@ from scipy.integrate import quad
 
 from regfrac import gagliardo as ga
 from regfrac.gagliardo import NearFieldError, assemble, build_near_table
-from regfrac.geometry import Ball, Box, DomainMask, GridSpec, make_mask
+from regfrac.geometry import (Annulus, Ball, Box, DomainMask, GridSpec,
+                              make_mask)
 from regfrac.quadrature import tensor_rule
 from regfrac.special import exit_scale_prefactor, hardy_constant
 
@@ -190,7 +193,191 @@ def test_level_sums_independent_of_blas_threads():
     assert outs[0] == outs[1] != ""
 
 
+def test_stencil_symmetry(table1, table2):
+    # One stencil per cell offset within Chebyshev three.  Stencils at
+    # axis-permuted and reflected offsets carry the same values; the gap
+    # classes are summed in another order per offset, so they agree to
+    # rounding rather than bitwise.
+    for table in (table1, table2, build_near_table(3, 0.5)):
+        assert len(table.stencils) == 7 ** table.dim
+        orbits: dict = {}
+        for off, (_, _, vals) in table.stencils.items():
+            orbits.setdefault(ga._canonical(off), []).append(np.sort(vals))
+        for canon, members in orbits.items():
+            for vals in members[1:]:
+                err = np.abs(vals - members[0]).max()
+                assert err <= 1e-14 * np.abs(members[0]).max(), (canon, err)
+
+
 # ------------------------------------------------------------- assembly
+
+
+def _quadrant_stencil(dim, q):
+    """Interpolation stencil of the midpoint of quadrant q of a node:
+    (node offset, coefficient) over the vertices of cell node - 1 + q."""
+    entries = []
+    for v in itertools.product((0, 1), repeat=dim):
+        off = tuple(qk + vk - 1 for qk, vk in zip(q, v))
+        coef = 1.0
+        for qk, vk in zip(q, v):
+            coef *= 0.75 if (qk == 0) == (vk == 1) else 0.25
+        entries.append((off, coef))
+    return entries
+
+
+def _gap_classes(dim, sigma):
+    """Per-class gap data, built pair by pair: (node offset delta,
+    quadrants q and q', node offsets off1 and off2 from the first node,
+    kernel-weighted values)."""
+    beta = dim + 2.0 * sigma
+    quads = list(itertools.product((0, 1), repeat=dim))
+    classes = []
+    for delta in ga._offsets_within(dim, 2):
+        for q in quads:
+            for qp in quads:
+                cell_off = [d + b - a for d, a, b in zip(delta, q, qp)]
+                if max(abs(c) for c in cell_off) < 2:
+                    continue
+                mid = np.asarray(delta) + (np.asarray(qp) - np.asarray(q)) / 2
+                s_sten = _quadrant_stencil(dim, q)
+                t_sten = [(tuple(d + o for d, o in zip(delta, off)), c)
+                          for off, c in _quadrant_stencil(dim, qp)]
+                acc: dict = {}
+
+                def add(o1, o2, c):
+                    if o1 == o2:
+                        acc[(o1, o2)] = acc.get((o1, o2), 0.0) + c
+                    else:
+                        acc[(o1, o2)] = acc.get((o1, o2), 0.0) + 0.5 * c
+                        acc[(o2, o1)] = acc.get((o2, o1), 0.0) + 0.5 * c
+
+                for o1, c1 in s_sten:
+                    for o2, c2 in s_sten:
+                        add(o1, o2, c1 * c2)
+                for o1, c1 in t_sten:
+                    for o2, c2 in t_sten:
+                        add(o1, o2, c1 * c2)
+                for o1, c1 in s_sten:
+                    for o2, c2 in t_sten:
+                        add(o1, o2, -2.0 * c1 * c2)
+                w = 4.0 ** -dim * float(np.dot(mid, mid)) ** (-beta / 2.0)
+                classes.append((delta, q, qp,
+                                np.asarray([k[0] for k in acc]),
+                                np.asarray([k[1] for k in acc]),
+                                np.asarray(list(acc.values())) * w))
+    return classes
+
+
+def _near_gap_by_class(mask, sigma, table):
+    """Near and gap parts of the form, assembled pair-weight list by
+    pair-weight list and gap class by gap class, with entries touching
+    the boundary ring folded as the zero boundary values require."""
+    grid = mask.grid
+    dim = grid.dim
+    scale = grid.spacing ** (dim - 2.0 * sigma)
+    n_int = len(mask.interior_idx)
+    node_shape = grid.node_shape
+    labels = np.full(node_shape, -1, dtype=np.int64)
+    labels[tuple(mask.interior_idx.T)] = np.arange(n_int)
+    labels[tuple(mask.boundary_idx.T)] = n_int + np.arange(
+        len(mask.boundary_idx))
+    labels_flat = labels.ravel()
+
+    def ravel_nodes(node_idx):
+        return np.ravel_multi_index(tuple(node_idx.T), node_shape)
+
+    A = np.zeros((n_int, n_int))
+    diag = np.zeros(n_int)
+    padded = np.pad(mask.active, 2, constant_values=False)
+    for cell_off in [(0,) * dim] + ga._offsets_within(dim, 1):
+        sl = tuple(slice(2 + o, 2 + o + grid.cells[k])
+                   for k, o in enumerate(cell_off))
+        cells_k = np.argwhere(mask.active & padded[sl])
+        a_offs, b_offs, ws = table.pair_weights[cell_off]
+        if not len(cells_k) or not len(ws):
+            continue
+        la = labels_flat[ravel_nodes(
+            (cells_k[:, None, :] + a_offs[None, :, :]).reshape(-1, dim))]
+        lb = labels_flat[ravel_nodes(
+            (cells_k[:, None, :] + b_offs[None, :, :]).reshape(-1, dim))]
+        wv = np.broadcast_to(ws * scale, (len(cells_k), len(ws))).ravel()
+        int_a, int_b = la < n_int, lb < n_int
+        both = int_a & int_b
+        r, c, v = la[both], lb[both], wv[both]
+        np.add.at(A, (r, r), v)
+        np.add.at(A, (c, c), v)
+        np.add.at(A, (r, c), -v)
+        np.add.at(A, (c, r), -v)
+        np.add.at(diag, la[int_a & ~int_b], wv[int_a & ~int_b])
+        np.add.at(diag, lb[int_b & ~int_a], wv[int_b & ~int_a])
+
+    pad_nodes = np.pad(mask.active, 3, constant_values=False)
+
+    def quadrant_ok(cell_shift):
+        # over node indices i: is cell (i - 1 + shift) active?
+        sl = tuple(slice(2 + s, 2 + s + node_shape[k])
+                   for k, s in enumerate(cell_shift))
+        return pad_nodes[sl]
+
+    for delta, q, qp, off1, off2, vals in _gap_classes(dim, sigma):
+        cond = quadrant_ok(q) & quadrant_ok(
+            tuple(d + g for d, g in zip(delta, qp)))
+        i_idx = np.argwhere(cond)
+        m, me = len(i_idx), len(vals)
+        if not m:
+            continue
+        g1 = labels_flat[ravel_nodes(
+            (i_idx[:, None, :] + off1[None, :, :]).reshape(-1, dim))
+            ].reshape(m, me)
+        g2 = labels_flat[ravel_nodes(
+            (i_idx[:, None, :] + off2[None, :, :]).reshape(-1, dim))
+            ].reshape(m, me)
+        vv = np.broadcast_to(vals * scale, (m, me))
+        same = np.all(off1 == off2, axis=1)[None, :]
+        ok = (g1 < n_int) & (g2 < n_int)
+        np.add.at(diag, g1[ok & same], vv[ok & same])
+        np.add.at(A, (g1[ok & ~same], g2[ok & ~same]), vv[ok & ~same])
+    A[np.arange(n_int), np.arange(n_int)] += diag
+    return A
+
+
+def _holey_mask():
+    # random cells with holes, one full row along the grid edge
+    active = np.random.default_rng(3).random((20, 20)) > 0.25
+    active[0, :] = True
+    grid = GridSpec(cells=(20, 20), spacing=0.1, origin=(-1.0, -1.0))
+    return DomainMask(grid, active)
+
+
+@pytest.mark.parametrize("case", ["box-1d", "ball-2d", "annulus-2d",
+                                  "holes-2d", "ball-3d"])
+def test_stencils_match_per_class_assembly(case, table1, table2):
+    # Summing the near and gap data per cell offset changes only the
+    # order of the additions, so the matrix matches the per-class loops
+    # to rounding; the far part is the same code on both sides.
+    centered = {n: GridSpec(cells=(c,) * n, spacing=2.0 / c,
+                            origin=(-1.0,) * n) for n, c in ((2, 16), (3, 10))}
+    mask, sigma, table = {
+        "box-1d": (make_mask(GridSpec(cells=(12,), spacing=0.25,
+                                      origin=(0.0,)),
+                             Box(lo=(0.0,), hi=(3.0,))), 0.25, table1),
+        "ball-2d": (make_mask(centered[2], Ball(center=(0.0, 0.0),
+                                                radius=0.9)), 0.75, table2),
+        "annulus-2d": (make_mask(centered[2], Annulus(
+            center=(0.0, 0.0), r_inner=0.3, r_outer=0.9)), 0.75, table2),
+        "holes-2d": (_holey_mask(), 0.75, table2),
+        "ball-3d": (make_mask(centered[3], Ball(center=(0.0,) * 3,
+                                                radius=0.8)),
+                    0.5, build_near_table(3, 0.5)),
+    }[case]
+    far = assemble(mask, sigma,
+                   table=dataclasses.replace(table, stencils={})).matrix()
+    ref = far + _near_gap_by_class(mask, sigma, table)
+    got = assemble(mask, sigma, table=table).matrix()
+    err = np.abs(got - ref).max() / np.abs(ref).max()
+    assert err <= 1e-12, err
+
+
 
 
 def test_tent_energy_brute_force(table1):
