@@ -557,7 +557,7 @@ class RegionalForm:
         return float(np.dot(np.asarray(u, dtype=float), self.apply(u)))
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal of the assembled operator (used for preconditioning)."""
+        """Diagonal of the assembled operator (a copy)."""
         return np.diag(self._matrix).copy()
 
     def full_energy(self, u: np.ndarray) -> float:

@@ -4,9 +4,10 @@ The mass matrix is diagonal (each node owns the fraction of its incident
 active cells), so the generalized problem A u = lambda M u reduces
 cleanly.  The solver is blocked inverse iteration with two Ritz vectors:
 the extra vector tracks the next eigenvalue for gap diagnostics and
-keeps the iteration robust when the leading eigenvalues cluster.  Inner
-solves are Jacobi-preconditioned conjugate gradients with a fixed
-operation order, so equal seeds reproduce results bit for bit.
+keeps the iteration robust when the leading eigenvalues cluster.  The
+form is Cholesky-factored once and every inner solve is an exact pair
+of triangular solves, so equal seeds reproduce results bit for bit at
+a fixed BLAS thread count.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .gagliardo import RegionalForm
 
@@ -69,39 +71,6 @@ def rayleigh_quotient(form: RegionalForm, u: np.ndarray) -> float:
     return form.energy(u) / mass
 
 
-def _pcg(apply_a, pre_inv: np.ndarray, b: np.ndarray, threshold: float,
-         max_steps: int) -> np.ndarray:
-    """Conjugate gradients with a diagonal preconditioner.
-
-    Hand-rolled so the operation order is fixed: library solvers do not
-    promise bit-identical reductions across versions.  Stops once the
-    residual drops below ``threshold`` times the current solution norm,
-    so the accuracy of the returned direction does not degrade with the
-    scale of the solution.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = pre_inv * r
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    for _ in range(max_steps):
-        ap = apply_a(p)
-        denom = float(np.dot(p, ap))
-        if denom <= 0.0:
-            break
-        alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        if float(np.linalg.norm(r)) <= threshold * float(np.linalg.norm(x)):
-            break
-        z = pre_inv * r
-        rz_next = float(np.dot(r, z))
-        beta = rz_next / rz
-        rz = rz_next
-        p = z + beta * p
-    return x
-
-
 def _orthonormalize(block: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(block)
     signs = np.sign(np.diag(r))
@@ -109,36 +78,44 @@ def _orthonormalize(block: np.ndarray) -> np.ndarray:
     return q * signs[None, :]
 
 
-def solve_pencil(apply_a, a_diag: np.ndarray, mass_diag: np.ndarray, *,
+def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
                  tol: float = 1e-8, max_iter: int = 200, seed: int = 0,
                  start: np.ndarray | None = None) -> EigenResult:
     """Smallest eigenpair of A u = lambda M u for diagonal M.
 
-    ``apply_a`` is the operator, ``a_diag`` its diagonal (Jacobi
-    preconditioner), ``mass_diag`` the positive mass diagonal. ``tol``
-    bounds the mass-weighted residual; inner solves run at a tenth of
-    it.  ``start`` seeds the first block column (warm start).
+    ``matrix`` is the dense symmetric positive definite A, ``mass_diag``
+    the positive mass diagonal.  A is Cholesky-factored once, so every
+    inner solve is exact; the solve needs one N x N array beside A.
+    ``tol`` bounds the mass-weighted residual.  ``start`` seeds the
+    first block column (warm start).  Raises ``ValueError`` on a
+    non-square matrix, mismatched lengths, or a matrix that is not
+    finite and positive definite.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    a = np.asarray(matrix, dtype=float)
     m = np.asarray(mass_diag, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if m.shape != (a.shape[0],):
+        raise ValueError(f"mass diagonal shape {m.shape} does not match "
+                         f"matrix order {a.shape[0]}")
     n = len(m)
     if n == 0:
         raise ValueError("no interior nodes")
-    if np.any(m <= 0.0):
+    if not np.all(m > 0.0):
         raise ValueError("mass diagonal must be positive")
+    # one Fortran-ordered copy, factored in place by LAPACK's potrf
+    try:
+        factor = cho_factor(np.array(a, order="F"), overwrite_a=True)
+    except ValueError as exc:  # LinAlgError is a ValueError too
+        raise ValueError(
+            f"matrix is not finite and positive definite: {exc}") from exc
     # work in mass-symmetrized coordinates: the pencil (A, M) becomes the
     # plain symmetric problem with operator M^(-1/2) A M^(-1/2), and the
     # 2-norm residual there is exactly the mass-weighted defect norm
     sqrt_m = np.sqrt(m)
-
-    def apply_sym(v: np.ndarray) -> np.ndarray:
-        return apply_a(v / sqrt_m) / sqrt_m
-
-    a_diag = np.asarray(a_diag, dtype=float)
-    sym_diag = a_diag / m
-    pre_inv = np.where(sym_diag > 0.0,
-                       1.0 / np.where(sym_diag > 0.0, sym_diag, 1.0), 1.0)
+    sqrt_col = sqrt_m[:, None]
     rng = np.random.default_rng(seed)
     width = 2 if n >= 2 else 1
     block = rng.standard_normal((n, width))
@@ -146,8 +123,6 @@ def solve_pencil(apply_a, a_diag: np.ndarray, mass_diag: np.ndarray, *,
         block[:, 0] = np.asarray(start, dtype=float) * sqrt_m
     block = _orthonormalize(block)
 
-    inner = 0.1 * tol
-    cg_cap = n + 100
     history: list[float] = []
     lam = float("inf")
     second = float("inf")
@@ -155,11 +130,9 @@ def solve_pencil(apply_a, a_diag: np.ndarray, mass_diag: np.ndarray, *,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        solved = np.column_stack([
-            _pcg(apply_sym, pre_inv, block[:, j], inner, cg_cap)
-            for j in range(width)])
+        solved = sqrt_col * cho_solve(factor, sqrt_col * block)
         block = _orthonormalize(solved)
-        images = np.column_stack([apply_sym(block[:, j]) for j in range(width)])
+        images = (a @ (block / sqrt_col)) / sqrt_col
         gram = block.T @ images
         gram = 0.5 * (gram + gram.T)
         theta, ritz = np.linalg.eigh(gram)
@@ -185,7 +158,7 @@ def solve_pencil(apply_a, a_diag: np.ndarray, mass_diag: np.ndarray, *,
             RuntimeWarning, stacklevel=2)
     u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
     u = u / np.sqrt(float(np.sum(m * u * u)))
-    defect = apply_a(u) - lam * (m * u)
+    defect = a @ u - lam * (m * u)
     residual = float(np.sqrt(np.sum(defect * defect / m)))
     return EigenResult(eigenvalue=lam, vector=u, residual=residual,
                        iterations=iterations, converged=converged,
@@ -199,7 +172,7 @@ def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
     """Ground eigenpair of the assembled regional form."""
     if form.size == 0:
         raise ValueError("no interior nodes")
-    return solve_pencil(form.apply, form.diagonal(), form.node_weights,
+    return solve_pencil(form.matrix(), form.node_weights,
                         tol=tol, max_iter=max_iter, seed=seed, start=start)
 
 

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from regfrac.gagliardo import assemble
-from regfrac.geometry import Box, DomainMask, GridSpec, make_mask
+from regfrac.geometry import Annulus, Box, DomainMask, GridSpec, make_mask
 from regfrac.spectral import (
     EigenResult,
     eigen_residual_report,
@@ -24,12 +25,29 @@ def ball_pair(ball_form):
 def test_injected_two_by_two():
     # Known eigensystem: eigenvalues 1 and 3, ground vector (1,1)/sqrt(2).
     matrix = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    res = solve_pencil(lambda v: matrix @ v, np.diag(matrix), np.ones(2),
-                       tol=1e-12, seed=1)
+    res = solve_pencil(matrix, np.ones(2), tol=1e-12, seed=1)
     assert res.converged
     assert abs(res.eigenvalue - 1.0) < 1e-12
     assert abs(res.second_estimate - 3.0) < 1e-9
     assert np.allclose(res.vector, np.full(2, 1.0 / np.sqrt(2.0)), atol=1e-10)
+
+
+def test_nonuniform_mass_matches_generalized_eigh():
+    # forms carry a constant mass diagonal; a varying one checks that the
+    # inner solves work in the mass-symmetrized coordinates
+    rng = np.random.default_rng(4)
+    # a path Laplacian plus a positive potential: an irreducible
+    # M-matrix, so the ground vector is positive
+    matrix = (np.diag(2.0 + rng.uniform(0.0, 1.0, 30))
+              - np.eye(30, k=1) - np.eye(30, k=-1))
+    mass = rng.uniform(0.2, 5.0, 30)
+    res = solve_pencil(matrix, mass, tol=1e-11, seed=2)
+    exact, vecs = scipy.linalg.eigh(matrix, np.diag(mass),
+                                    subset_by_index=[0, 0])
+    assert res.converged
+    assert abs(res.eigenvalue - exact[0]) <= 1e-12 * exact[0]
+    ref = vecs[:, 0] * np.sign(np.sum(mass * vecs[:, 0]))
+    assert float(np.max(np.abs(res.vector - ref))) <= 1e-8
 
 
 def test_ground_state_contract(ball_form, ball_pair):
@@ -144,9 +162,33 @@ def test_unconverged_is_flagged_not_raised(ball_form):
 
 def test_empty_and_invalid_inputs():
     with pytest.raises(ValueError, match="no interior nodes"):
-        solve_pencil(lambda v: v, np.zeros(0), np.zeros(0))
+        solve_pencil(np.zeros((0, 0)), np.zeros(0))
     with pytest.raises(ValueError, match="tolerance"):
-        solve_pencil(lambda v: v, np.ones(2), np.ones(2), tol=0.0)
+        solve_pencil(np.eye(2), np.ones(2), tol=0.0)
+    with pytest.raises(ValueError, match="square"):
+        solve_pencil(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match="square"):
+        solve_pencil(np.ones(4), np.ones(4))
+    with pytest.raises(ValueError, match="does not match"):
+        solve_pencil(np.eye(3), np.ones(2))
+    with pytest.raises(ValueError, match="mass diagonal must be positive"):
+        solve_pencil(np.eye(2), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="mass diagonal must be positive"):
+        solve_pencil(np.eye(2), np.array([1.0, np.nan]))
+
+
+def test_indefinite_matrix_rejected():
+    # eigenvalues -1 and 3: the Cholesky factorization fails at pivot 2
+    with pytest.raises(ValueError, match="positive definite"):
+        solve_pencil(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_matrix_rejected(bad):
+    matrix = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    matrix[2, 0] = bad  # lower triangle: the factorization never reads it
+    with pytest.raises(ValueError, match="not finite"):
+        solve_pencil(matrix, np.ones(3))
 
 
 def test_mass_diagonal_bookkeeping(box_form):
@@ -165,3 +207,93 @@ def test_warm_start_accelerates(ball_form, ball_pair):
     assert warm.converged
     assert warm.iterations <= 2
     assert abs(warm.eigenvalue - ball_pair.eigenvalue) <= 1e-12 * ball_pair.eigenvalue
+
+
+def _reference_pcg(apply_a, pre_inv, b, threshold, max_steps):
+    """The Jacobi-preconditioned CG inner solve the eigensolver used
+    before it factored the form; kept as the reference."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = pre_inv * r
+    p = z.copy()
+    rz = float(np.dot(r, z))
+    for _ in range(max_steps):
+        ap = apply_a(p)
+        denom = float(np.dot(p, ap))
+        if denom <= 0.0:
+            break
+        alpha = rz / denom
+        x = x + alpha * p
+        r = r - alpha * ap
+        if float(np.linalg.norm(r)) <= threshold * float(np.linalg.norm(x)):
+            break
+        z = pre_inv * r
+        rz_next = float(np.dot(r, z))
+        beta = rz_next / rz
+        rz = rz_next
+        p = z + beta * p
+    return x
+
+
+def _reference_orthonormalize(block):
+    q, r = np.linalg.qr(block)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    return q * signs[None, :]
+
+
+def _reference_pencil(matrix, m, tol, seed):
+    """Block-2 inverse iteration with PCG inner solves at a tenth of
+    ``tol``: (eigenvalue, mass-normalized vector, outer steps)."""
+    n = len(m)
+    sqrt_m = np.sqrt(m)
+
+    def apply_sym(v):
+        return (matrix @ (v / sqrt_m)) / sqrt_m
+
+    pre_inv = m / np.diag(matrix)
+    block = np.random.default_rng(seed).standard_normal((n, 2))
+    block = _reference_orthonormalize(block)
+    for iterations in range(1, 201):
+        solved = np.column_stack([
+            _reference_pcg(apply_sym, pre_inv, block[:, j], 0.1 * tol, n + 100)
+            for j in range(2)])
+        block = _reference_orthonormalize(solved)
+        images = np.column_stack([apply_sym(block[:, j]) for j in range(2)])
+        gram = block.T @ images
+        theta, ritz = np.linalg.eigh(0.5 * (gram + gram.T))
+        block = block @ ritz
+        images = images @ ritz
+        lam = float(theta[0])
+        if np.linalg.norm(images[:, 0] - lam * block[:, 0]) <= tol:
+            break
+    u = block[:, 0] / sqrt_m
+    u = u if float(np.sum(u * m)) >= 0.0 else -u
+    return lam, u / np.sqrt(float(np.sum(m * u * u))), iterations
+
+
+@pytest.fixture(scope="module")
+def annulus_form(table2):
+    # thin 40x40 annulus: the smallest spectral gap of the three cases
+    grid = GridSpec(cells=(40, 40), spacing=2.0 / 40, origin=(-1.0, -1.0))
+    mask = make_mask(grid, Annulus(center=(0.0, 0.0), r_inner=0.3, r_outer=0.8))
+    return assemble(mask, 0.75, table=table2)
+
+
+@pytest.mark.parametrize("name", ["ball_form", "box_form", "annulus_form"])
+def test_factored_solves_match_reference_and_dense_oracle(name, request):
+    form = request.getfixturevalue(name)
+    matrix, m = form.matrix(), form.node_weights
+    res = smallest_eigenpair(form, tol=1e-10, seed=5)
+    assert res.converged
+    lam_ref, u_ref, iters_ref = _reference_pencil(matrix, m, 1e-10, seed=5)
+    assert abs(res.eigenvalue - lam_ref) <= 1e-12 * lam_ref
+    assert float(np.max(np.abs(res.vector - u_ref))) <= 1e-8
+    assert abs(res.iterations - iters_ref) <= 1
+    # dense oracle on the mass-symmetrized matrix
+    inv_sqrt = 1.0 / np.sqrt(m)
+    exact = scipy.linalg.eigh(inv_sqrt[:, None] * matrix * inv_sqrt[None, :],
+                              eigvals_only=True, subset_by_index=[0, 1])
+    assert abs(res.eigenvalue - exact[0]) <= 1e-10 * exact[0]
+    # the companion Ritz value bounds the second eigenvalue from above
+    assert res.second_estimate >= exact[1] * (1.0 - 1e-12)
