@@ -661,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eigen.add_argument("--tol", type=float, default=None,
                          help="eigen residual tolerance")
     p_eigen.add_argument("--eigen-max-iter", dest="eigen_max_iter",
-                         type=int, default=None)
+                         type=int, default=None,
+                         help="ARPACK restart cap of the eigensolver")
     p_eigen.add_argument("--pgm", dest="emit_pgm", action="store_const",
                          const=True, default=None,
                          help="write the eigenfunction as a P2 image")
@@ -707,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None)
     p_opt.add_argument("--tol", type=float, default=None)
     p_opt.add_argument("--eigen-max-iter", dest="eigen_max_iter", type=int,
-                       default=None)
+                       default=None,
+                       help="ARPACK restart cap of the eigensolver")
     p_opt.add_argument("--no-csv", dest="emit_csv", action="store_const",
                        const=False, default=None)
 

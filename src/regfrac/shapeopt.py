@@ -141,8 +141,10 @@ def optimize_fixed_measure(grid: GridSpec, sigma: float, target_volume: float,
     Candidates keep the top cells by eigenfunction score; a candidate is
     accepted only if its eigenvalue beats the best seen by more than
     1e-12, otherwise up to five single-cell swap perturbations are
-    tried before stopping.  A non-converged eigensolve aborts the run,
-    returning the best state with its partial history.
+    tried before stopping.  Candidates without interior nodes are
+    skipped; a solver error on any other candidate propagates.  A
+    non-converged eigensolve aborts the run, returning the best state
+    with its partial history.
     """
     cell_vol = grid.spacing ** grid.dim
     count = target_volume / cell_vol
@@ -179,10 +181,9 @@ def optimize_fixed_measure(grid: GridSpec, sigma: float, target_volume: float,
             _swap_candidates(grid, score, current_mask, limit=5))
         accepted = False
         for cand in candidates:
-            try:
-                eig_c = _solve(cand)
-            except ValueError:
-                continue  # degenerate candidate (no interior nodes)
+            if len(cand.interior_idx) == 0:
+                continue  # degenerate candidate: nothing to solve
+            eig_c = _solve(cand)
             if not eig_c.converged:
                 return best
             if eig_c.eigenvalue < best.eigen.eigenvalue - 1e-12:

@@ -2,12 +2,13 @@
 
 The mass matrix is diagonal (each node owns the fraction of its incident
 active cells), so the generalized problem A u = lambda M u reduces
-cleanly.  The solver is blocked inverse iteration with two Ritz vectors:
-the extra vector tracks the next eigenvalue for gap diagnostics and
-keeps the iteration robust when the leading eigenvalues cluster.  The
-form is Cholesky-factored once and every inner solve is an exact pair
-of triangular solves, so equal seeds reproduce results bit for bit at
-a fixed BLAS thread count.
+cleanly to a symmetric one.  The form is Cholesky-factored once and
+ARPACK's implicitly restarted Lanczos iteration (Lehoucq, Sorensen &
+Yang 1998) runs on the symmetrized inverse: spectral-transformation
+Lanczos, where every operator application is an exact pair of
+triangular solves.  Two Ritz pairs are kept, the second for gap
+diagnostics.  A seeded start vector makes equal seeds reproduce results
+bit for bit at a fixed BLAS thread count.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .gagliardo import RegionalForm
 
@@ -26,10 +28,10 @@ class EigenResult:
 
     ``vector`` is normalized to unit lumped-L2 norm and sign-fixed to
     nonnegative mean; ``residual`` is the mass-weighted defect
-    ||A u - lambda M u||_{M^-1}.  ``second_estimate`` is the Ritz value
-    of the companion block vector — an estimate of the next eigenvalue,
-    reported for gap diagnostics.  ``quotient_history`` records the
-    leading Ritz value after each outer step.
+    ||A u - lambda M u||_{M^-1}.  ``second_estimate`` is the second Ritz
+    value, an estimate of the next eigenvalue reported for gap
+    diagnostics (equal to ``eigenvalue`` when there is none).
+    ``iterations`` counts the inverse solves made.
     """
 
     eigenvalue: float
@@ -38,7 +40,6 @@ class EigenResult:
     iterations: int
     converged: bool
     second_estimate: float
-    quotient_history: tuple
 
 
 @dataclass(frozen=True)
@@ -71,25 +72,21 @@ def rayleigh_quotient(form: RegionalForm, u: np.ndarray) -> float:
     return form.energy(u) / mass
 
 
-def _orthonormalize(block: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(block)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs[None, :]
-
-
 def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
-                 tol: float = 1e-8, max_iter: int = 200, seed: int = 0,
-                 start: np.ndarray | None = None) -> EigenResult:
+                 tol: float = 1e-8, max_iter: int = 200,
+                 seed: int = 0) -> EigenResult:
     """Smallest eigenpair of A u = lambda M u for diagonal M.
 
     ``matrix`` is the dense symmetric positive definite A, ``mass_diag``
-    the positive mass diagonal.  A is Cholesky-factored once, so every
-    inner solve is exact; the solve needs one N x N array beside A.
-    ``tol`` bounds the mass-weighted residual.  ``start`` seeds the
-    first block column (warm start).  Raises ``ValueError`` on a
-    non-square matrix, mismatched lengths, or a matrix that is not
-    finite and positive definite.
+    the positive mass diagonal.  A is Cholesky-factored once (one N x N
+    array beside A); ARPACK's ``eigsh``, started from a vector drawn
+    from ``seed`` with ``max_iter`` restarts at most, then finds the two
+    largest eigenvalues of M^(1/2) A^(-1) M^(1/2): 1/lambda_1 and
+    1/lambda_2.  Orders below 3, which ARPACK cannot take, use a dense
+    ``eigh``.  The result is converged when the mass-weighted residual
+    is at most ``tol``; an early Lanczos stop is flagged, not raised.
+    Raises ``ValueError`` on a non-square matrix, mismatched lengths, or
+    a matrix that is not finite and positive definite.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -112,43 +109,38 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
         raise ValueError(
             f"matrix is not finite and positive definite: {exc}") from exc
     # work in mass-symmetrized coordinates: the pencil (A, M) becomes the
-    # plain symmetric problem with operator M^(-1/2) A M^(-1/2), and the
-    # 2-norm residual there is exactly the mass-weighted defect norm
+    # plain symmetric problem with operator M^(-1/2) A M^(-1/2), whose
+    # eigenvectors are those of A u = lambda M u scaled by M^(1/2)
     sqrt_m = np.sqrt(m)
-    sqrt_col = sqrt_m[:, None]
-    rng = np.random.default_rng(seed)
-    width = 2 if n >= 2 else 1
-    block = rng.standard_normal((n, width))
-    if start is not None:
-        block[:, 0] = np.asarray(start, dtype=float) * sqrt_m
-    block = _orthonormalize(block)
+    start = np.random.default_rng(seed).standard_normal(n)
+    solves = 0
+    if n < 3:  # ARPACK needs k < ncv <= n for k = 2 Ritz pairs
+        lams, vecs = eigh(a / np.outer(sqrt_m, sqrt_m))
+    else:
+        def inverse(x):
+            nonlocal solves
+            solves += 1
+            return sqrt_m * cho_solve(factor, sqrt_m * x, check_finite=False)
 
-    history: list[float] = []
-    lam = float("inf")
-    second = float("inf")
-    residual = float("inf")
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        solved = sqrt_col * cho_solve(factor, sqrt_col * block)
-        block = _orthonormalize(solved)
-        images = (a @ (block / sqrt_col)) / sqrt_col
-        gram = block.T @ images
-        gram = 0.5 * (gram + gram.T)
-        theta, ritz = np.linalg.eigh(gram)
-        block = block @ ritz
-        images = images @ ritz
-        lam = float(theta[0])
-        second = float(theta[-1]) if width > 1 else lam
-        residual = float(np.linalg.norm(images[:, 0] - lam * block[:, 0]))
-        history.append(lam)
-        if residual <= tol:
-            converged = True
-            break
+        # ARPACK's tolerance is relative to the Ritz values; ``tol`` is
+        # checked below on the mass-weighted residual
+        op = LinearOperator((n, n), matvec=inverse, dtype=float)
+        try:
+            theta, vecs = eigsh(op, k=2, which="LA", v0=start, tol=1e-14,
+                                maxiter=max_iter)
+        except ArpackNoConvergence as exc:
+            theta, vecs = exc.eigenvalues, exc.eigenvectors
+        order = np.argsort(theta)[::-1]
+        lams, vecs = 1.0 / theta[order], vecs[:, order]
+    if len(lams):
+        lam, u = float(lams[0]), vecs[:, 0] / sqrt_m
+    else:  # ARPACK stopped before any Ritz pair converged
+        u = start / sqrt_m
+        lam = float(u @ (a @ u)) / float(np.sum(m * u * u))
+    second = float(lams[1]) if len(lams) > 1 else lam
 
     # sign convention: nonnegative lumped mean, then clamp roundoff-size
     # negative entries to zero and renormalize
-    u = block[:, 0] / sqrt_m
     if float(np.sum(u * m)) < 0.0:
         u = -u
     worst = float(u.min())
@@ -161,19 +153,17 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
     defect = a @ u - lam * (m * u)
     residual = float(np.sqrt(np.sum(defect * defect / m)))
     return EigenResult(eigenvalue=lam, vector=u, residual=residual,
-                       iterations=iterations, converged=converged,
-                       second_estimate=second,
-                       quotient_history=tuple(history))
+                       iterations=solves, converged=residual <= tol,
+                       second_estimate=second)
 
 
 def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
-                       max_iter: int = 200, seed: int = 0,
-                       start: np.ndarray | None = None) -> EigenResult:
+                       max_iter: int = 200, seed: int = 0) -> EigenResult:
     """Ground eigenpair of the assembled regional form."""
     if form.size == 0:
         raise ValueError("no interior nodes")
     return solve_pencil(form.matrix(), form.node_weights,
-                        tol=tol, max_iter=max_iter, seed=seed, start=start)
+                        tol=tol, max_iter=max_iter, seed=seed)
 
 
 def eigen_residual_report(form: RegionalForm, result: EigenResult,

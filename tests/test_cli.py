@@ -227,7 +227,7 @@ def test_eigen_three_dimensional(cli_env, tmp_path):
 def test_nonconvergence_exit3_partial(cli_env, tmp_path):
     out = tmp_path / "bad"
     proc = run_cli(["eigen", "--n", 1, "--sigma", 0.25, "--grid", 33,
-                    "--eigen-max-iter", 2, "--tol", "1e-14",
+                    "--eigen-max-iter", 2, "--tol", "1e-20",
                     "--out-dir", out], cli_env)
     assert proc.returncode == 3
     assert "did not converge" in proc.stderr
@@ -410,7 +410,7 @@ def test_report_mixed_runs_and_missing(cli_env, tmp_path):
                    cli_env).returncode == 0
     # a failed run: config.echo but no results
     bad = run_cli(["eigen", "--n", 1, "--sigma", 0.25, "--grid", 16,
-                   "--eigen-max-iter", 1, "--tol", "1e-15",
+                   "--eigen-max-iter", 1, "--tol", "1e-20",
                    "--out-dir", root / "c"], cli_env)
     assert bad.returncode == 3
     proc = run_cli(["report", root], cli_env)

@@ -18,6 +18,7 @@ import pytest
 from scipy import ndimage
 from scipy.spatial import ConvexHull
 
+import regfrac.shapeopt
 from regfrac.gagliardo import assemble
 from regfrac.geometry import Ball, Box, DomainMask, GridSpec, make_mask
 from regfrac.shapeopt import (ShapeState, component_reduction, convexify,
@@ -175,12 +176,55 @@ class TestFixedMeasure:
     def test_unconverged_init_aborts(self, small_ball, table2):
         grid, mask = small_ball
         state = _quiet_optimize(grid, SIGMA, mask.volume, mask, max_iter=5,
-                                seed=0, table=table2, eigen_tol=1e-13,
+                                seed=0, table=table2, eigen_tol=1e-20,
                                 eigen_max_iter=2)
         assert not state.eigen.converged
         assert state.history == ()
         assert state.iteration == 0
         assert state.mask.same_cells(mask)
+
+    def test_candidates_without_interior_nodes_skipped(self, table2,
+                                                       monkeypatch):
+        # a 2x2 block has one interior node; a single-cell swap breaks
+        # the block and leaves none, so no candidate is solved
+        grid = GridSpec(cells=(6, 6), spacing=1.0 / 6, origin=(0.0, 0.0))
+        active = np.zeros((6, 6), dtype=bool)
+        active[2:4, 2:4] = True
+        init = DomainMask(grid, active)
+        assert len(init.interior_idx) == 1
+        solved = []
+        real = regfrac.shapeopt.smallest_eigenpair
+
+        def counting(form, **kwargs):
+            solved.append(form.size)
+            return real(form, **kwargs)
+
+        monkeypatch.setattr(regfrac.shapeopt, "smallest_eigenpair", counting)
+        state = _quiet_optimize(grid, SIGMA, init.volume, init, max_iter=3,
+                                seed=0, table=table2)
+        assert solved == [1]
+        assert state.eigen.converged
+        assert state.mask.same_cells(init)
+        assert state.iteration == 0
+
+    def test_solver_error_on_candidate_raises(self, small_ball, table2,
+                                              monkeypatch):
+        grid, mask = small_ball
+        real = regfrac.shapeopt.smallest_eigenpair
+        calls = []
+
+        def failing_after_init(form, **kwargs):
+            calls.append(form.size)
+            if len(calls) > 1:
+                raise ValueError("matrix is not finite and positive definite")
+            return real(form, **kwargs)
+
+        monkeypatch.setattr(regfrac.shapeopt, "smallest_eigenpair",
+                            failing_after_init)
+        with pytest.raises(ValueError, match="positive definite"):
+            _quiet_optimize(grid, SIGMA, mask.volume, mask, max_iter=1,
+                            seed=0, table=table2)
+        assert len(calls) == 2
 
     def test_target_volume_validation(self, small_ball, table2):
         grid, mask = small_ball
@@ -462,8 +506,7 @@ class TestGrowthDiagnostics:
         eig_t = EigenResult(eigenvalue=eig.eigenvalue * t ** (-2 * SIGMA),
                             vector=eig.vector / t, residual=0.0,
                             iterations=1, converged=True,
-                            second_estimate=eig.second_estimate,
-                            quotient_history=(0.0,))
+                            second_estimate=eig.second_estimate)
         scaled = growth_diagnostics(_state_from(mask_t, eig_t))
         assert scaled.ratio_sup_l2 == base.ratio_sup_l2 / t
 
@@ -479,6 +522,6 @@ class TestGrowthDiagnostics:
         eig = growth_state.eigen
         broken = EigenResult(eigenvalue=eig.eigenvalue, vector=eig.vector,
                              residual=1.0, iterations=1, converged=False,
-                             second_estimate=None, quotient_history=(0.0,))
+                             second_estimate=None)
         with pytest.raises(ValueError, match="converged eigen state"):
             growth_diagnostics(_state_from(growth_state.mask, broken))

@@ -4,7 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import regfrac.spectral
 from regfrac.gagliardo import assemble
 from regfrac.geometry import Annulus, Box, DomainMask, GridSpec, make_mask
 from regfrac.spectral import (
@@ -30,6 +32,23 @@ def test_injected_two_by_two():
     assert abs(res.eigenvalue - 1.0) < 1e-12
     assert abs(res.second_estimate - 3.0) < 1e-9
     assert np.allclose(res.vector, np.full(2, 1.0 / np.sqrt(2.0)), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_smallest_orders_match_generalized_eigh(n):
+    # orders 1 and 2 are below what ARPACK takes with two eigenvalues and
+    # go through the dense path; order 3 is the smallest Lanczos case
+    rng = np.random.default_rng(10 + n)
+    matrix = (np.diag(2.0 + rng.uniform(0.0, 1.0, n))
+              - np.eye(n, k=1) - np.eye(n, k=-1))
+    mass = rng.uniform(0.5, 2.0, n)
+    res = solve_pencil(matrix, mass, tol=1e-12, seed=0)
+    exact, vecs = scipy.linalg.eigh(matrix, np.diag(mass))
+    assert res.converged
+    assert abs(res.eigenvalue - exact[0]) <= 1e-12 * exact[0]
+    assert abs(res.second_estimate - exact[min(1, n - 1)]) <= 1e-12 * exact[-1]
+    ref = vecs[:, 0] * np.sign(np.sum(mass * vecs[:, 0]))
+    assert float(np.max(np.abs(res.vector - ref))) <= 1e-10
 
 
 def test_nonuniform_mass_matches_generalized_eigh():
@@ -87,11 +106,13 @@ def test_solver_deterministic(ball_form):
     assert a.iterations == b.iterations
 
 
-def test_monotone_ritz_history(ball_pair):
-    hist = np.asarray(ball_pair.quotient_history)
-    assert len(hist) == ball_pair.iterations
-    slack = 1e-14 * np.abs(hist[:-1]) + 1e-14
-    assert np.all(np.diff(hist) <= slack)
+def test_eigenvalue_is_quotient_below_start(ball_form, ball_pair):
+    lam = ball_pair.eigenvalue
+    assert abs(rayleigh_quotient(ball_form, ball_pair.vector) - lam) <= 1e-12 * lam
+    # the Lanczos start vector is drawn in mass-symmetrized coordinates
+    start = (np.random.default_rng(0).standard_normal(ball_form.size)
+             / np.sqrt(ball_form.node_weights))
+    assert lam <= rayleigh_quotient(ball_form, start)
 
 
 def test_refinement_decreases_eigenvalue(table1):
@@ -139,7 +160,7 @@ def test_residual_report_detects_non_solution(ball_form, ball_pair):
     vec = ball_pair.vector + 0.05 * rng.standard_normal(ball_form.size)
     fake = EigenResult(eigenvalue=rayleigh_quotient(ball_form, vec),
                        vector=vec, residual=0.0, iterations=0, converged=True,
-                       second_estimate=0.0, quotient_history=())
+                       second_estimate=0.0)
     report = eigen_residual_report(ball_form, fake)
     assert report.support_residual > 10 * 1e-10
 
@@ -147,17 +168,44 @@ def test_residual_report_detects_non_solution(ball_form, ball_pair):
 def test_residual_report_requires_convergence(ball_form, ball_pair):
     stale = EigenResult(eigenvalue=ball_pair.eigenvalue,
                         vector=ball_pair.vector, residual=1.0, iterations=5,
-                        converged=False, second_estimate=0.0,
-                        quotient_history=())
+                        converged=False, second_estimate=0.0)
     with pytest.raises(ValueError, match="converged"):
         eigen_residual_report(ball_form, stale)
 
 
-def test_unconverged_is_flagged_not_raised(ball_form):
+def test_unconverged_is_flagged_not_raised(ball_form, monkeypatch):
+    solves = []
+    real = regfrac.spectral.cho_solve
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regfrac.spectral, "cho_solve", counting)
     res = smallest_eigenpair(ball_form, tol=1e-14, max_iter=2, seed=0)
     assert not res.converged
-    assert res.iterations == 2
+    assert res.iterations == len(solves) > 0
     assert np.isfinite(res.residual)
+
+
+def test_no_converged_pair_returns_start_vector(ball_form, monkeypatch):
+    def stalled(op, k, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0),
+                                  np.empty((op.shape[0], 0)))
+
+    monkeypatch.setattr(regfrac.spectral, "eigsh", stalled)
+    # a random start vector is far from nonnegative
+    with pytest.warns(RuntimeWarning, match="negativity"):
+        res = smallest_eigenpair(ball_form, tol=1e-8, seed=0)
+    assert not res.converged
+    assert res.iterations == 0
+    assert np.isfinite(res.residual) and res.residual > 1e-8
+    m = ball_form.node_weights
+    start = np.random.default_rng(0).standard_normal(ball_form.size) / np.sqrt(m)
+    start = start * np.sign(np.sum(m * start)) / np.sqrt(np.sum(m * start ** 2))
+    assert float(np.max(np.abs(res.vector - start))) <= 1e-12
+    assert abs(res.eigenvalue - rayleigh_quotient(ball_form, start)) \
+        <= 1e-12 * res.eigenvalue
 
 
 def test_empty_and_invalid_inputs():
@@ -199,14 +247,6 @@ def test_mass_diagonal_bookkeeping(box_form):
     total = float(np.sum(box_form.node_weights) +
                   np.sum(box_form.boundary_weights))
     assert abs(total - box_form.mask.volume) <= 1e-12 * box_form.mask.volume
-
-
-def test_warm_start_accelerates(ball_form, ball_pair):
-    warm = smallest_eigenpair(ball_form, tol=1e-10, seed=3,
-                              start=ball_pair.vector)
-    assert warm.converged
-    assert warm.iterations <= 2
-    assert abs(warm.eigenvalue - ball_pair.eigenvalue) <= 1e-12 * ball_pair.eigenvalue
 
 
 def _reference_pcg(apply_a, pre_inv, b, threshold, max_steps):
@@ -289,11 +329,10 @@ def test_factored_solves_match_reference_and_dense_oracle(name, request):
     lam_ref, u_ref, iters_ref = _reference_pencil(matrix, m, 1e-10, seed=5)
     assert abs(res.eigenvalue - lam_ref) <= 1e-12 * lam_ref
     assert float(np.max(np.abs(res.vector - u_ref))) <= 1e-8
-    assert abs(res.iterations - iters_ref) <= 1
+    assert res.iterations <= 2 * iters_ref
     # dense oracle on the mass-symmetrized matrix
     inv_sqrt = 1.0 / np.sqrt(m)
     exact = scipy.linalg.eigh(inv_sqrt[:, None] * matrix * inv_sqrt[None, :],
                               eigvals_only=True, subset_by_index=[0, 1])
     assert abs(res.eigenvalue - exact[0]) <= 1e-10 * exact[0]
-    # the companion Ritz value bounds the second eigenvalue from above
-    assert res.second_estimate >= exact[1] * (1.0 - 1e-12)
+    assert abs(res.second_estimate - exact[1]) <= 1e-10 * exact[1]
