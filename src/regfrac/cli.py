@@ -678,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hardy.add_argument("--shape-file", dest="shape_file", default=None,
                          metavar="PBM")
     p_hardy.add_argument("--dirs", type=int, default=None,
-                         help="direction count for the exit-distance march")
+                         help="direction count of the pseudo-distance sphere rule")
     p_hardy.add_argument("--no-csv", dest="emit_csv", action="store_const",
                          const=False, default=None)
 

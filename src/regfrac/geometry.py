@@ -1,4 +1,4 @@
-"""Uniform grids, cell masks, node activity, and directional distances.
+"""Uniform grids, cell masks, node activity, and exact exit distances.
 
 The discretization convention throughout the package: cells carry the
 domain (a cell is in or out), nodes carry function values.  A node is an
@@ -173,8 +173,8 @@ class DomainMask:
     def contains_point(self, p: np.ndarray) -> bool:
         """Whether p lies in the union of active (closed) cells.
 
-        Points on shared faces are attributed to the higher-index cell;
-        this is a measure-zero convention absorbed by march tolerances.
+        Points on shared faces are attributed to the higher-index cell,
+        the half-open convention the exit-distance traversal also uses.
         """
         idx = np.floor((np.asarray(p, dtype=float) - np.asarray(self.grid.origin))
                        / self.grid.spacing).astype(int)
@@ -349,54 +349,58 @@ def direction_set(dim: int, count: int) -> DirectionSet:
 
 def march_exit_distances(mask: DomainMask, points: np.ndarray,
                          directions: np.ndarray) -> np.ndarray:
-    """One-sided ray-march exit distances, vectorized.
-
-    For each point and direction, the smallest positive multiple of
-    h/8 at which point + t*direction leaves the active-cell union,
-    capped at the grid diameter.  Shape: (npoints, ndirections).
-    """
+    """Exact exit parameters, shape (npoints, ndirections), by grid traversal
+    (Amanatides & Woo 1987): the t >= 0 at which point + t*direction leaves
+    the active-cell union, capped at the grid diameter.  Cells are
+    half-open: a ray on a grid line runs in the higher cells, one starting
+    outside or on the boundary facing out exits at 0, and crossings that
+    tie up to rounding (a vertex, an edge) step together."""
     grid = mask.grid
-    step = grid.spacing / 8.0
-    n_steps = int(math.ceil(grid.diameter / step)) + 1
     points = np.atleast_2d(np.asarray(points, dtype=float))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    for name, arr in (("points", points), ("directions", directions)):
+        if arr.ndim != 2 or arr.shape[1] != grid.dim:
+            raise ValueError(f"{name} have dimension {arr.shape[-1]} != {grid.dim}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    if not directions.any(axis=1).all():
+        raise ValueError("directions must be nonzero")
     n_pts, n_dir = len(points), len(directions)
-    dist = np.full((n_pts, n_dir), grid.diameter)
-    found = np.zeros((n_pts, n_dir), dtype=bool)
-    origin = np.asarray(grid.origin)
-    cells = np.asarray(grid.cells)
-    chunk = max(1, int(2_000_000 // max(1, n_pts * n_dir)))
-    for start in range(1, n_steps + 1, chunk):
-        ks = np.arange(start, min(start + chunk, n_steps + 1))
-        t = ks * step  # (c,)
-        # (pts, dirs, chunk, dim)
-        p = (points[:, None, None, :]
-             + t[None, None, :, None] * directions[None, :, None, :])
-        idx = np.floor((p - origin) / grid.spacing).astype(np.int64)
-        valid = np.all((idx >= 0) & (idx < cells), axis=-1)
-        idx_clipped = np.clip(idx, 0, cells - 1)
-        inside = valid & mask.active[tuple(np.moveaxis(idx_clipped, -1, 0))]
-        outside = ~inside
-        any_exit = outside.any(axis=2)
-        first = np.argmax(outside, axis=2)
-        newly = any_exit & ~found
-        dist[newly] = t[first[newly]]
-        found |= any_exit
-        if found.all():
+    # one column per (point, direction) ray, in grid units
+    q = np.repeat((points - grid.origin) / grid.spacing, n_dir, axis=0).T
+    w = np.tile(directions, (n_pts, 1)).T
+    cell = np.floor(q) - ((w < 0) & (np.floor(q) == q))  # on a line heading down
+    crossing = np.divide(cell + (w > 0) - q, w, out=np.full_like(w, np.inf),
+                         where=w != 0)
+    delta = np.divide(1.0, np.abs(w), out=np.full_like(w, np.inf), where=w != 0)
+    padded = np.pad(mask.active, 1)  # off-grid cells clip onto the padding
+    top = np.subtract(padded.shape, 1)[:, None]
+    cell = np.clip(cell + 1, 0, top).astype(np.intp)
+    step = np.sign(w).astype(np.intp)
+    dist = np.full(n_pts * n_dir, grid.diameter / grid.spacing)
+    live, t = np.arange(n_pts * n_dir), np.zeros(n_pts * n_dir)
+    for _ in range(sum(grid.cells) + 1):  # the start cell, <= sum(cells) steps
+        stay = padded[tuple(cell)]
+        dist[live[~stay]] = t[~stay]
+        live, cell, crossing, delta, step = (
+            a.compress(stay, axis=-1) for a in (live, cell, crossing, delta, step))
+        if not live.size:
             break
-    return dist
+        t = crossing.min(axis=0)
+        ties = crossing <= t * (1.0 + 1e-12) + 1e-12
+        cell += ties * step
+        crossing += np.where(ties, delta, 0.0)
+    return (dist * grid.spacing).reshape(n_pts, n_dir)
 
 
 def directional_distance(mask: DomainMask, x, omega) -> float:
     """inf over both signs of |t| with x + t*omega outside the domain.
 
-    Ray-marched in steps of h/8 and capped at the grid diameter; x must
-    lie inside the active-cell union.
+    Exact grid traversal capped at the grid diameter; x must lie inside
+    the active-cell union.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     omega = np.asarray(omega, dtype=float).reshape(-1)
     if not mask.contains_point(x):
         raise ValueError(f"point not in domain: {tuple(x)}")
-    both = np.stack([omega, -omega])
-    d = march_exit_distances(mask, x[None, :], both)
-    return float(d.min())
+    return float(march_exit_distances(mask, x, [omega, -omega]).min())

@@ -2,8 +2,9 @@
 
 Subprocess runs stay in 1-d, where each invocation builds its kernel
 table in milliseconds; one 3-d run checks that the default table depth
-meets the convergence gate from the command line.  Formatting helpers
-(PGM orientation, config echo) are unit-tested in-process.
+meets the convergence gate from the command line, and one 2-d hardy pair
+checks byte-identical reruns.  Formatting helpers (PGM orientation,
+config echo) are unit-tested in-process.
 """
 from __future__ import annotations
 
@@ -315,6 +316,19 @@ def test_hardy_artifacts(cli_env, tmp_path):
     lines = (out / "hardy.csv").read_text().splitlines()
     assert lines[0] == "label,dim,sigma,constant,lhs,rhs,ratio,margin"
     assert len(lines) == 1 + len(payload)
+
+
+def test_hardy_reruns_byte_identical(cli_env, tmp_path):
+    # 2-d, so that the exit-distance traversal crosses cells in every
+    # direction and through shared vertices
+    args = ["hardy", "--n", 2, "--sigma", 0.75, "--grid", 16, "--dirs", 24]
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        proc = run_cli(args + ["--out-dir", out], cli_env)
+        assert proc.returncode == 0, proc.stderr
+    first, second = [(out / "hardy.json").read_bytes() for out in outs]
+    assert first == second
+    assert len(json.loads(first)) == 5
 
 
 # ------------------------------------------------------------- rearrange

@@ -1,12 +1,15 @@
 """Grid, mask, and directional-distance behavior.
 
 Oracles here are deliberately dumb: cell-center enumeration with plain
-loops for mask predicates, and an exact geometric ray-caster for exit
-distances on balls and boxes.
+loops for mask predicates, an exact geometric ray-caster for exit
+distances on balls and boxes, a sort of every grid-line crossing for
+exit distances on random masks, and the h/8 ray march the traversal
+replaced.
 """
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,3 +305,195 @@ def test_exit_distance_1d():
     mask = make_mask(g, Box((-1.0,), (1.0,)))
     d = directional_distance(mask, (0.25,), (1.0,))
     assert abs(d - 0.75) <= g.spacing / 8.0 + 1e-12
+
+
+# ------------------------------------------------ exact grid traversal
+
+
+def reference_march(mask, points, directions):
+    """The h/8 ray march, kept as a reference: the smallest positive
+    multiple of h/8 at which the ray is outside, by the floor
+    convention, capped at the grid diameter."""
+    grid = mask.grid
+    step = grid.spacing / 8.0
+    n_steps = int(math.ceil(grid.diameter / step)) + 1
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    t = np.arange(1, n_steps + 1) * step
+    p = (points[:, None, None, :]
+         + t[None, None, :, None] * directions[None, :, None, :])
+    idx = np.floor((p - np.asarray(grid.origin)) / grid.spacing).astype(int)
+    cells = np.asarray(grid.cells)
+    valid = np.all((idx >= 0) & (idx < cells), axis=-1)
+    inside = valid & mask.active[tuple(np.moveaxis(
+        np.clip(idx, 0, cells - 1), -1, 0))]
+    outside = ~inside
+    return np.where(outside.any(axis=2), t[np.argmax(outside, axis=2)],
+                    grid.diameter)
+
+
+def crossing_oracle(mask, point, omega, run):
+    """Exit parameter of one ray from all of its grid-line crossings.
+
+    Sorts every crossing, classifies the piece between neighbours by the
+    cell of its midpoint, and returns the start of the first outside
+    piece together with the start of the first stretch of consecutive
+    outside pieces longer than ``run``.
+    """
+    grid = mask.grid
+    q = (np.asarray(point, dtype=float) - np.asarray(grid.origin)) / grid.spacing
+    w = np.asarray(omega, dtype=float)
+    ts = {0.0}
+    for k in range(grid.dim):
+        if w[k] != 0.0:
+            for line in range(grid.cells[k] + 1):
+                t = (line - q[k]) / w[k]
+                if t > 0.0:
+                    ts.add(t)
+    ts = sorted(ts)
+    ends = ts[1:] + [math.inf]
+
+    def outside(t):
+        c = np.floor(q + t * w).astype(int)
+        if np.any(c < 0) or np.any(c >= np.asarray(grid.cells)):
+            return True
+        return not mask.active[tuple(c)]
+
+    exit_t = long_t = None
+    run_start = None
+    for a, b in zip(ts, ends):
+        mid = a + 1.0 if b == math.inf else 0.5 * (a + b)
+        if outside(mid):
+            if exit_t is None:
+                exit_t = a
+            if run_start is None:
+                run_start = a
+            if b - run_start > run / grid.spacing:
+                long_t = run_start
+                break
+        else:
+            run_start = None
+    return exit_t * grid.spacing, long_t * grid.spacing
+
+
+def random_mask_and_rays(dim, seed):
+    rng = np.random.default_rng(seed)
+    n = {1: 40, 2: 12, 3: 6}[dim]
+    grid = GridSpec((n,) * dim, 0.3, (-0.7,) * dim)
+    active = rng.random(grid.cells) < 0.8
+    mask = DomainMask(grid, active)
+    cells = np.argwhere(active)[rng.integers(0, active.sum(), 40)]
+    points = grid.node_coords(cells + rng.uniform(0.02, 0.98, cells.shape))
+    if dim == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        dirs = rng.normal(size=(12, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return mask, points, dirs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exact_exit_matches_crossing_oracle_and_bounds_march(dim):
+    mask, points, dirs = random_mask_and_rays(dim, seed=40 + dim)
+    h = mask.grid.spacing
+    exact = march_exit_distances(mask, points, dirs)
+    march = reference_march(mask, points, dirs)
+    assert exact.shape == (len(points), len(dirs))
+    unclipped = 0
+    for i, p in enumerate(points):
+        for j, w in enumerate(dirs):
+            want, long_exit = crossing_oracle(mask, p, w, h / 8.0)
+            assert abs(exact[i, j] - want) <= 1e-12 * want
+            # the march lands on the first of its samples that is outside;
+            # it can step over an outside stretch shorter than h/8 (a
+            # clipped corner), never over a longer one
+            assert exact[i, j] <= march[i, j] <= long_exit + h / 8.0 + 1e-12
+            unclipped += long_exit == want
+    assert unclipped >= 0.8 * exact.size
+
+
+def test_exact_exit_axis_rays_along_grid_lines():
+    # box of cells [4, 12)^2 in a 16^2 grid, h = 1/16 so lines are exact;
+    # a ray on a grid line runs in the higher-index cells
+    g = GridSpec((16, 16), 1.0 / 16.0, (0.0, 0.0))
+    mask = make_mask(g, Box((0.25, 0.25), (0.75, 0.75)))
+    h = g.spacing
+    east, north, west, south = [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]
+    cases = [
+        ((6.3 * h, 4 * h), east, 5.7 * h),    # on the lower face
+        ((6.3 * h, 4 * h), west, 2.3 * h),
+        ((6.3 * h, 8 * h), east, 5.7 * h),    # on an inner line
+        ((6.3 * h, 12 * h), east, 0.0),       # on the upper face: outside
+        ((4 * h, 5.5 * h), north, 6.5 * h),   # on the left face
+        ((4 * h, 5.5 * h), south, 1.5 * h),
+        ((12 * h, 5.5 * h), north, 0.0),      # on the right face: outside
+        ((12 * h, 5.5 * h), west, 8 * h),     # ... but heading in
+        ((6.3 * h, 12 * h), south, 8 * h),
+        ((8 * h, 8 * h), west, 4 * h),        # from a node
+        ((8 * h, 8 * h), south, 4 * h),
+        ((4 * h, 4 * h), west, 0.0),          # from the corner node
+        ((4 * h, 4 * h), east, 8 * h),
+    ]
+    for p, w, want in cases:
+        got = march_exit_distances(mask, [p], [w])[0, 0]
+        assert abs(got - want) <= 1e-12, (p, w, got, want)
+        march = reference_march(mask, [p], [w])[0, 0]
+        if want > 0.0:
+            assert want <= march <= want + h / 8.0 + 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_exit_passes_through_shared_vertex(dim):
+    # two active cells meeting only at a vertex: a diagonal ray steps
+    # from one into the other (ties within rounding step together), as
+    # the h/8 march does
+    g = GridSpec((4,) * dim, 0.5, (0.0,) * dim)
+    mask = make_mask(g, CellList(((1,) * dim, (2,) * dim)))
+    h = g.spacing
+    root = math.sqrt(dim)
+    unit = np.ones(dim) / root
+    rays = [unit]
+    if dim == 2:  # components one unit in the last place apart
+        rays.append(np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)]))
+    start = np.full(dim, 1.3 * h)
+    for w in rays:
+        got = march_exit_distances(mask, start, w)[0, 0]
+        want = 1.7 * root * h
+        assert abs(got - want) <= 1e-12 * want
+        march = reference_march(mask, start, w)[0, 0]
+        assert want <= march <= want + h / 8.0 + 1e-12
+    back = march_exit_distances(mask, np.full(dim, 2.6 * h), -unit)[0, 0]
+    assert abs(back - 1.6 * root * h) <= 1e-12
+    if dim == 2:
+        # the other diagonal: cells (1, 2) and (2, 1)
+        anti = make_mask(g, CellList(((1, 2), (2, 1))))
+        w = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        got = march_exit_distances(anti, [1.3 * h, 2.7 * h], w)[0, 0]
+        assert abs(got - 1.7 * math.sqrt(2.0) * h) <= 1e-12
+
+
+def test_exact_exit_validation():
+    g = grid_2d(8)
+    mask = make_mask(g, Ball((0.0, 0.0), 0.9))
+    good = np.array([[0.1, 0.2]])
+    with pytest.raises(ValueError, match="points have dimension"):
+        march_exit_distances(mask, [[0.1, 0.2, 0.3]], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="directions have dimension"):
+        march_exit_distances(mask, good, [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="points must be finite"):
+        march_exit_distances(mask, [[np.nan, 0.0]], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="directions must be finite"):
+        march_exit_distances(mask, good, [[np.inf, 0.0]])
+    with pytest.raises(ValueError, match="nonzero"):
+        march_exit_distances(mask, good, [[1.0, 0.0], [0.0, 0.0]])
+
+
+def test_exact_exit_axis_directions_emit_no_warnings():
+    g = grid_2d(8)
+    mask = make_mask(g, Box((-1, -1), (1, 1)))
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = march_exit_distances(mask, [[0.0, 0.0], [0.1, -0.3]], axes)
+    assert np.allclose(got, [[1.0, 1.0, 1.0, 1.0], [0.9, 1.3, 1.1, 0.7]],
+                       rtol=0.0, atol=1e-12)

@@ -13,6 +13,7 @@ from regfrac.geometry import (
     DomainMask,
     GridSpec,
     direction_set,
+    directional_distance,
     make_mask,
     march_exit_distances,
 )
@@ -101,10 +102,21 @@ def test_upper_bound_by_largest_exit(box16_form):
 
 def test_boundary_point_rejected(box16_form):
     mask = box16_form.mask
-    h = mask.grid.spacing
     with pytest.raises(ValueError, match="boundary point"):
-        pseudo_distance(mask, np.array([h / 16.0, 0.5]), 0.75,
+        pseudo_distance(mask, np.array([0.0, 0.5]), 0.75,
                         direction_set(2, 32))
+
+
+def test_point_close_to_boundary_has_exact_exit(box16_form):
+    # h/16 from the face x = 0 the exit distance is h/16, and the
+    # pseudo-distance is defined
+    mask = box16_form.mask
+    h = mask.grid.spacing
+    x = np.array([h / 16.0, 0.5])
+    got = march_exit_distances(mask, x, np.array([[-1.0, 0.0]]))[0, 0]
+    assert abs(got - h / 16.0) <= 1e-12
+    assert abs(directional_distance(mask, x, (1.0, 0.0)) - h / 16.0) <= 1e-12
+    assert 0.0 < pseudo_distance(mask, x, 0.75, direction_set(2, 32)) < h
 
 
 def test_pseudo_distance_validation(ball_mask_128):
