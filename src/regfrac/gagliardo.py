@@ -19,11 +19,17 @@ boundary ring.  The integral splits exactly into three regions:
 * **far**: dual pairs at node offset three and beyond, with the
   midpoint rule m_i m_j k(x_i - x_j) per ordered pair.
 
-The near and gap data depend only on the offset D between the two cells
-they couple, so the kernel table sums them into one stencil per cell
-offset (Chebyshev norm <= 3: 7, 49 and 343 offsets in 1-, 2- and 3-d).
-Assembly applies each stencil at every pair of active cells (K, K+D) in
-one scatter; only the far part sums over node pairs.
+The near and gap data depend only on where the two cells they couple
+sit relative to a node, so the kernel table regroups them by node
+offset: the entry between a node and its neighbour at offset e is a
+fixed weighted sum, over pairs of cells near the node, of the products
+of their activity flags (81 node offsets and 376 cell pairs in 2-d).
+The far weights depend only on the node-index offset.  Assembly is
+therefore a few lattice operations and loops over no stencil, node pair
+or cell: gathers of activity flags and labels with one sparse product
+for the near and gap parts, a gather from one kernel array for the far
+block, and FFT convolutions for the far diagonal and the complement
+potential.
 
 All three pieces are sums of squares, so the assembled form is
 symmetric positive semidefinite by construction, scales exactly as
@@ -40,6 +46,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .geometry import DomainMask
 from .quadrature import tensor_rule
@@ -314,7 +321,7 @@ def _offsets_within(dim: int, radius: int) -> list[tuple[int, ...]]:
             if any(off)]
 
 
-# ---------------------------------------------------------- gap stencils
+# ------------------------------------------- gap geometry and regrouping
 
 
 def _gap_geometry(dim: int):
@@ -330,11 +337,11 @@ def _gap_geometry(dim: int):
     the quadrant's node, so the class form is the outer product g g^T
     of g = (weights of q, -weights of q').
 
-    Returns (layout, squared midpoint distance per class, coefficients
-    (classes, W^2), slots (classes, W^2)).  ``layout`` maps the n cell
-    offsets, in sorted order, to the node offsets (o1, o2) of their W^2
-    stencil entries; slot s * W^2 + e holds entry e of offset s, so
-    weighting the classes by sigma is one multiply and one bincount.
+    Returns (node offsets o1 and o2 and cell offset D per slot, squared
+    midpoint distance per class, coefficients (classes, W^2), slots
+    (classes, W^2)).  Slot s * W^2 + e holds entry e of the s-th cell
+    offset in sorted order, so weighting the classes by sigma is one
+    multiply and one bincount.
     """
     verts = np.asarray(_cell_vertices(dim))
     delta, q, qp = (a.reshape(-1, dim) for a in np.broadcast_arrays(
@@ -355,11 +362,12 @@ def _gap_geometry(dim: int):
     slots = group.reshape(-1, 1) * width ** 2 + np.arange(width ** 2)
     coef = (g[:, :, None] * g[:, None, :]).reshape(len(g), width ** 2)
     rows, cols = np.divmod(np.arange(width ** 2), width)
-    layout = {}
-    for off in offsets:
-        nodes = np.concatenate([verts, off + verts])
-        layout[tuple(off.tolist())] = (nodes[rows], nodes[cols])
-    return layout, np.sum(mid * mid, axis=1), coef, slots
+    low = np.broadcast_to(verts, (len(offsets),) + verts.shape)
+    nodes = np.concatenate([low, offsets[:, None, :] + verts], axis=1)
+    o1 = nodes[:, rows].reshape(-1, dim)
+    o2 = nodes[:, cols].reshape(-1, dim)
+    slot_off = np.repeat(offsets, width ** 2, axis=0)
+    return (o1, o2, slot_off), np.sum(mid * mid, axis=1), coef, slots
 
 
 _GAP_GEOMETRY_CACHE: dict[int, tuple] = {}
@@ -371,13 +379,48 @@ def _gap_geometry_cached(dim: int):
     return _GAP_GEOMETRY_CACHE[dim]
 
 
-def _summed_entries(o1: np.ndarray, o2: np.ndarray, vals: np.ndarray):
-    """Local form entries with repeated (o1, o2) node pairs summed."""
+# Chebyshev reach of the near and gap data from a row node: node offsets
+# lie in [-4, 4]^dim and cell offsets in [-4, 3]^dim
+_REACH = 4
+
+
+def _offset_keys(offsets: np.ndarray) -> np.ndarray:
+    """Lexicographic integer keys of offsets within Chebyshev _REACH;
+    a key is linear in the offset, so shifting every offset by one
+    vector keeps their order."""
+    base = 2 * _REACH + 1
+    powers = base ** np.arange(offsets.shape[1] - 1, -1, -1)
+    return (offsets + _REACH) @ powers
+
+
+def _regroup(o1: np.ndarray, o2: np.ndarray, cell_off: np.ndarray,
+             vals: np.ndarray):
+    """Near and gap entries regrouped by node offset and cell pair.
+
+    Entry (o1, o2) of the local form of the cell pair (K, K+D) couples
+    row node i = K + o1 to node i + e, e = o2 - o1, when the cells
+    i + a and i + b, a = -o1 and b = D - o1, are both active.  Returns
+    (node offsets (E, dim), cell pairs (P, 2, dim), CSR weights (E, P))
+    with equal (e, a, b) summed in input order.  Rows and columns are
+    sorted by key, so the mirror entry (-e, a - e, b - e) of every
+    weight sits at the same rank in its row.
+    """
     dim = o1.shape[1]
-    pairs, inv = np.unique(np.concatenate([o1, o2], axis=1), axis=0,
-                           return_inverse=True)
-    summed = np.bincount(inv.reshape(-1), weights=vals, minlength=len(pairs))
-    return pairs[:, :dim], pairs[:, dim:], summed
+    node_key = _offset_keys(o2 - o1)
+    pair_key = (_offset_keys(-o1) * (2 * _REACH + 1) ** dim
+                + _offset_keys(cell_off - o1))
+    node_keys, node_first, row = np.unique(node_key, return_index=True,
+                                           return_inverse=True)
+    pair_keys, pair_first, col = np.unique(pair_key, return_index=True,
+                                           return_inverse=True)
+    entries, inv = np.unique(row * len(pair_keys) + col, return_inverse=True)
+    data = np.bincount(inv.reshape(-1), weights=vals)
+    rows, cols = np.divmod(entries, len(pair_keys))
+    indptr = np.searchsorted(rows, np.arange(len(node_keys) + 1))
+    weights = csr_matrix((data, cols, indptr),
+                         shape=(len(node_keys), len(pair_keys)))
+    cell_pairs = np.stack([-o1, cell_off - o1], axis=1)[pair_first]
+    return (o2 - o1)[node_first], cell_pairs, weights
 
 
 # -------------------------------------------------------------- the table
@@ -393,13 +436,18 @@ class NearTable:
     permutations and reflections, and pinned by an independent quadrature
     oracle in the tests.  ``pair_weights[D]`` is the exact expansion of
     the cell-pair form at cell offset D (Chebyshev <= 1) into nodal pair
-    interactions.  ``stencils[D]`` is what assembly reads: for every cell
-    offset D with Chebyshev norm <= 3, the summed local form (o1, o2,
-    vals) of the ordered cell pair (K, K+D), with o1 and o2 node offsets
-    from the low vertex of K — the pair-weight expansion for norm <= 1,
-    the gap classes regrouped by the offset of their quadrant cells for
-    norm 2 and 3.  Scaling to spacing h multiplies every coefficient by
-    h^(dim - 2*sigma).
+    interactions.  Assembly reads the near and gap data regrouped by
+    node offset: the pair-weight expansions for cell offsets of norm
+    <= 1 and the gap classes for norm 2 and 3 give, for a row node i,
+    the near and gap part of the matrix entry
+
+        A[i, i + node_offsets[e]] = sum over p of weights[e, p]
+            * active(i + cell_pairs[p, 0]) * active(i + cell_pairs[p, 1])
+
+    with cell offsets taken from the row node (cell i + a has low vertex
+    i + a).  ``weights`` is a CSR matrix: 81 node offsets by 376 cell
+    pairs in 2-d, 729 by 5424 in 3-d.  Scaling to spacing h multiplies
+    every coefficient by h^(dim - 2*sigma).
     """
 
     dim: int
@@ -408,7 +456,9 @@ class NearTable:
     points: int
     hat_energies: dict
     pair_weights: dict
-    stencils: dict
+    node_offsets: np.ndarray
+    cell_pairs: np.ndarray
+    weights: csr_matrix
     error_estimate: float
 
     def hat_energy(self, offset: tuple[int, ...]) -> float:
@@ -495,26 +545,28 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
         idx = {a: i for i, a in enumerate(nodes)}
         hat_energies[off] = float(np.mean([Q[idx[v], idx[v]] for v in contact]))
 
-    # stencils: the pair-weight expansions for adjacent cells, and the
-    # gap classes weighted by the block volume product and the kernel at
-    # the midpoint offset, summed per cell offset
-    stencils: dict[tuple[int, ...], tuple] = {}
+    # the pair-weight expansions for adjacent cells, and the gap classes
+    # weighted by the block volume product and the kernel at the midpoint
+    # offset, summed per slot; both regrouped by node offset
+    o1, o2, cell_off, vals = [], [], [], []
     for off, (a, b, w) in pair_weights.items():
-        stencils[off] = _summed_entries(np.concatenate([a, b, a, b]),
-                                        np.concatenate([a, b, b, a]),
-                                        np.concatenate([w, w, -w, -w]))
-    layout, mid2, coef, slots = _gap_geometry_cached(dim)
+        o1 += [a, b, a, b]
+        o2 += [a, b, b, a]
+        cell_off.append(np.broadcast_to(off, (4 * len(w), dim)))
+        vals += [w, w, -w, -w]
+    (g1, g2, g_off), mid2, coef, slots = _gap_geometry_cached(dim)
     kernel = 4.0 ** -dim * mid2 ** (-(dim + 2.0 * sigma) / 2.0)
-    vals = np.bincount(slots.ravel(), weights=(coef * kernel[:, None]).ravel(),
-                       minlength=len(layout) * coef.shape[1])
-    for (off, (o1, o2)), v in zip(layout.items(),
-                                  vals.reshape(len(layout), -1)):
-        stencils[off] = (o1, o2, v)
-    stencils = dict(sorted(stencils.items()))
+    vals.append(np.bincount(slots.ravel(),
+                            weights=(coef * kernel[:, None]).ravel(),
+                            minlength=len(g1)))
+    node_offsets, cell_pairs, weights = _regroup(
+        np.concatenate(o1 + [g1]), np.concatenate(o2 + [g2]),
+        np.concatenate(cell_off + [g_off]), np.concatenate(vals))
 
     table = NearTable(dim=dim, sigma=float(sigma), depth=depth, points=points,
                       hat_energies=hat_energies, pair_weights=pair_weights,
-                      stencils=stencils, error_estimate=worst_change)
+                      node_offsets=node_offsets, cell_pairs=cell_pairs,
+                      weights=weights, error_estimate=worst_change)
     _TABLE_CACHE[key] = table
     return table
 
@@ -590,8 +642,9 @@ class RegionalForm:
             fh.write(self.complement_potential.astype("<f8").tobytes())
 
 
-def _node_masses(mask: DomainMask) -> tuple[np.ndarray, np.ndarray]:
-    """Lumped dual-cell masses for interior and boundary nodes."""
+def _node_masses(mask: DomainMask) -> np.ndarray:
+    """Lumped dual-cell masses over the whole node grid (zero at nodes
+    of no active cell)."""
     grid = mask.grid
     dim = grid.dim
     padded = np.pad(mask.active, 1, constant_values=False)
@@ -599,60 +652,79 @@ def _node_masses(mask: DomainMask) -> tuple[np.ndarray, np.ndarray]:
     for offset in np.ndindex(*([2] * dim)):
         sl = tuple(slice(o, o + grid.node_shape[k]) for k, o in enumerate(offset))
         counts += padded[sl]
-    unit = grid.spacing ** dim / 2 ** dim
-    interior_m = counts[tuple(mask.interior_idx.T)] * unit
-    boundary_m = counts[tuple(mask.boundary_idx.T)] * unit
-    return interior_m.astype(float), boundary_m.astype(float)
+    return counts * (grid.spacing ** dim / 2 ** dim)
+
+
+def _convolve(kernel: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Convolution of ``field`` with an offset kernel, by real FFTs.
+
+    Along an axis where the field has n entries, ``kernel[q]`` is the
+    kernel at offset q - (n - 1).  Entry i + n - 1 of the result is then
+    the sum over j of field[j] * kernel(i - j) for every
+    0 <= i <= len(kernel) - n: the circular wrap-around misses these.
+    """
+    axes = tuple(range(kernel.ndim))
+    spectrum = (np.fft.rfftn(kernel, axes=axes)
+                * np.fft.rfftn(field, s=kernel.shape, axes=axes))
+    return np.fft.irfftn(spectrum, s=kernel.shape, axes=axes)
+
+
+def _offset_grid(lo, hi) -> np.ndarray:
+    """Integer array of shape (hi - lo + 1) + (dim,) holding the offsets
+    lo..hi per axis."""
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _complement_potential(mask: DomainMask, sigma: float) -> np.ndarray:
     """Kernel integral over the domain complement, per interior node.
 
-    Inactive in-box cells contribute midpoint terms h^n k(x_i - c_j),
-    refined 4x per axis within 2h of the node; the region beyond the
-    grid box contributes the radial tail at the node's distance to the
-    box boundary (a deliberate overcount at box corners — the full-space
-    comparisons only need an upper-consistent complement term).
+    Inactive in-box cells contribute midpoint terms h^n k(x_i - c_j).
+    Node i and cell j sit h (i - j - 1/2) apart, so the sum over cells
+    farther than 2h is one FFT convolution of the inactive-cell
+    indicator with a fixed kernel; the cells within 2h are refined 4x
+    per axis, and their values form a fixed stencil (12 cells in 2-d)
+    applied by one gather.  The region beyond the grid box contributes
+    the radial tail at the node's distance to the box boundary (a
+    deliberate overcount at box corners — the full-space comparisons
+    only need an upper-consistent complement term).
     """
     grid = mask.grid
     dim = grid.dim
     h = grid.spacing
     beta = dim + 2.0 * sigma
-    nodes = mask.interior_coords              # (N, dim)
-    n_nodes = len(nodes)
-    centers = grid.cell_centers().reshape(-1, dim)
-    inactive = ~mask.active.ravel()
-    inact_centers = centers[inactive]
-    kappa = np.zeros(n_nodes)
-    if len(inact_centers):
-        sub_offs = None
-        chunk = max(1, (1 << 20) // len(inact_centers))
-        for s in range(0, n_nodes, chunk):
-            sl = slice(s, min(s + chunk, n_nodes))
-            dx = nodes[sl, None, :] - inact_centers[None, :, :]
-            dist2 = np.sum(dx * dx, axis=-1)
-            near = dist2 <= (2.0 * h) ** 2 + 1e-12 * h * h
-            far_ker = dist2 ** (-beta / 2.0)
-            far_ker[near] = 0.0
-            kappa[sl] += h ** dim * far_ker.sum(axis=1)
-            # refine close cells on a 4^dim midpoint subgrid
-            rows, cols = np.nonzero(near)
-            if len(rows):
-                if sub_offs is None:
-                    steps = (np.arange(4) - 1.5) * (h / 4.0)
-                    grids = np.meshgrid(*([steps] * dim), indexing="ij")
-                    sub_offs = np.stack([g.ravel() for g in grids], axis=-1)
-                pts = (inact_centers[cols][:, None, :] + sub_offs[None, :, :])
-                ddx = nodes[sl][rows][:, None, :] - pts
-                dker = np.sum(ddx * ddx, axis=-1) ** (-beta / 2.0)
-                np.add.at(kappa, np.arange(s, min(s + chunk, n_nodes))[rows],
-                          (h / 4.0) ** dim * dker.sum(axis=1))
-    # beyond the grid box: radial tail at the distance to the box wall
+    cells = np.asarray(grid.cells)
+    idx = mask.interior_idx
+    kappa = np.zeros(len(idx))
+    inactive = ~mask.active
+    if inactive.any():
+        # node-to-centre offsets in units of h, for node minus cell index
+        # 1 - cells .. cells; squared lengths are sums of squares of
+        # half-integers, which never equal 4, so the split at 2h is exact
+        r = _offset_grid(1 - cells, cells) - 0.5
+        r2 = np.sum(r * r, axis=-1)
+        near = r2 <= 4.0
+        far = np.where(near, 0.0, h ** dim * (h * h * r2) ** (-beta / 2.0))
+        kappa += _convolve(far, inactive.astype(float))[
+            tuple((idx + cells - 1).T)]
+        steps = (np.arange(4) - 1.5) / 4.0
+        sub = _offset_grid([0] * dim, [3] * dim).reshape(-1, dim)
+        diff = h * (r[near][:, None, :] - steps[sub][None, :, :])
+        refined = (h / 4.0) ** dim * np.sum(
+            np.sum(diff * diff, axis=-1) ** (-beta / 2.0), axis=1)
+        # cell j = i - r - 1/2 of the padded indicator, for all nodes i
+        padded = np.pad(inactive, 2)
+        strides = np.asarray(padded.strides) // padded.itemsize
+        shifts = np.rint(-r[near] - 0.5).astype(np.int64) @ strides
+        hit = padded.ravel()[shifts[:, None] + ((idx + 2) @ strides)[None, :]]
+        kappa += np.sum(refined[:, None] * hit, axis=0)
+    # beyond the grid box: radial tail at the distance to the box wall,
+    # by the closed form's scaling r^(-2 sigma)
+    nodes = mask.interior_coords
     lo = np.asarray(grid.origin)
     hi = np.asarray(grid.high_corner)
-    wall = np.minimum(nodes - lo, hi - nodes).min(axis=1)
-    wall = np.maximum(wall, 0.5 * h)
-    kappa += np.array([tail_integral(dim, sigma, float(r)) for r in wall])
+    wall = np.maximum(np.minimum(nodes - lo, hi - nodes).min(axis=1), 0.5 * h)
+    kappa += tail_integral(dim, sigma, 1.0) * wall ** (-2.0 * sigma)
     return kappa
 
 
@@ -660,13 +732,18 @@ def assemble(mask: DomainMask, sigma: float, *,
              table: NearTable | None = None) -> RegionalForm:
     """Assemble the regional form for a mask as a dense N x N matrix.
 
-    The near and gap parts take one pass per stencil of the table: the
-    cell pairs (K, K+D) with both cells active gather the labels of the
-    stencil's nodes, and the entries whose two nodes are interior are
-    added to the matrix.  The far part sums the midpoint rule over node
-    pairs in row blocks.  Deterministic: nodes are ordered
-    lexicographically and every accumulation order is fixed.  The
-    matrix takes 8 N^2 bytes for N interior nodes.
+    Every piece is a lattice operation.  The far weights 2 m_i m_j
+    k(x_i - x_j) depend on the node pair only through the index offset
+    (every interior mass is h^n), so the interior block is gathered from
+    one kernel array over all node-index offsets, in row blocks of about
+    2^20 entries, and the far diagonal is one FFT convolution of that
+    kernel with the node-mass field.  The near and gap parts are,
+    per row block, two gathers of the active cells, one sparse product
+    with the table's regrouped weights, one gather of column labels and
+    one indexed add.  Deterministic at any BLAS thread count: nodes are
+    ordered lexicographically, no step calls BLAS, and every
+    accumulation order is fixed.  The matrix takes 8 N^2 bytes for N
+    interior nodes.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
@@ -677,73 +754,65 @@ def assemble(mask: DomainMask, sigma: float, *,
     if table.dim != dim or abs(table.sigma - sigma) > 1e-12:
         raise ValueError("near table does not match mask dimension / sigma")
     h = grid.spacing
-    scale = h ** (dim - 2.0 * sigma)
     beta = dim + 2.0 * sigma
 
-    interior_m, boundary_m = _node_masses(mask)
+    masses = _node_masses(mask)
+    idx = mask.interior_idx
+    interior_m = masses[tuple(idx.T)]
+    boundary_m = masses[tuple(mask.boundary_idx.T)]
     n_int = len(interior_m)
     if n_int == 0:
         raise ValueError("no interior nodes")
 
-    # interior labels 0..N-1 over the node grid, N elsewhere: entries
-    # touching the boundary ring vanish against u=0, so only entries
-    # between two interior nodes are kept (of a pair weight joining an
-    # interior and a boundary node, that is its interior diagonal term)
-    labels = np.full(grid.node_shape, n_int, dtype=np.int64)
-    labels[tuple(mask.interior_idx.T)] = np.arange(n_int)
-    strides = np.asarray(labels.strides) // labels.itemsize
+    # far kernel |d h|^-beta on node offsets d, zero at Chebyshev <= 2
+    node_shape = np.asarray(grid.node_shape)
+    d = _offset_grid(1 - node_shape, node_shape - 1)
+    far = np.abs(d).max(axis=-1) >= 3
+    kernel = np.zeros(far.shape)
+    kernel[far] = (h * h * np.sum(d[far] ** 2, axis=-1)) ** (-beta / 2.0)
+    # every interior node has all 2^n incident cells active, so all
+    # interior masses equal and the interior far block is one array
+    neg_weight = -(2.0 * interior_m[0] * interior_m[0]) * kernel
+    k_strides = np.asarray(kernel.strides) // kernel.itemsize
+    k_off = idx @ k_strides
+    k_center = (node_shape - 1) @ k_strides
+
+    # active cells and interior labels (N elsewhere), padded by the reach
+    # of the near and gap data; entries touching the boundary ring vanish
+    # against u=0, so only entries between two interior nodes are kept
+    # (of a pair weight joining an interior and a boundary node, that is
+    # its interior diagonal term)
+    active = np.pad(mask.active, _REACH)
+    a_strides = np.asarray(active.strides) // active.itemsize
+    active = active.ravel()
+    labels = np.full(tuple(node_shape + 2 * _REACH), n_int, dtype=np.int64)
+    labels[tuple((idx + _REACH).T)] = np.arange(n_int)
+    l_strides = np.asarray(labels.strides) // labels.itemsize
     labels = labels.ravel()
-    A = np.zeros((n_int, n_int))
-    diag = np.zeros(n_int)
+    cell_base = (idx + _REACH) @ a_strides
+    node_base = (idx + _REACH) @ l_strides
+    first = (table.cell_pairs[:, 0] @ a_strides)[:, None]
+    second = (table.cell_pairs[:, 1] @ a_strides)[:, None]
+    columns = (table.node_offsets @ l_strides)[:, None]
+    weights = table.weights * h ** (dim - 2.0 * sigma)
 
-    # ---- near and gap parts: one summed stencil per cell offset D,
-    # applied at every cell pair (K, K+D) of active cells
-    padded = np.pad(mask.active, 3, constant_values=False)
-    # node index of each cell's low vertex
-    low_vertex = np.arange(labels.size).reshape(grid.node_shape)[
-        tuple(slice(n) for n in grid.cells)]
-    for off, (o1, o2, vals) in table.stencils.items():
-        sl = tuple(slice(3 + o, 3 + o + n) for o, n in zip(off, grid.cells))
-        low = low_vertex[mask.active & padded[sl]]
-        if not len(low):
-            continue
-        r = labels[low[:, None] + (o1 @ strides)[None, :]]
-        c = labels[low[:, None] + (o2 @ strides)[None, :]]
-        keep = (r < n_int) & (c < n_int)
-        np.add.at(A.reshape(-1), (r * n_int + c)[keep],
-                  np.broadcast_to(vals * scale, r.shape)[keep])
-
-    # ---- far part: midpoint rule at node offsets Chebyshev >= 3, in
-    # row blocks of about 2^20 pairs that reuse three scratch buffers
-    all_idx = np.concatenate([mask.interior_idx, mask.boundary_idx])
-    all_coords = np.concatenate([mask.interior_coords, mask.boundary_coords])
-    all_m = np.concatenate([interior_m, boundary_m])
-    n_all = len(all_idx)
-    rows = min(n_int, max(1, (1 << 20) // n_all))
-    sq_buf = np.empty((rows, n_all, dim))
-    ker_buf = np.empty((rows, n_all))
-    w_buf = np.empty((rows, n_all))
+    A = np.empty((n_int, n_int))
+    flat = A.reshape(-1)
+    rows = min(n_int, max(1, (1 << 20) // max(n_int, len(table.cell_pairs))))
+    gather = np.empty((rows, n_int), dtype=np.intp)
     for s in range(0, n_int, rows):
         sl = slice(s, min(s + rows, n_int))
         m = sl.stop - s
-        sq, ker, w = sq_buf[:m], ker_buf[:m], w_buf[:m]
-        np.subtract(mask.interior_coords[sl, None, :], all_coords[None, :, :],
-                    out=sq)
-        np.multiply(sq, sq, out=sq)
-        np.sum(sq, axis=-1, out=ker)
-        with np.errstate(divide="ignore"):
-            ker **= -beta / 2.0
-        near = np.ones((m, n_all), dtype=bool)    # Chebyshev offset <= 2
-        for k in range(dim):
-            near &= np.abs(mask.interior_idx[sl, None, k]
-                           - all_idx[None, :, k]) <= 2
-        ker[near] = 0.0
-        np.multiply(2.0 * interior_m[sl, None], all_m[None, :], out=w)
-        w *= ker
-        diag[sl] += w.sum(axis=1)
-        A[sl, :] -= w[:, :n_int]
+        np.subtract(k_off[None, :] + k_center, k_off[sl, None], out=gather[:m])
+        np.take(neg_weight, gather[:m], out=A[sl], mode="clip")
+        both = active[first + cell_base[sl]] & active[second + cell_base[sl]]
+        coef = weights @ both
+        col = labels[columns + node_base[sl]]
+        keep = col < n_int
+        flat[(col + np.arange(s, sl.stop) * n_int)[keep]] += coef[keep]
 
-    A[np.arange(n_int), np.arange(n_int)] += diag
+    far_sums = _convolve(kernel, masses)[tuple((idx + node_shape - 1).T)]
+    A[np.arange(n_int), np.arange(n_int)] += 2.0 * interior_m * far_sums
     return RegionalForm(
         mask=mask, sigma=float(sigma), table=table,
         node_weights=interior_m, boundary_weights=boundary_m,

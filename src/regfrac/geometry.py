@@ -319,7 +319,8 @@ class DirectionSet:
 
 def direction_set(dim: int, count: int) -> DirectionSet:
     """Equal-weight sphere rules: S^0 exactly, equi-angular on S^1,
-    Fibonacci points on S^2.  ``count`` is ignored for dim=1."""
+    Fibonacci points on S^2.  ``count`` is ignored for dim=1.  Components
+    below 1e-15 in magnitude are exactly zero."""
     if count < 4:
         raise ValueError(f"direction count must be at least 4, got {count}")
     if dim == 1:
@@ -341,6 +342,10 @@ def direction_set(dim: int, count: int) -> DirectionSet:
         weights = np.full(count, 4.0 * math.pi / count)
     else:
         raise ValueError(f"dimension must be 1, 2, or 3, got {dim}")
+    # rounding leaves about 1e-16 in the zero components of axis
+    # directions; exact zeros send both orientations of an axis ray
+    # through the cells the half-open convention picks
+    dirs[np.abs(dirs) < 1e-15] = 0.0
     return DirectionSet(dirs, weights)
 
 

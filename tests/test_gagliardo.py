@@ -7,7 +7,6 @@ interpolant's double integral (itself validated against a closed form).
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import os
@@ -24,7 +23,8 @@ from regfrac.gagliardo import NearFieldError, assemble, build_near_table
 from regfrac.geometry import (Annulus, Ball, Box, DomainMask, GridSpec,
                               make_mask)
 from regfrac.quadrature import tensor_rule
-from regfrac.special import exit_scale_prefactor, hardy_constant
+from regfrac.special import (exit_scale_prefactor, hardy_constant,
+                             tail_integral)
 
 
 # ------------------------------------------------------------- table
@@ -193,20 +193,54 @@ def test_level_sums_independent_of_blas_threads():
     assert outs[0] == outs[1] != ""
 
 
+def _table_entries(table):
+    """The table's nonzero weights as (node offset e, cell offsets a and
+    b of the pair, weight) rows."""
+    coo = table.weights.tocoo()
+    pairs = table.cell_pairs[coo.col]
+    return table.node_offsets[coo.row], pairs[:, 0], pairs[:, 1], coo.data
+
+
+def _entry_keys(e, a, b):
+    digits = np.concatenate([e, a, b], axis=1) + 4
+    assert digits.min() >= 0 and digits.max() <= 8
+    return digits @ 9 ** np.arange(digits.shape[1])
+
+
 def test_stencil_symmetry(table1, table2):
-    # One stencil per cell offset within Chebyshev three.  Stencils at
-    # axis-permuted and reflected offsets carry the same values; the gap
-    # classes are summed in another order per offset, so they agree to
-    # rounding rather than bitwise.
-    for table in (table1, table2, build_near_table(3, 0.5)):
-        assert len(table.stencils) == 7 ** table.dim
-        orbits: dict = {}
-        for off, (_, _, vals) in table.stencils.items():
-            orbits.setdefault(ga._canonical(off), []).append(np.sort(vals))
-        for canon, members in orbits.items():
-            for vals in members[1:]:
-                err = np.abs(vals - members[0]).max()
-                assert err <= 1e-14 * np.abs(members[0]).max(), (canon, err)
+    # The regrouped near and gap weights are invariant under the offset
+    # symmetry group: reflecting an axis about the row node maps node
+    # offset e to -e and cell offset a to -a - 1 on that axis, and an
+    # axis permutation permutes all three.  The gap classes are summed in
+    # another order per offset, so images agree to rounding; the
+    # same-cell form (a = b) comes from one graded quadrature with a
+    # fitted tail, which its own reflections map to itself only to about
+    # 1e-13.  The mirror entry (-e, a - e, b - e) of each weight is the
+    # same local-form entry transposed, which keeps the assembled matrix
+    # exactly symmetric, so it agrees bitwise.
+    for table, shape in ((table1, (9, 24)), (table2, (81, 376)),
+                         (build_near_table(3, 0.5), (729, 5424))):
+        assert table.weights.shape == shape
+        e, a, b, vals = _table_entries(table)
+        keys = _entry_keys(e, a, b)
+        order = np.argsort(keys)
+
+        def lookup(e2, a2, b2):
+            k = _entry_keys(e2, a2, b2)
+            pos = np.minimum(np.searchsorted(keys[order], k), len(k) - 1)
+            assert np.array_equal(keys[order][pos], k)
+            return vals[order][pos]
+
+        assert np.array_equal(lookup(-e, a - e, b - e), vals)
+        scale = np.abs(vals).max()
+        tol = np.where(np.all(a == b, axis=1), 1e-12, 1e-14) * scale
+        for perm in itertools.permutations(range(table.dim)):
+            for flip in itertools.product((False, True), repeat=table.dim):
+                def image(x, shift):
+                    return np.where(flip, -x[:, perm] - shift, x[:, perm])
+                got = lookup(image(e, 0), image(a, 1), image(b, 1))
+                err = np.abs(got - vals)
+                assert np.all(err <= tol), (perm, flip, err.max())
 
 
 # ------------------------------------------------------------- assembly
@@ -341,6 +375,133 @@ def _near_gap_by_class(mask, sigma, table):
     return A
 
 
+def _reference_stencils(table, sigma):
+    """The near and gap data summed per cell offset D, as the assembly
+    loop of earlier versions read them: entries (o1, o2, vals) of the
+    local form of the ordered cell pair (K, K+D), node offsets from the
+    low vertex of K, built from the pair weights and the pair-by-pair
+    gap classes."""
+    dim = table.dim
+    stencils: dict = {}
+
+    def add(off, o1, o2, vals):
+        old = stencils.get(off)
+        if old is not None:
+            o1, o2, vals = (np.concatenate([x, y]) for x, y in
+                            zip(old, (o1, o2, vals)))
+        stencils[off] = (o1, o2, vals)
+
+    for off, (a, b, w) in table.pair_weights.items():
+        add(off, np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]),
+            np.concatenate([w, w, -w, -w]))
+    for delta, q, qp, off1, off2, vals in _gap_classes(dim, sigma):
+        # the first quadrant cell is node - 1 + q
+        low = np.asarray(q) - 1
+        cell_off = tuple(d + b - a for d, a, b in zip(delta, q, qp))
+        add(cell_off, off1 - low, off2 - low, vals)
+    return stencils
+
+
+def _scatter_reference(mask, sigma, stencils):
+    """Near and gap parts by one np.add.at scatter per cell offset."""
+    grid = mask.grid
+    n_int = len(mask.interior_idx)
+    labels = np.full(grid.node_shape, n_int, dtype=np.int64)
+    labels[tuple(mask.interior_idx.T)] = np.arange(n_int)
+    strides = np.asarray(labels.strides) // labels.itemsize
+    labels = labels.ravel()
+    scale = grid.spacing ** (grid.dim - 2.0 * sigma)
+    A = np.zeros((n_int, n_int))
+    padded = np.pad(mask.active, 3, constant_values=False)
+    low_vertex = np.arange(labels.size).reshape(grid.node_shape)[
+        tuple(slice(n) for n in grid.cells)]
+    for off, (o1, o2, vals) in stencils.items():
+        sl = tuple(slice(3 + o, 3 + o + n) for o, n in zip(off, grid.cells))
+        low = low_vertex[mask.active & padded[sl]]
+        if not len(low):
+            continue
+        r = labels[low[:, None] + (o1 @ strides)[None, :]]
+        c = labels[low[:, None] + (o2 @ strides)[None, :]]
+        keep = (r < n_int) & (c < n_int)
+        np.add.at(A.reshape(-1), (r * n_int + c)[keep],
+                  np.broadcast_to(vals * scale, r.shape)[keep])
+    return A
+
+
+def _far_reference(mask, sigma):
+    """Far part by the midpoint rule summed over node pairs in row
+    blocks, diagonal included."""
+    grid = mask.grid
+    beta = grid.dim + 2.0 * sigma
+    masses = ga._node_masses(mask)
+    interior_m = masses[tuple(mask.interior_idx.T)]
+    all_idx = np.concatenate([mask.interior_idx, mask.boundary_idx])
+    all_coords = np.concatenate([mask.interior_coords, mask.boundary_coords])
+    all_m = masses[tuple(all_idx.T)]
+    n_int = len(interior_m)
+    A = np.zeros((n_int, n_int))
+    diag = np.zeros(n_int)
+    rows = max(1, (1 << 18) // len(all_idx))
+    for s in range(0, n_int, rows):
+        sl = slice(s, min(s + rows, n_int))
+        sq = mask.interior_coords[sl, None, :] - all_coords[None, :, :]
+        with np.errstate(divide="ignore"):
+            ker = np.sum(sq * sq, axis=-1) ** (-beta / 2.0)
+        cheb = np.abs(mask.interior_idx[sl, None, :]
+                      - all_idx[None, :, :]).max(axis=-1)
+        ker[cheb <= 2] = 0.0
+        w = 2.0 * interior_m[sl, None] * all_m[None, :] * ker
+        diag[sl] += w.sum(axis=1)
+        A[sl, :] -= w[:, :n_int]
+    A[np.arange(n_int), np.arange(n_int)] += diag
+    return A
+
+
+def _complement_reference(mask, sigma):
+    """Complement potential by direct summation over node and inactive
+    cell pairs, with the cells within 2h refined 4x per axis, plus the
+    radial tail per node."""
+    grid = mask.grid
+    dim = grid.dim
+    h = grid.spacing
+    beta = dim + 2.0 * sigma
+    nodes = mask.interior_coords
+    centers = grid.cell_centers().reshape(-1, dim)[~mask.active.ravel()]
+    steps = (np.arange(4) - 1.5) * (h / 4.0)
+    sub = np.stack([g.ravel() for g in np.meshgrid(*([steps] * dim),
+                                                   indexing="ij")], axis=-1)
+    kappa = np.zeros(len(nodes))
+    for i, x in enumerate(nodes):
+        dx = x - centers
+        dist2 = np.sum(dx * dx, axis=1)
+        near = dist2 <= (2.0 * h) ** 2 + 1e-12 * h * h
+        kappa[i] = h ** dim * np.sum(dist2[~near] ** (-beta / 2.0))
+        ddx = x - (centers[near][:, None, :] + sub[None, :, :])
+        kappa[i] += (h / 4.0) ** dim * np.sum(
+            np.sum(ddx * ddx, axis=-1) ** (-beta / 2.0))
+    wall = np.minimum(nodes - np.asarray(grid.origin),
+                      np.asarray(grid.high_corner) - nodes).min(axis=1)
+    kappa += [tail_integral(dim, sigma, float(r))
+              for r in np.maximum(wall, 0.5 * h)]
+    return kappa
+
+
+def _random_mask(case):
+    """Random masks with holes that touch the grid edge, on non-square
+    grids away from the origin."""
+    rng = np.random.default_rng(17)
+    cells, spacing, origin = {
+        "1d": ((17,), 0.2, (0.3,)),
+        "2d": ((14, 19), 0.1, (-0.7, -1.0)),
+        "3d": ((7, 8, 6), 0.25, (-1.0, 0.5, 0.0)),
+    }[case]
+    active = rng.random(cells) > 0.2
+    active[(0,) * (len(cells) - 1)] = True   # a full line on the edge
+    active[-1] = True                        # the far face
+    return DomainMask(GridSpec(cells=cells, spacing=spacing, origin=origin),
+                      active)
+
+
 def _holey_mask():
     # random cells with holes, one full row along the grid edge
     active = np.random.default_rng(3).random((20, 20)) > 0.25
@@ -352,9 +513,9 @@ def _holey_mask():
 @pytest.mark.parametrize("case", ["box-1d", "ball-2d", "annulus-2d",
                                   "holes-2d", "ball-3d"])
 def test_stencils_match_per_class_assembly(case, table1, table2):
-    # Summing the near and gap data per cell offset changes only the
+    # Regrouping the near and gap data by node offset changes only the
     # order of the additions, so the matrix matches the per-class loops
-    # to rounding; the far part is the same code on both sides.
+    # to rounding; the far part is the direct pair loop.
     centered = {n: GridSpec(cells=(c,) * n, spacing=2.0 / c,
                             origin=(-1.0,) * n) for n, c in ((2, 16), (3, 10))}
     mask, sigma, table = {
@@ -370,14 +531,63 @@ def test_stencils_match_per_class_assembly(case, table1, table2):
                                                 radius=0.8)),
                     0.5, build_near_table(3, 0.5)),
     }[case]
-    far = assemble(mask, sigma,
-                   table=dataclasses.replace(table, stencils={})).matrix()
-    ref = far + _near_gap_by_class(mask, sigma, table)
+    ref = _far_reference(mask, sigma) + _near_gap_by_class(mask, sigma, table)
     got = assemble(mask, sigma, table=table).matrix()
     err = np.abs(got - ref).max() / np.abs(ref).max()
     assert err <= 1e-12, err
 
 
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "3d", "annulus-2d"])
+def test_assembly_matches_reference_loops(case, table1, table2):
+    # The lattice operations reproduce the per-stencil scatter, the
+    # far pair loop and the complement loop of earlier versions: the
+    # matrix to 1e-12 relative in max norm, the complement potential to
+    # 1e-12 relative at every node.
+    if case == "annulus-2d":
+        grid = GridSpec(cells=(24, 24), spacing=2.0 / 24, origin=(-1.0, -1.0))
+        mask = make_mask(grid, Annulus(center=(0.0, 0.0), r_inner=0.3,
+                                       r_outer=0.9))
+    else:
+        mask = _random_mask(case)
+    sigma, table = {1: (0.25, table1), 2: (0.75, table2),
+                    3: (0.5, build_near_table(3, 0.5))}[mask.grid.dim]
+    assert len(mask.interior_idx) > 10
+    form = assemble(mask, sigma, table=table)
+    ref = (_scatter_reference(mask, sigma, _reference_stencils(table, sigma))
+           + _far_reference(mask, sigma))
+    err = np.abs(form.matrix() - ref).max() / np.abs(ref).max()
+    assert err <= 1e-12, err
+    kappa = _complement_reference(mask, sigma)
+    err = np.abs(form.complement_potential - kappa) / kappa
+    assert err.max() <= 1e-12, err.max()
+
+
+def test_assembly_independent_of_blas_threads():
+    # Matrix and complement potential are byte-identical across
+    # processes at one and two BLAS threads, in 2-d and 3-d.
+    code = ("import hashlib, sys, numpy as np\n"
+            "from regfrac.gagliardo import assemble, build_near_table\n"
+            "from regfrac.geometry import DomainMask, GridSpec\n"
+            "out = hashlib.sha256()\n"
+            "for cells, sigma in (((21, 18), 0.75), ((8, 7, 9), 0.5)):\n"
+            "    active = np.random.default_rng(5).random(cells) > 0.15\n"
+            "    grid = GridSpec(cells, 0.1, (0.0,) * len(cells))\n"
+            "    table = build_near_table(len(cells), sigma, depth=5,\n"
+            "                             convergence_tol=1.0)\n"
+            "    form = assemble(DomainMask(grid, active), sigma, table=table)\n"
+            "    out.update(form.matrix().tobytes())\n"
+            "    out.update(form.complement_potential.tobytes())\n"
+            "sys.stdout.write(out.hexdigest())\n")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1] != ""
 
 
 def test_tent_energy_brute_force(table1):

@@ -196,6 +196,34 @@ def test_direction_set_2d_cardinal():
     assert np.allclose(ds.weights, math.pi / 2.0)
 
 
+def test_direction_set_axis_directions_exact():
+    # the zero component of each axis direction is exactly 0, not the
+    # rounding left by cos and sin
+    dirs = direction_set(2, 96).directions
+    assert np.array_equal(dirs[[0, 24, 48, 72]],
+                          [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    assert np.count_nonzero(dirs == 0.0) == 4
+
+
+def test_axis_direction_exits_match_box_closed_form():
+    # from every node of the box of cells [4, 12)^2, the four axis
+    # directions of the 96-direction set: a ray along a grid line runs in
+    # the higher-index cells whichever way it points, so it exits at the
+    # box face, or at once on the upper and right faces
+    g = GridSpec((16, 16), 1.0 / 16.0, (0.0, 0.0))
+    mask = make_mask(g, Box((0.25, 0.25), (0.75, 0.75)))
+    h = g.spacing
+    dirs = direction_set(2, 96).directions[[0, 24, 48, 72]]
+    idx = np.argwhere(np.ones((9, 9), dtype=bool)) + 4
+    i, j = idx[:, 0], idx[:, 1]
+    want = h * np.stack([np.where(j < 12, 12 - i, 0),    # east
+                         np.where(i < 12, 12 - j, 0),    # north
+                         np.where(j < 12, i - 4, 0),     # west
+                         np.where(i < 12, j - 4, 0)], axis=1)
+    got = march_exit_distances(mask, idx * h, dirs)
+    assert np.abs(got - want).max() <= 1e-12
+
+
 def test_direction_set_weight_normalization():
     assert direction_set(2, 360).weights.sum() == pytest.approx(2.0 * math.pi)
     assert direction_set(3, 500).weights.sum() == pytest.approx(4.0 * math.pi)
