@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -316,6 +317,32 @@ def _offset_transform(delta: tuple[int, ...]):
     return node_map
 
 
+def _symmetrize(delta: tuple[int, ...], nodes: list[tuple[int, ...]],
+                Q: np.ndarray) -> np.ndarray:
+    """Average the cell-pair form over the axis reflections and
+    permutations that map the pair (cell 0, cell delta) to itself.
+
+    These fix the pair's centre c = (delta + 1) / 2 and map delta to
+    +-delta.  Each entry is one ``math.fsum`` over the group, so the
+    entries of an orbit get the same correctly rounded value and the
+    form is exactly invariant.
+    """
+    # node coordinates doubled about c stay integral
+    pts = [tuple(2 * v - d - 1 for v, d in zip(node, delta)) for node in nodes]
+    index = {p: i for i, p in enumerate(pts)}
+    images = []
+    for perm in itertools.permutations(range(len(delta))):
+        for signs in itertools.product((1, -1), repeat=len(delta)):
+            def move(x):
+                return tuple(s * x[k] for s, k in zip(signs, perm))
+
+            if move(delta) in (delta, tuple(-d for d in delta)):
+                images.append([index[move(p)] for p in pts])
+    stack = np.stack([Q[np.ix_(g, g)] for g in images]).reshape(len(images), -1)
+    sums = [math.fsum(col) for col in stack.T.tolist()]
+    return np.reshape(sums, Q.shape) / len(images)
+
+
 def _offsets_within(dim: int, radius: int) -> list[tuple[int, ...]]:
     return [off for off in itertools.product(range(-radius, radius + 1), repeat=dim)
             if any(off)]
@@ -499,7 +526,7 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
     for cls in sorted({_canonical(off) for off in _offsets_within(dim, 2)}
                       | {(0,) * dim}):
         nodes, Q, change = _patch_form(dim, sigma, cls, depth, points)
-        canon_forms[cls] = (nodes, Q)
+        canon_forms[cls] = (nodes, _symmetrize(cls, nodes, Q))
         worst_change = max(worst_change, change)
     if worst_change > convergence_tol:
         raise NearFieldError(

@@ -212,11 +212,11 @@ def test_stencil_symmetry(table1, table2):
     # symmetry group: reflecting an axis about the row node maps node
     # offset e to -e and cell offset a to -a - 1 on that axis, and an
     # axis permutation permutes all three.  The gap classes are summed in
-    # another order per offset, so images agree to rounding; the
-    # same-cell form (a = b) comes from one graded quadrature with a
-    # fitted tail, which its own reflections map to itself only to about
-    # 1e-13.  The mirror entry (-e, a - e, b - e) of each weight is the
-    # same local-form entry transposed, which keeps the assembled matrix
+    # another order per offset, so images agree to rounding.  Each
+    # cell-pair form is averaged over the group elements that fix its
+    # pair, so the same-cell entries (a = b) meet the same bound.  The
+    # mirror entry (-e, a - e, b - e) of each weight is the same
+    # local-form entry transposed, which keeps the assembled matrix
     # exactly symmetric, so it agrees bitwise.
     for table, shape in ((table1, (9, 24)), (table2, (81, 376)),
                          (build_near_table(3, 0.5), (729, 5424))):
@@ -232,8 +232,7 @@ def test_stencil_symmetry(table1, table2):
             return vals[order][pos]
 
         assert np.array_equal(lookup(-e, a - e, b - e), vals)
-        scale = np.abs(vals).max()
-        tol = np.where(np.all(a == b, axis=1), 1e-12, 1e-14) * scale
+        tol = 1e-14 * np.abs(vals).max()
         for perm in itertools.permutations(range(table.dim)):
             for flip in itertools.product((False, True), repeat=table.dim):
                 def image(x, shift):

@@ -4,11 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import regfrac.spectral
 from regfrac.gagliardo import assemble
-from regfrac.geometry import Annulus, Box, DomainMask, GridSpec, make_mask
+from regfrac.geometry import Annulus, Ball, Box, DomainMask, GridSpec, make_mask
 from regfrac.spectral import (
     EigenResult,
     eigen_residual_report,
@@ -174,18 +174,43 @@ def test_residual_report_requires_convergence(ball_form, ball_pair):
 
 
 def test_unconverged_is_flagged_not_raised(ball_form, monkeypatch):
-    solves = []
-    real = regfrac.spectral.cho_solve
+    # count the operator applications ARPACK makes, outside the solver
+    applied = []
+    real = regfrac.spectral.eigsh
 
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return real(*args, **kwargs)
+    def counting(op, k, **kwargs):
+        def matvec(x):
+            applied.append(1)
+            return op.matvec(x)
 
-    monkeypatch.setattr(regfrac.spectral, "cho_solve", counting)
+        return real(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype),
+                    k, **kwargs)
+
+    monkeypatch.setattr(regfrac.spectral, "eigsh", counting)
     res = smallest_eigenpair(ball_form, tol=1e-14, max_iter=2, seed=0)
     assert not res.converged
-    assert res.iterations == len(solves) > 0
+    assert res.iterations == len(applied) > 0
     assert np.isfinite(res.residual)
+
+
+def test_one_lanczos_cycle_on_near_double_second_eigenvalue(table2):
+    # an off-centre near-ball: lambda_2 and lambda_3 split by under 1%,
+    # which at a Ritz-value tolerance of 1e-14 cost a second restart
+    # cycle (38 solves); at the caller's 1e-8 ARPACK stops after its
+    # first cycle, 21 solves at scipy's default ncv = 20
+    grid = GridSpec(cells=(20, 20), spacing=0.1, origin=(-1.0, -1.0))
+    mask = make_mask(grid, Ball(center=(0.02, 0.0), radius=0.87))
+    form = assemble(mask, 0.75, table=table2)
+    inv_sqrt = 1.0 / np.sqrt(form.node_weights)
+    exact = scipy.linalg.eigh(
+        inv_sqrt[:, None] * form.matrix() * inv_sqrt[None, :],
+        eigvals_only=True, subset_by_index=[0, 2])
+    assert exact[2] / exact[1] - 1.0 < 1e-2
+    res = smallest_eigenpair(form, tol=1e-8, seed=0)
+    assert res.iterations <= 21
+    assert res.converged
+    assert abs(res.eigenvalue - exact[0]) <= 1e-10 * exact[0]
+    assert abs(res.second_estimate - exact[1]) <= 1e-10 * exact[1]
 
 
 def test_no_converged_pair_returns_start_vector(ball_form, monkeypatch):
@@ -237,6 +262,18 @@ def test_nonfinite_matrix_rejected(bad):
     matrix[2, 0] = bad  # lower triangle: the factorization never reads it
     with pytest.raises(ValueError, match="not finite"):
         solve_pencil(matrix, np.ones(3))
+
+
+def test_failed_inner_solve_raises(ball_form, monkeypatch):
+    # potrs flags an illegal argument with info < 0: its output is
+    # never used as an operator application
+    def failing(c, b, **kwargs):
+        return np.zeros_like(b), -2
+
+    monkeypatch.setattr(regfrac.spectral, "get_lapack_funcs",
+                        lambda names, arrays: (failing,))
+    with pytest.raises(ValueError, match="potrs failed with info -2"):
+        smallest_eigenpair(ball_form, tol=1e-8, seed=0)
 
 
 def test_mass_diagonal_bookkeeping(box_form):
