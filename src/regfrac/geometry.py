@@ -320,7 +320,8 @@ class DirectionSet:
 def direction_set(dim: int, count: int) -> DirectionSet:
     """Equal-weight sphere rules: S^0 exactly, equi-angular on S^1,
     Fibonacci points on S^2.  ``count`` is ignored for dim=1.  Components
-    below 1e-15 in magnitude are exactly zero."""
+    below 1e-15 in magnitude are exactly zero.  An even 2-d rule is
+    exactly closed under negation: row ``k + count/2`` is ``-row k``."""
     if count < 4:
         raise ValueError(f"direction count must be at least 4, got {count}")
     if dim == 1:
@@ -329,6 +330,9 @@ def direction_set(dim: int, count: int) -> DirectionSet:
     elif dim == 2:
         theta = 2.0 * math.pi * np.arange(count) / count
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        if count % 2 == 0:
+            # cos and sin of theta + pi are not exactly -cos and -sin of theta
+            dirs[count // 2:] = -dirs[:count // 2]
         weights = np.full(count, 2.0 * math.pi / count)
     elif dim == 3:
         k = np.arange(count)

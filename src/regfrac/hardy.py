@@ -59,18 +59,24 @@ def pseudo_distance(mask: DomainMask, points, sigma: float,
                     dirs: DirectionSet):
     """Inverse-power directional mean of exit distances.
 
-    For each point, exit distances are traced in both orientations of
-    every direction (the distance is the nearest exit along the full
-    line) and combined as c^(1/a) * (sum w d^-a)^(-1/a) with a = 2*sigma.
-    Accepts a single point or a stack; returns a float or a vector.
+    For each point, the distance along every direction is the nearest
+    exit along the full line, in either orientation, and the distances
+    are combined as c^(1/a) * (sum w d^-a)^(-1/a) with a = 2*sigma.  Each
+    distinct ray of [dirs; -dirs] is traced once: a rule closed under
+    negation, such as an even 2-d rule, traces half of them.  Accepts a
+    single point or a stack; returns a float or a vector.
     """
     alpha = 2.0 * sigma
     if not alpha > 1.0:
         raise ValueError(
             f"pseudo-distance requires 2*sigma > 1, got sigma={sigma}")
     pts = np.asarray(points, dtype=float)
-    both = march_exit_distances(
-        mask, pts, np.concatenate([dirs.directions, -dirs.directions]))
+    rays, inverse = np.unique(
+        np.concatenate([dirs.directions, -dirs.directions]), axis=0,
+        return_inverse=True)
+    # take keeps the C order of the full march (a fancy index would
+    # return Fortran order and a differently summed product below)
+    both = march_exit_distances(mask, pts, rays).take(inverse.ravel(), axis=1)
     dist = np.minimum(*np.split(both, 2, axis=1))
     if np.any(dist == 0.0):
         raise ValueError("boundary point: exit distance 0")

@@ -205,6 +205,18 @@ def test_direction_set_axis_directions_exact():
     assert np.count_nonzero(dirs == 0.0) == 4
 
 
+@pytest.mark.parametrize("count", [4, 6, 96, 360])
+def test_direction_set_2d_even_closed_under_negation(count):
+    # row k + count/2 is exactly -row k, so both orientations of a line
+    # are one ray of [dirs; -dirs]
+    dirs = direction_set(2, count).directions
+    half = count // 2
+    assert np.array_equal(dirs[half:], -dirs[:half])
+    theta = 2.0 * math.pi * np.arange(count) / count
+    assert np.abs(dirs - np.stack([np.cos(theta), np.sin(theta)], axis=1)
+                  ).max() <= 1e-14
+
+
 def test_axis_direction_exits_match_box_closed_form():
     # from every node of the box of cells [4, 12)^2, the four axis
     # directions of the 96-direction set: a ray along a grid line runs in

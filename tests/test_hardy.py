@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from regfrac import hardy
 from regfrac.gagliardo import assemble
 from regfrac.geometry import (
     Ball,
@@ -117,6 +118,48 @@ def test_point_close_to_boundary_has_exact_exit(box16_form):
     assert abs(got - h / 16.0) <= 1e-12
     assert abs(directional_distance(mask, x, (1.0, 0.0)) - h / 16.0) <= 1e-12
     assert 0.0 < pseudo_distance(mask, x, 0.75, direction_set(2, 32)) < h
+
+
+def _full_line_march(mask, points, sigma, dirs):
+    """The pseudo-distance from a march of every row of [dirs; -dirs]."""
+    alpha = 2.0 * sigma
+    both = march_exit_distances(
+        mask, points, np.concatenate([dirs.directions, -dirs.directions]))
+    dist = np.minimum(*np.split(both, 2, axis=1))
+    return (exit_scale_prefactor(mask.grid.dim, alpha) ** (1.0 / alpha)
+            * (dist ** -alpha @ dirs.weights) ** (-1.0 / alpha))
+
+
+@pytest.mark.parametrize("dim, count, traced", [
+    (1, 4, 2), (2, 4, 4), (2, 96, 96), (2, 97, 194), (3, 50, 100)])
+def test_pseudo_distance_traces_each_line_once(monkeypatch, dim, count,
+                                               traced):
+    # random masks, interior nodes and points strictly inside active
+    # cells: marching the distinct rays once gives the full march bitwise
+    rng = np.random.default_rng(100 * dim + count)
+    n = {1: 40, 2: 12, 3: 6}[dim]
+    grid = GridSpec((n,) * dim, 0.3, (-0.7,) * dim)
+    mask = DomainMask(grid, rng.random(grid.cells) < 0.8)
+    cells = np.argwhere(mask.active)[rng.integers(0, mask.active.sum(), 30)]
+    points = np.concatenate([
+        mask.interior_coords,
+        grid.node_coords(cells + rng.uniform(0.02, 0.98, cells.shape))])
+    dirs = direction_set(dim, count)
+    want = _full_line_march(mask, points, 0.75, dirs)
+
+    rays = []
+    march = hardy.march_exit_distances
+
+    def counting_march(m, p, d):
+        rays.append(len(d))
+        return march(m, p, d)
+
+    monkeypatch.setattr(hardy, "march_exit_distances", counting_march)
+    got = pseudo_distance(mask, points, 0.75, dirs)
+    assert np.array_equal(got, want)
+    assert rays == [traced]
+    single = _full_line_march(mask, points[-1:], 0.75, dirs)[0]
+    assert pseudo_distance(mask, points[-1], 0.75, dirs) == single
 
 
 def test_pseudo_distance_validation(ball_mask_128):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from regfrac.gagliardo import assemble
-from regfrac.geometry import Ball, GridSpec, make_mask
-from regfrac.rearrange import (RearrangeReport, almgren_lieb_check,
-                               random_bump_field, regional_violation_search,
-                               search_domain, symmetric_decreasing_rearrangement,
-                               trial_field)
+from regfrac.geometry import Annulus, Ball, GridSpec, make_mask
+from regfrac.rearrange import (RearrangeReport, _build_report,
+                               _rearrange_order, _rearranged,
+                               almgren_lieb_check, random_bump_field,
+                               regional_violation_search, search_domain,
+                               symmetric_decreasing_rearrangement, trial_field)
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +114,23 @@ class TestPermutation:
             symmetric_decreasing_rearrangement(u, mask)
 
     def test_rejects_offcenter_mask(self, table2):
+        # an off-center ball, and a centered annulus, whose hole leaves
+        # inactive cells inside the outermost active radius
         grid = GridSpec(cells=(16, 16), spacing=0.125, origin=(0.0, 0.0))
         off = make_mask(grid, Ball(center=(0.6, 0.6), radius=0.3))
-        with pytest.raises(ValueError, match="ball mask centered"):
-            symmetric_decreasing_rearrangement(
-                np.ones(len(off.interior_idx)), off)
+        ring = make_mask(grid, Annulus(center=(1.0, 1.0), r_inner=0.3,
+                                       r_outer=0.8))
+        for mask in (off, ring):
+            with pytest.raises(ValueError, match="ball mask centered"):
+                symmetric_decreasing_rearrangement(
+                    np.ones(len(mask.interior_idx)), mask)
+
+    def test_shared_helper_rejects_negative_entries(self, padded_ball):
+        order = _rearrange_order(padded_ball.mask)
+        u = np.ones(len(order))
+        u[5] = -1e-12
+        with pytest.raises(ValueError, match="nonnegative"):
+            _rearranged(u, order)
 
     def test_rejects_length_mismatch(self, padded_ball):
         with pytest.raises(ValueError, match="length"):
@@ -291,6 +304,33 @@ class TestViolationSearch:
         assert form.energy(u) == rep.regional_u
         star = symmetric_decreasing_rearrangement(u, mask)
         assert form.energy(star) == rep.regional_star
+
+    @pytest.mark.parametrize("seed", [3, 21])
+    def test_search_matches_per_trial_public_rearrangement(
+            self, search_grid, table2, seed):
+        """The search orders the nodes once; a loop that calls the public
+        rearrangement on every trial returns the same report, every field
+        equal."""
+        trials, sigma = 60, 0.75
+        mask, radius = search_domain(search_grid)
+        form = assemble(mask, sigma, table=table2)
+        rng = np.random.default_rng(seed)
+        best = None
+        for trial in range(trials):
+            if trial == 0:
+                u, desc = trial_field(mask, radius, seed, 0)
+            else:
+                u, desc = random_bump_field(mask, rng, radius)
+            star = symmetric_decreasing_rearrangement(u, mask)
+            report = _build_report(
+                form, u, star,
+                f"seed={seed} trial={trial} radius={radius:.4f}: {desc}")
+            if best is None or report.ratio < best.ratio:
+                best = report
+        got = regional_violation_search(sigma, search_grid, trials=trials,
+                                        seed=seed, table=table2)
+        assert got == best
+        assert "trial=0 " not in got.descriptor
 
     def test_trial_replay_baseline_and_validation(self, search_grid):
         mask, radius = search_domain(search_grid)
