@@ -66,7 +66,6 @@ class RunConfig:
     penalty: float = 1.0
     tol: float = 1e-8
     max_iter: int = 20
-    eigen_max_iter: int = 600
     trials: int = 100
     dirs: int = 96
     seed: int = 0
@@ -90,6 +89,9 @@ def _parse_bool(text: str) -> bool:
 _TYPE_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
 _PARSERS = {f.name: _TYPE_PARSERS[f.type]
             for f in dataclasses.fields(RunConfig)}
+# keys echoed by older versions that select nothing now: a replayed
+# echo may carry them, and they are accepted and ignored
+_RETIRED_KEYS = frozenset({"eigen_max_iter", "table_cache"})
 
 
 def _format_value(value) -> str:
@@ -122,7 +124,7 @@ def load_config_file(path: Path) -> dict:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key == "table_cache":  # echoed by older versions; no effect now
+        if key in _RETIRED_KEYS:
             continue
         if key not in _PARSERS:
             raise CliError(f"{path}:{lineno}: unknown configuration key "
@@ -192,9 +194,6 @@ def validate(config: RunConfig) -> None:
         raise CliError(f"tol must be positive, got {c.tol}")
     if c.max_iter < 1:
         raise CliError(f"max_iter must be at least 1, got {c.max_iter}")
-    if c.eigen_max_iter < 1:
-        raise CliError(
-            f"eigen_max_iter must be at least 1, got {c.eigen_max_iter}")
     if c.trials < 1:
         raise CliError(f"trials must be at least 1, got {c.trials}")
     if c.dirs < 4:
@@ -318,9 +317,7 @@ def _run_eigen(config: RunConfig) -> int:
     out = _prepare_out_dir(config, targets)
     form = assemble(mask, config.sigma,
                     table=build_near_table(config.dim, config.sigma))
-    result = smallest_eigenpair(form, tol=config.tol,
-                                max_iter=config.eigen_max_iter,
-                                seed=config.seed)
+    result = smallest_eigenpair(form, tol=config.tol, seed=config.seed)
     payload = _canonical_json({"iterations": result.iterations,
                                "lambda": result.eigenvalue,
                                "residual": result.residual})
@@ -417,7 +414,7 @@ def _run_rearrange(config: RunConfig) -> int:
 def _optimize_state(config: RunConfig, grid: GridSpec, init: DomainMask,
                     table) -> ShapeState:
     common = dict(max_iter=config.max_iter, seed=config.seed, table=table,
-                  eigen_tol=config.tol, eigen_max_iter=config.eigen_max_iter)
+                  eigen_tol=config.tol)
     if config.mode == "penalized":
         return optimize_penalized(grid, config.sigma, config.penalty, init,
                                   **common)
@@ -433,9 +430,7 @@ def _optimize_state(config: RunConfig, grid: GridSpec, init: DomainMask,
         if state.eigen.converged and not final.same_cells(state.mask):
             eig = smallest_eigenpair(assemble(final, config.sigma,
                                               table=table),
-                                     tol=config.tol,
-                                     max_iter=config.eigen_max_iter,
-                                     seed=config.seed)
+                                     tol=config.tol, seed=config.seed)
             history = state.history + ((eig.eigenvalue, final.volume,
                                         eig.eigenvalue + final.volume),)
             state = ShapeState(mask=final, eigen=eig, sigma=config.sigma,
@@ -660,9 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="PBM", help="P1 bitmap when --shape file")
     p_eigen.add_argument("--tol", type=float, default=None,
                          help="eigen residual tolerance")
-    p_eigen.add_argument("--eigen-max-iter", dest="eigen_max_iter",
-                         type=int, default=None,
-                         help="ARPACK restart cap of the eigensolver")
     p_eigen.add_argument("--pgm", dest="emit_pgm", action="store_const",
                          const=True, default=None,
                          help="write the eigenfunction as a P2 image")
@@ -707,9 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--max-iter", dest="max_iter", type=int,
                        default=None)
     p_opt.add_argument("--tol", type=float, default=None)
-    p_opt.add_argument("--eigen-max-iter", dest="eigen_max_iter", type=int,
-                       default=None,
-                       help="ARPACK restart cap of the eigensolver")
     p_opt.add_argument("--no-csv", dest="emit_csv", action="store_const",
                        const=False, default=None)
 

@@ -496,7 +496,6 @@ _TABLE_CACHE: dict[tuple, NearTable] = {}
 
 
 def build_near_table(dim: int, sigma: float, depth: int | None = None,
-                     points: int | None = None,
                      convergence_tol: float = 1e-6) -> NearTable:
     """Build (or fetch from the in-process cache) the kernel table.
 
@@ -513,9 +512,8 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
         depth = _DEFAULT_DEPTH[dim]
     if depth < 4:
         raise ValueError(f"quadrature depth must be at least 4, got {depth}")
-    if points is None:
-        points = _DEFAULT_POINTS[dim]
-    key = (dim, round(sigma, 12), depth, points, convergence_tol)
+    points = _DEFAULT_POINTS[dim]
+    key = (dim, round(sigma, 12), depth, convergence_tol)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
 
@@ -606,8 +604,9 @@ class RegionalForm:
     """Assembled quadratic form for one mask and order sigma.
 
     ``energy(u)`` is the regional double integral; ``full_energy(u)``
-    adds the complement term 2 * sum m_i u_i^2 kappa_i, which makes the
-    full-space/regional decomposition an identity of the discretization.
+    adds the complement term ``zero_order(u)`` = 2 * sum m_i u_i^2
+    kappa_i, which makes the full-space/regional decomposition an
+    identity of the discretization.
     Vectors index the mask's interior nodes in lexicographic order.
     """
 
@@ -639,11 +638,13 @@ class RegionalForm:
         """Diagonal of the assembled operator (a copy)."""
         return np.diag(self._matrix).copy()
 
-    def full_energy(self, u: np.ndarray) -> float:
+    def zero_order(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
-        zero_order = 2.0 * float(
+        return 2.0 * float(
             np.sum(self.node_weights * u * u * self.complement_potential))
-        return self.energy(u) + zero_order
+
+    def full_energy(self, u: np.ndarray) -> float:
+        return self.energy(u) + self.zero_order(u)
 
     def _dump_header(self, fh) -> None:
         fh.write(b"RFRM")

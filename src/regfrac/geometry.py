@@ -164,9 +164,6 @@ class DomainMask:
     def volume(self) -> float:
         return self.cell_count * self.grid.spacing ** self.grid.dim
 
-    def with_active(self, active: np.ndarray) -> "DomainMask":
-        return DomainMask(self.grid, active)
-
     def same_cells(self, other: "DomainMask") -> bool:
         return self.grid == other.grid and bool(np.array_equal(self.active, other.active))
 

@@ -16,6 +16,7 @@ from scipy import ndimage
 from .gagliardo import RegionalForm
 from .geometry import DirectionSet, DomainMask, march_exit_distances
 from .special import exit_scale_prefactor, hardy_constant
+from .spectral import smallest_eigenpair
 
 
 @dataclass(frozen=True)
@@ -148,13 +149,12 @@ def equivalence_check(form: RegionalForm, u: np.ndarray) -> EquivalenceReport:
                              satisfied=full <= composed * slack * regional)
 
 
-def standard_test_functions(form: RegionalForm, *, seed: int = 0,
-                            include_eigenfunction: bool = True):
+def standard_test_functions(form: RegionalForm, *, seed: int = 0):
     """Deterministic nonnegative test corpus on the form's mask.
 
-    Tensor-sine bump, centered and seeded off-center Gaussians, and
-    (optionally) the ground eigenfunction — all clipped to the deep
-    interior so they satisfy the Hardy-check support rule.
+    Tensor-sine bump, centered and seeded off-center Gaussians, and the
+    ground eigenfunction — all clipped to the deep interior so they
+    satisfy the Hardy-check support rule.
     """
     mask = form.mask
     grid = mask.grid
@@ -184,9 +184,7 @@ def standard_test_functions(form: RegionalForm, *, seed: int = 0,
         bump[~deep] = 0.0
         out.append((f"offset-gaussian-{k}", bump))
 
-    if include_eigenfunction:
-        from .spectral import smallest_eigenpair
-        ground = smallest_eigenpair(form, tol=1e-8, seed=seed).vector
-        clipped = np.where(deep, np.maximum(ground, 0.0), 0.0)
-        out.append(("ground-eigenfunction", clipped))
+    ground = smallest_eigenpair(form, tol=1e-8, seed=seed).vector
+    clipped = np.where(deep, np.maximum(ground, 0.0), 0.0)
+    out.append(("ground-eigenfunction", clipped))
     return out

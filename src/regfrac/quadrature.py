@@ -31,6 +31,11 @@ _WG = np.array([
 ])
 
 
+# absolute target of the summed error indicator, and the interval budget
+_ABS_TOL = 1e-12
+_MAX_INTERVALS = 20000
+
+
 class QuadratureError(RuntimeError):
     """Raised when an adaptive rule cannot meet the requested tolerance."""
 
@@ -51,14 +56,14 @@ def _kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
-def adaptive_gauss_kronrod(f, a: float, b: float, *, abs_tol: float = 1e-12,
-                           max_intervals: int = 20000) -> tuple[float, float]:
+def adaptive_gauss_kronrod(f, a: float, b: float) -> tuple[float, float]:
     """Integrate ``f`` over [a, b] by bisecting G7/K15 panels.
 
     ``f`` must accept a numpy array of abscissae.  Returns the integral
     together with the summed error indicator of the final partition.
-    Raises :class:`QuadratureError` if the interval budget is exhausted
-    before the global indicator drops below ``abs_tol``.
+    Raises :class:`QuadratureError` if the budget of ``_MAX_INTERVALS``
+    intervals is exhausted before the global indicator drops below
+    ``_ABS_TOL``.
     """
     if not b > a:
         if b == a:
@@ -73,10 +78,10 @@ def adaptive_gauss_kronrod(f, a: float, b: float, *, abs_tol: float = 1e-12,
     total_err = err
     done: list[tuple[float, float, float, float]] = []  # frozen intervals
     steps = 0
-    while total_err > abs_tol:
+    while total_err > _ABS_TOL:
         if not heap:
             break
-        if len(heap) + len(done) >= max_intervals:
+        if len(heap) + len(done) >= _MAX_INTERVALS:
             raise QuadratureError(
                 f"adaptive Gauss-Kronrod stalled at error {total_err:.3e} "
                 f"with {len(heap) + len(done)} intervals")

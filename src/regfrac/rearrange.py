@@ -84,11 +84,6 @@ def symmetric_decreasing_rearrangement(u: np.ndarray,
     return _rearranged(u, _rearrange_order(mask))
 
 
-def _zero_order(form: RegionalForm, u: np.ndarray) -> float:
-    return 2.0 * float(np.sum(form.node_weights * u * u
-                              * form.complement_potential))
-
-
 def _build_report(form: RegionalForm, u: np.ndarray, star: np.ndarray,
                   descriptor: str) -> RearrangeReport:
     regional_u = form.energy(u)
@@ -98,8 +93,8 @@ def _build_report(form: RegionalForm, u: np.ndarray, star: np.ndarray,
     ratio = regional_u / regional_star if regional_star > 0.0 else float("inf")
     return RearrangeReport(
         regional_u=regional_u, regional_star=regional_star,
-        full_u=regional_u + _zero_order(form, u),
-        full_star=regional_star + _zero_order(form, star),
+        full_u=regional_u + form.zero_order(u),
+        full_star=regional_star + form.zero_order(star),
         violation=regional_u < regional_star, descriptor=descriptor,
         ratio=ratio, l2_mismatch=mismatch)
 

@@ -134,8 +134,7 @@ def _swap_candidates(grid: GridSpec, score: np.ndarray, base: DomainMask,
 def optimize_fixed_measure(grid: GridSpec, sigma: float, target_volume: float,
                            init: DomainMask, max_iter: int = 20, seed: int = 0,
                            *, table: NearTable | None = None,
-                           eigen_tol: float = 1e-8,
-                           eigen_max_iter: int = 600) -> ShapeState:
+                           eigen_tol: float = 1e-8) -> ShapeState:
     """Descend the principal eigenvalue at fixed support measure.
 
     Candidates keep the top cells by eigenfunction score; a candidate is
@@ -160,8 +159,7 @@ def optimize_fixed_measure(grid: GridSpec, sigma: float, target_volume: float,
 
     def _solve(mask):
         form = assemble(mask, sigma, table=table)
-        return smallest_eigenpair(form, tol=eigen_tol,
-                                  max_iter=eigen_max_iter, seed=seed)
+        return smallest_eigenpair(form, tol=eigen_tol, seed=seed)
 
     eigen = _solve(init)
     history = []
@@ -225,8 +223,7 @@ def resize_mask(grid: GridSpec, init: DomainMask,
 def optimize_penalized(grid: GridSpec, sigma: float, c_penalty: float,
                        init: DomainMask, max_iter: int = 10, seed: int = 0,
                        *, table: NearTable | None = None,
-                       eigen_tol: float = 1e-8,
-                       eigen_max_iter: int = 600) -> ShapeState:
+                       eigen_tol: float = 1e-8) -> ShapeState:
     """Minimize eigenvalue + c_penalty * volume over a volume ladder.
 
     Nine geometric volume steps spanning +-20% of the initial volume
@@ -250,7 +247,7 @@ def optimize_penalized(grid: GridSpec, sigma: float, c_penalty: float,
         start = resize_mask(grid, init, k)
         state = optimize_fixed_measure(
             grid, sigma, k * cell_vol, start, max_iter=max_iter, seed=seed,
-            table=table, eigen_tol=eigen_tol, eigen_max_iter=eigen_max_iter)
+            table=table, eigen_tol=eigen_tol)
         objective = state.eigen.eigenvalue + c_penalty * state.volume
         if objective < best_objective:
             best, best_objective = state, objective
@@ -312,9 +309,7 @@ def convexify(mask: DomainMask) -> DomainMask:
 
 
 def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float, *,
-                        table: NearTable | None = None,
-                        eigen_tol: float = 1e-8, eigen_max_iter: int = 600,
-                        seed: int = 0
+                        table: NearTable | None = None
                         ) -> tuple[ShapeState, ReductionReport]:
     """Keep the connected component with the best rescaled energy.
 
@@ -322,7 +317,8 @@ def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float, *,
     of u it holds; dilating it to the full support measure rescales its
     eigenvalue by ratio^(2 sigma).  The winning component (ties to the
     lowest label) is dilated about its centroid by the inverse ratio
-    with nearest-cell resampling and re-solved.
+    with nearest-cell resampling and re-solved.  Every eigensolve uses
+    ``smallest_eigenpair``'s defaults (tol 1e-8, seed 0).
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (len(mask.interior_idx),):
@@ -356,9 +352,7 @@ def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float, *,
                 rescaled_energy=float("nan")))
             continue
         sub = DomainMask(grid, comp_cells)
-        eig = smallest_eigenpair(assemble(sub, sigma, table=table),
-                                 tol=eigen_tol, max_iter=eigen_max_iter,
-                                 seed=seed)
+        eig = smallest_eigenpair(assemble(sub, sigma, table=table))
         ratio = (support / support_total) ** (1.0 / dim)
         rescaled = eig.eigenvalue * ratio ** (2.0 * sigma)
         rows.append(ComponentRow(
@@ -383,17 +377,15 @@ def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float, *,
         idx = np.clip(idx, 0, np.asarray(grid.cells) - 1)
         new_active = flat_comp[np.ravel_multi_index(idx.T, grid.cells)]
         out_mask = DomainMask(grid, new_active.reshape(grid.cells))
-    eig_out = smallest_eigenpair(assemble(out_mask, sigma, table=table),
-                                 tol=eigen_tol, max_iter=eigen_max_iter,
-                                 seed=seed)
+    eig_out = smallest_eigenpair(assemble(out_mask, sigma, table=table))
     history = [(eig_out.eigenvalue, out_mask.volume,
                 eig_out.eigenvalue + out_mask.volume)]
     return _make_state(out_mask, eig_out, sigma, 0, history), report
 
 
-def growth_diagnostics(state: ShapeState, *,
-                       points: int = 20) -> GrowthDiagnostics:
-    """Tabulate boundary growth rates of a converged eigenfunction."""
+def growth_diagnostics(state: ShapeState) -> GrowthDiagnostics:
+    """Tabulate boundary growth rates of a converged eigenfunction at up
+    to 20 evenly spaced boundary nodes."""
     if not state.eigen.converged:
         raise ValueError("growth diagnostics require a converged eigen state")
     mask = state.mask
@@ -411,7 +403,7 @@ def growth_diagnostics(state: ShapeState, *,
         r *= 2.0
     boundary = mask.boundary_coords
     take = np.unique(np.linspace(0, len(boundary) - 1,
-                                 min(points, len(boundary))).round()
+                                 min(20, len(boundary))).round()
                      .astype(int))
     sample = boundary[take]
     sup_rows, sig_rows, growth_rows = [], [], []

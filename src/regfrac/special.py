@@ -79,8 +79,7 @@ class HardyConstant:
     quadrature_error: float
 
 
-def _hardy_profile_integral(p: float, sigma: float,
-                            abs_tol: float = 1e-12) -> tuple[float, float]:
+def _hardy_profile_integral(p: float, sigma: float) -> tuple[float, float]:
     """integral_0^1 |1 - r^((2s-1)/p)|^p (1-r)^(-1-2s) dr, singularity at r=1.
 
     Substituting s = 1 - r moves the singularity to the origin.  Below
@@ -98,7 +97,7 @@ def _hardy_profile_integral(p: float, sigma: float,
 
     s0 = 1e-30
     head = beta ** p * s0 ** (p - 2.0 * sigma) / (p - 2.0 * sigma)
-    tail, err = adaptive_gauss_kronrod(integrand, s0, 1.0, abs_tol=abs_tol)
+    tail, err = adaptive_gauss_kronrod(integrand, s0, 1.0)
     return head + tail, err + head * 1e-29
 
 

@@ -22,6 +22,11 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .gagliardo import RegionalForm
 
+# ARPACK's restart cap: a safety bound that no measured solve reaches.
+# ARPACK returns within three Lanczos cycles on every 1-3 d form
+# measured, even at a tolerance it cannot meet (1e-20)
+_MAX_RESTARTS = 200
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -74,27 +79,27 @@ def rayleigh_quotient(form: RegionalForm, u: np.ndarray) -> float:
 
 
 def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
-                 tol: float = 1e-8, max_iter: int = 200,
-                 seed: int = 0) -> EigenResult:
+                 tol: float = 1e-8, seed: int = 0) -> EigenResult:
     """Smallest eigenpair of A u = lambda M u for diagonal M.
 
     ``matrix`` is the dense symmetric positive definite A, ``mass_diag``
     the positive mass diagonal.  A is Cholesky-factored once (one N x N
     array beside A); ARPACK's ``eigsh``, started from a vector drawn
-    from ``seed`` with ``max_iter`` restarts at most, then finds the two
-    largest eigenvalues of M^(1/2) A^(-1) M^(1/2): 1/lambda_1 and
-    1/lambda_2.  Each operator application is one LAPACK ``potrs`` on
-    the factor.  ARPACK stops when both Ritz values meet ``tol``
-    relative to their size, usually after its first Lanczos cycle; the
-    result is converged when the mass-weighted residual of the returned
-    pair is at most ``tol``, so an early or loose stop is flagged, not
-    raised.  ``second_estimate`` is a Ritz value, whose error is
-    quadratic in its residual: at ``tol`` 1e-8 it is within 1e-13
-    relative of a dense eigensolve on 1-3 d balls, boxes and annuli,
-    near-double second eigenvalues included.  Orders below 3, which
-    ARPACK cannot take, use a dense ``eigh``.  Raises ``ValueError`` on
-    a non-square matrix, mismatched lengths, a matrix that is not finite
-    and positive definite, or a failed ``potrs``.
+    from ``seed``, then finds the two largest eigenvalues of
+    M^(1/2) A^(-1) M^(1/2): 1/lambda_1 and 1/lambda_2.  Each operator
+    application is one LAPACK ``potrs`` on the factor.  ARPACK stops
+    when both Ritz values meet ``tol`` relative to their size, usually
+    after its first Lanczos cycle and never near its fixed restart cap;
+    the result is converged when the mass-weighted residual of the
+    returned pair is at most ``tol``, so an early or loose stop (an
+    unattainable ``tol`` included) is flagged, not raised.
+    ``second_estimate`` is a Ritz value, whose error is quadratic in its
+    residual: at ``tol`` 1e-8 it is within 1e-13 relative of a dense
+    eigensolve on 1-3 d balls, boxes and annuli, near-double second
+    eigenvalues included.  Orders below 3, which ARPACK cannot take, use
+    a dense ``eigh``.  Raises ``ValueError`` on a non-square or empty
+    matrix ("no interior nodes"), mismatched lengths, a matrix that is
+    not finite and positive definite, or a failed ``potrs``.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -141,7 +146,7 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
         op = LinearOperator((n, n), matvec=inverse, dtype=float)
         try:
             theta, vecs = eigsh(op, k=2, which="LA", v0=start, tol=tol,
-                                maxiter=max_iter)
+                                maxiter=_MAX_RESTARTS)
         except ArpackNoConvergence as exc:
             theta, vecs = exc.eigenvalues, exc.eigenvectors
         order = np.argsort(theta)[::-1]
@@ -172,12 +177,9 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
 
 
 def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
-                       max_iter: int = 200, seed: int = 0) -> EigenResult:
+                       seed: int = 0) -> EigenResult:
     """Ground eigenpair of the assembled regional form."""
-    if form.size == 0:
-        raise ValueError("no interior nodes")
-    return solve_pencil(form.matrix(), form.node_weights,
-                        tol=tol, max_iter=max_iter, seed=seed)
+    return solve_pencil(form.matrix(), form.node_weights, tol=tol, seed=seed)
 
 
 def eigen_residual_report(form: RegionalForm, result: EigenResult,

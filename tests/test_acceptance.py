@@ -48,7 +48,7 @@ def ball32_forms(tables2d):
 
 
 def _solve(form, tol=1e-10, seed=0):
-    res = smallest_eigenpair(form, tol=tol, max_iter=800, seed=seed)
+    res = smallest_eigenpair(form, tol=tol, seed=seed)
     assert res.converged, f"eigensolve stalled at residual {res.residual:.3e}"
     return res
 
@@ -245,7 +245,7 @@ def test_criterion_07_optimizer_contracts(table2):
               | make_mask(tgrid, Ball(center=(1.0, 0.0), radius=0.55)).active)
     twins = DomainMask(tgrid, active)
     joint = smallest_eigenpair(assemble(twins, 0.75, table=table2),
-                               tol=1e-8, max_iter=600, seed=0)
+                               tol=1e-8, seed=0)
     assert joint.converged
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -201,11 +201,12 @@ def test_matrix_dump_too_large_rejected_before_assembly(monkeypatch, tmp_path,
 
 
 def test_legacy_table_cache_key_replays(cli_env, eigen_run, tmp_path):
-    # echoes written before the table cache was removed carry a
-    # table_cache line; it is accepted, ignored, and not echoed again
+    # echoes written by older versions carry retired keys (the table
+    # cache, the eigensolver's restart cap); they are accepted, ignored,
+    # and not echoed again
     legacy = tmp_path / "legacy.echo"
     legacy.write_text((eigen_run / "config.echo").read_text()
-                      + "table_cache=/x\n")
+                      + "table_cache=/x\neigen_max_iter=600\n")
     out = tmp_path / "replay"
     proc = run_cli(["eigen", "--config", legacy, "--out-dir", out], cli_env)
     assert proc.returncode == 0, proc.stderr
@@ -214,6 +215,7 @@ def test_legacy_table_cache_key_replays(cli_env, eigen_run, tmp_path):
     keys = [line.split("=", 1)[0]
             for line in (out / "config.echo").read_text().splitlines()]
     assert "table_cache" not in keys
+    assert "eigen_max_iter" not in keys
 
 
 def test_eigen_three_dimensional(cli_env, tmp_path):
@@ -228,8 +230,7 @@ def test_eigen_three_dimensional(cli_env, tmp_path):
 def test_nonconvergence_exit3_partial(cli_env, tmp_path):
     out = tmp_path / "bad"
     proc = run_cli(["eigen", "--n", 1, "--sigma", 0.25, "--grid", 33,
-                    "--eigen-max-iter", 2, "--tol", "1e-20",
-                    "--out-dir", out], cli_env)
+                    "--tol", "1e-20", "--out-dir", out], cli_env)
     assert proc.returncode == 3
     assert "did not converge" in proc.stderr
     assert (out / "eigen.json.partial").exists()
@@ -424,8 +425,7 @@ def test_report_mixed_runs_and_missing(cli_env, tmp_path):
                    cli_env).returncode == 0
     # a failed run: config.echo but no results
     bad = run_cli(["eigen", "--n", 1, "--sigma", 0.25, "--grid", 16,
-                   "--eigen-max-iter", 1, "--tol", "1e-20",
-                   "--out-dir", root / "c"], cli_env)
+                   "--tol", "1e-20", "--out-dir", root / "c"], cli_env)
     assert bad.returncode == 3
     proc = run_cli(["report", root], cli_env)
     assert proc.returncode == 0, proc.stderr

@@ -176,8 +176,7 @@ class TestFixedMeasure:
     def test_unconverged_init_aborts(self, small_ball, table2):
         grid, mask = small_ball
         state = _quiet_optimize(grid, SIGMA, mask.volume, mask, max_iter=5,
-                                seed=0, table=table2, eigen_tol=1e-20,
-                                eigen_max_iter=2)
+                                seed=0, table=table2, eigen_tol=1e-20)
         assert not state.eigen.converged
         assert state.history == ()
         assert state.iteration == 0
