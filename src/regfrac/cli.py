@@ -6,7 +6,10 @@ field-precise messages, echoes it next to its outputs, and writes all
 results atomically (a ``.partial`` temp file renamed into place).
 Numeric outputs contain no timestamps or environment state, so a rerun
 with the same configuration is byte-identical and the echoed config
-replays the run exactly.
+replays the run exactly, at the BLAS thread count of the original run.
+The echo does not record that count, and LAPACK's blocked Cholesky
+factorization, hence every eigenpair and what is derived from it,
+depends on it.
 
 Exit codes: 0 success, 2 invalid configuration or refused overwrite,
 3 numerical non-convergence (partial outputs keep the ``.partial``

@@ -81,8 +81,10 @@ def pseudo_distance(mask: DomainMask, points, sigma: float,
     dist = np.minimum(*np.split(both, 2, axis=1))
     if np.any(dist == 0.0):
         raise ValueError("boundary point: exit distance 0")
+    # a numpy row sum, not a BLAS product: its order does not depend on
+    # the number of points or on the BLAS thread count
     out = (exit_scale_prefactor(mask.grid.dim, alpha) ** (1.0 / alpha)
-           * (dist ** -alpha @ dirs.weights) ** (-1.0 / alpha))
+           * np.sum(dist ** -alpha * dirs.weights, axis=1) ** (-1.0 / alpha))
     return float(out[0]) if pts.ndim == 1 else out
 
 

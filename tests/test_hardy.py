@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,23 +129,28 @@ def _full_line_march(mask, points, sigma, dirs):
         mask, points, np.concatenate([dirs.directions, -dirs.directions]))
     dist = np.minimum(*np.split(both, 2, axis=1))
     return (exit_scale_prefactor(mask.grid.dim, alpha) ** (1.0 / alpha)
-            * (dist ** -alpha @ dirs.weights) ** (-1.0 / alpha))
+            * np.sum(dist ** -alpha * dirs.weights, axis=1) ** (-1.0 / alpha))
+
+
+def _random_mask_points(dim, seed):
+    """A random mask, its interior nodes and 30 points strictly inside
+    active cells."""
+    rng = np.random.default_rng(seed)
+    n = {1: 40, 2: 12, 3: 6}[dim]
+    grid = GridSpec((n,) * dim, 0.3, (-0.7,) * dim)
+    mask = DomainMask(grid, rng.random(grid.cells) < 0.8)
+    cells = np.argwhere(mask.active)[rng.integers(0, mask.active.sum(), 30)]
+    return mask, np.concatenate([
+        mask.interior_coords,
+        grid.node_coords(cells + rng.uniform(0.02, 0.98, cells.shape))])
 
 
 @pytest.mark.parametrize("dim, count, traced", [
     (1, 4, 2), (2, 4, 4), (2, 96, 96), (2, 97, 194), (3, 50, 100)])
 def test_pseudo_distance_traces_each_line_once(monkeypatch, dim, count,
                                                traced):
-    # random masks, interior nodes and points strictly inside active
-    # cells: marching the distinct rays once gives the full march bitwise
-    rng = np.random.default_rng(100 * dim + count)
-    n = {1: 40, 2: 12, 3: 6}[dim]
-    grid = GridSpec((n,) * dim, 0.3, (-0.7,) * dim)
-    mask = DomainMask(grid, rng.random(grid.cells) < 0.8)
-    cells = np.argwhere(mask.active)[rng.integers(0, mask.active.sum(), 30)]
-    points = np.concatenate([
-        mask.interior_coords,
-        grid.node_coords(cells + rng.uniform(0.02, 0.98, cells.shape))])
+    # marching the distinct rays once gives the full march bitwise
+    mask, points = _random_mask_points(dim, 100 * dim + count)
     dirs = direction_set(dim, count)
     want = _full_line_march(mask, points, 0.75, dirs)
 
@@ -159,6 +167,39 @@ def test_pseudo_distance_traces_each_line_once(monkeypatch, dim, count,
     assert rays == [traced]
     single = _full_line_march(mask, points[-1:], 0.75, dirs)[0]
     assert pseudo_distance(mask, points[-1], 0.75, dirs) == single
+
+
+@pytest.mark.parametrize("dim, count", [(1, 4), (2, 96), (3, 50)])
+def test_pseudo_distance_point_equals_its_row(dim, count):
+    # the directional sum runs in one order whatever the stack size
+    mask, points = _random_mask_points(dim, 7 * dim)
+    dirs = direction_set(dim, count)
+    stack = pseudo_distance(mask, points, 0.75, dirs)
+    rows = [pseudo_distance(mask, x, 0.75, dirs) for x in points]
+    assert np.array_equal(rows, stack)
+
+
+def test_pseudo_distance_independent_of_blas_threads():
+    # byte-identical stacks across processes at one and two BLAS threads
+    code = ("import hashlib, sys, numpy as np\n"
+            "from regfrac.geometry import DomainMask, GridSpec, direction_set\n"
+            "from regfrac.hardy import pseudo_distance\n"
+            "out = hashlib.sha256()\n"
+            "for dim, count, n in ((1, 4, 40), (2, 96, 12), (3, 50, 6)):\n"
+            "    grid = GridSpec((n,) * dim, 0.3, (-0.7,) * dim)\n"
+            "    active = np.random.default_rng(dim).random(grid.cells) < 0.8\n"
+            "    mask = DomainMask(grid, active)\n"
+            "    out.update(pseudo_distance(mask, mask.interior_coords, 0.75,\n"
+            "                               direction_set(dim, count)).tobytes())\n"
+            "sys.stdout.write(out.hexdigest())\n")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1] != ""
 
 
 def test_pseudo_distance_validation(ball_mask_128):

@@ -1,11 +1,13 @@
 """Rearrangement permutation and its energy comparisons."""
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from regfrac import rearrange
 from regfrac.gagliardo import assemble
 from regfrac.geometry import Annulus, Ball, GridSpec, make_mask
 from regfrac.rearrange import (RearrangeReport, _build_report,
@@ -233,6 +235,59 @@ class TestAlmgrenLieb:
             almgren_lieb_check(form, np.ones(len(tight.interior_idx)))
 
 
+def _reference_field(mask, rng, radius):
+    """One random trial's field, drawn and summed bump by bump."""
+    coords = mask.interior_coords
+    dim = mask.grid.dim
+    center = 0.5 * (np.asarray(mask.grid.origin)
+                    + np.asarray(mask.grid.high_corner))
+    count = int(rng.integers(1, 5))
+    u = np.zeros(len(coords))
+    parts = []
+    for _ in range(count):
+        direction = rng.standard_normal(dim)
+        direction /= np.linalg.norm(direction)
+        r = 0.9 * radius * rng.uniform() ** (1.0 / dim)
+        spot = center + r * direction
+        width = rng.uniform(0.05, 0.3) * radius
+        amp = rng.uniform(0.2, 1.0)
+        u += amp * np.exp(-np.sum((coords - spot) ** 2, axis=1)
+                          / (2.0 * width ** 2))
+        parts.append(f"(|c|={r:.3f},w={width:.3f},a={amp:.3f})")
+    return u, f"{count} bumps " + " ".join(parts)
+
+
+def _reference_reports(form, radius, seed, trials):
+    """Every trial's full report, one trial at a time."""
+    mask = form.mask
+    rng = np.random.default_rng(seed)
+    reports = []
+    for trial in range(trials):
+        if trial == 0:
+            width = 0.25 * radius
+            center = 0.5 * (np.asarray(mask.grid.origin)
+                            + np.asarray(mask.grid.high_corner))
+            u = np.exp(-np.sum((mask.interior_coords - center) ** 2, axis=1)
+                       / (2.0 * width ** 2))
+            desc = f"radial baseline (w={width:.3f})"
+        else:
+            u, desc = _reference_field(mask, rng, radius)
+        star = symmetric_decreasing_rearrangement(u, mask)
+        reports.append(_build_report(
+            form, u, star,
+            f"seed={seed} trial={trial} radius={radius:.4f}: {desc}"))
+    return reports
+
+
+def _best(reports):
+    """The smallest ratio; ties keep the earliest trial."""
+    best = reports[0]
+    for report in reports[1:]:
+        if report.ratio < best.ratio:
+            best = report
+    return best
+
+
 @pytest.fixture(scope="module")
 def search_grid():
     return GridSpec(cells=(24, 24), spacing=2.5 / 24, origin=(-1.25, -1.25))
@@ -305,32 +360,82 @@ class TestViolationSearch:
         star = symmetric_decreasing_rearrangement(u, mask)
         assert form.energy(star) == rep.regional_star
 
-    @pytest.mark.parametrize("seed", [3, 21])
+    @pytest.mark.parametrize("seed", [3, 21, 1001])
     def test_search_matches_per_trial_public_rearrangement(
             self, search_grid, table2, seed):
-        """The search orders the nodes once; a loop that calls the public
-        rearrangement on every trial returns the same report, every field
-        equal."""
-        trials, sigma = 60, 0.75
+        """The search draws, rearranges and ranks trials in blocks; the
+        loop that builds every trial's report on its own, with the public
+        rearrangement, picks the same report, every field equal."""
         mask, radius = search_domain(search_grid)
-        form = assemble(mask, sigma, table=table2)
-        rng = np.random.default_rng(seed)
-        best = None
-        for trial in range(trials):
-            if trial == 0:
-                u, desc = trial_field(mask, radius, seed, 0)
-            else:
-                u, desc = random_bump_field(mask, rng, radius)
-            star = symmetric_decreasing_rearrangement(u, mask)
-            report = _build_report(
-                form, u, star,
-                f"seed={seed} trial={trial} radius={radius:.4f}: {desc}")
-            if best is None or report.ratio < best.ratio:
-                best = report
-        got = regional_violation_search(sigma, search_grid, trials=trials,
-                                        seed=seed, table=table2)
-        assert got == best
+        form = assemble(mask, 0.75, table=table2)
+        reports = _reference_reports(form, radius, seed, 400)
+        for trials in (1, 2, 400):
+            got = regional_violation_search(0.75, search_grid, trials=trials,
+                                            seed=seed, table=table2)
+            assert got == _best(reports[:trials])
         assert "trial=0 " not in got.descriptor
+
+    def test_search_blocks_match_reference(self, monkeypatch, search_grid,
+                                           table2):
+        # blocks of 3 trials: 40 trials span 14 blocks, the last partial;
+        # every field the search rearranges is its trial's replay
+        mask, radius = search_domain(search_grid)
+        form = assemble(mask, 0.75, table=table2)
+        want = _best(_reference_reports(form, radius, 21, 40))
+        monkeypatch.setattr(rearrange, "_BLOCK_ENTRIES",
+                            3 * 4 * mask.interior_coords.size)
+        blocks = []
+        real = rearrange._rearranged
+
+        def spy(u, order):
+            blocks.append(u.copy())
+            return real(u, order)
+
+        monkeypatch.setattr(rearrange, "_rearranged", spy)
+        got = regional_violation_search(0.75, search_grid, trials=40, seed=21,
+                                         table=table2)
+        assert [len(b) for b in blocks] == [3] * 13 + [1]
+        assert got == want
+        for trial, u in enumerate(np.concatenate(blocks)):
+            assert np.array_equal(u, trial_field(mask, radius, 21, trial)[0])
+
+    def test_ties_keep_the_earliest_trial(self, monkeypatch, search_grid,
+                                          table2):
+        # every random trial repeats the winner of a 400-trial search
+        # (ratio below trial 0's), so trials 1-4 tie and trial 1 wins
+        _, radius = search_domain(search_grid)
+        won = regional_violation_search(0.75, search_grid, trials=400, seed=3,
+                                        table=table2)
+        assert won.ratio < 1.0
+        trial = int(re.search(r"trial=(\d+)", won.descriptor).group(1))
+        rng = np.random.default_rng(3)
+        center = rearrange._grid_center(search_grid)
+        for _ in range(trial):
+            bumps = rearrange._draw_bumps(rng, center, radius)
+        monkeypatch.setattr(rearrange, "_draw_bumps", lambda *args: bumps)
+        got = regional_violation_search(0.75, search_grid, trials=5, seed=3,
+                                        table=table2)
+        assert got.ratio == won.ratio
+        assert "trial=1 " in got.descriptor
+
+    def test_search_rejects_negative_field(self, monkeypatch, search_grid,
+                                           table2):
+        real = rearrange._bump_fields
+        monkeypatch.setattr(rearrange, "_bump_fields",
+                            lambda coords, trials: -real(coords, trials))
+        with pytest.raises(ValueError, match="nonnegative"):
+            regional_violation_search(0.75, search_grid, trials=3, seed=0,
+                                      table=table2)
+
+    @pytest.mark.parametrize("dim, cells", [(1, 33), (2, 24), (3, 10)])
+    def test_bump_field_matches_reference(self, dim, cells):
+        grid = GridSpec((cells,) * dim, 2.5 / cells, (-1.25,) * dim)
+        mask, radius = search_domain(grid)
+        ours, theirs = np.random.default_rng(dim), np.random.default_rng(dim)
+        for _ in range(50):
+            u, desc = random_bump_field(mask, ours, radius)
+            want, want_desc = _reference_field(mask, theirs, radius)
+            assert np.array_equal(u, want) and desc == want_desc
 
     def test_trial_replay_baseline_and_validation(self, search_grid):
         mask, radius = search_domain(search_grid)

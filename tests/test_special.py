@@ -1,9 +1,10 @@
 """Special-function checks: gamma accuracy, closed forms, Hardy constant.
 
-The Hardy constant gets an independent oracle: a fixed (non-adaptive)
-composite Gauss rule on a million panels, applied after a power
-substitution that removes the endpoint singularity analytically.  The
-production path never sees this code.
+The Hardy constant gets two independent checks: 40-digit mpmath values
+of its profile integral, and an oracle that applies a composite Gauss
+rule on a million uniform panels after a power substitution that
+removes the endpoint singularity analytically.  The production path
+never sees this code.
 """
 from __future__ import annotations
 
@@ -153,8 +154,25 @@ def test_hardy_constant_error_estimate_is_small():
     for sigma in (0.55, 0.75, 0.95):
         c = hardy_constant(2, 2.0, sigma)
         assert isinstance(c, HardyConstant)
-        assert c.quadrature_error < 1e-8 * c.value
+        assert 0.0 < c.quadrature_error < 1e-12 * c.value
         assert c.value > 0.0
+
+
+# The profile integral to 20 digits: the closed-form head below 1e-30
+# plus the tail on [1e-30, 1] by mpmath at 40 digits.
+@pytest.mark.parametrize("p, sigma, reference", [
+    (2.0, 0.55, 0.0078100592627908493778),
+    (2.0, 0.6, 0.030383278633844117399),
+    (2.0, 0.75, 0.20735251809737327015),
+    (2.0, 0.9, 0.96401898065331500142),
+    (2.0, 0.95, 2.217658441322770365),
+    (3.0, 0.8, 0.027979052442047115693),
+    (1.6, 0.7, 0.66058933029309300926),
+])
+def test_hardy_profile_integral_matches_mpmath(p, sigma, reference):
+    c = hardy_constant(2, p, sigma)
+    assert abs(c.integral - reference) <= 1e-14 * reference
+    assert 0.0 < c.quadrature_error < 1e-12 * c.integral
 
 
 def test_hardy_constant_gamma_ratio_decreasing_in_dimension():
