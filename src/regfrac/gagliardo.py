@@ -29,7 +29,12 @@ therefore a few lattice operations and loops over no stencil, node pair
 or cell: gathers of activity flags and labels with one sparse product
 for the near and gap parts, a gather from one kernel array for the far
 block, and FFT convolutions for the far diagonal and the complement
-potential.
+potential.  Whatever depends only on the grid and sigma (the kernels
+over node and cell offsets and their spectra, the refined complement
+stencil, the tail term per node, the table's gather offsets and its
+scaling to the spacing) is built once per grid into a plan kept in the
+table; each mask then pays only for its gathers, the sparse product and
+the FFTs of its own mass and inactive-cell fields.
 
 All three pieces are sums of squares, so the assembled form is
 symmetric positive semidefinite by construction, scales exactly as
@@ -49,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .geometry import DomainMask
+from .geometry import DomainMask, GridSpec
 from .quadrature import tensor_rule
 from .special import tail_integral
 
@@ -487,6 +492,9 @@ class NearTable:
     cell_pairs: np.ndarray
     weights: csr_matrix
     error_estimate: float
+    # per-grid assembly plans, keyed by (grid, sigma); see _grid_plan
+    _plans: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def hat_energy(self, offset: tuple[int, ...]) -> float:
         return self.hat_energies[tuple(offset)]
@@ -674,27 +682,22 @@ def _node_masses(mask: DomainMask) -> np.ndarray:
     """Lumped dual-cell masses over the whole node grid (zero at nodes
     of no active cell)."""
     grid = mask.grid
-    dim = grid.dim
-    padded = np.pad(mask.active, 1, constant_values=False)
-    counts = np.zeros(grid.node_shape, dtype=np.int64)
-    for offset in np.ndindex(*([2] * dim)):
-        sl = tuple(slice(o, o + grid.node_shape[k]) for k, o in enumerate(offset))
-        counts += padded[sl]
-    return counts * (grid.spacing ** dim / 2 ** dim)
+    return mask.incident_counts * (grid.spacing ** grid.dim / 2 ** grid.dim)
 
 
-def _convolve(kernel: np.ndarray, field: np.ndarray) -> np.ndarray:
+def _convolve(spectrum: np.ndarray, shape: tuple[int, ...],
+              field: np.ndarray) -> np.ndarray:
     """Convolution of ``field`` with an offset kernel, by real FFTs.
 
+    ``spectrum`` is the ``rfftn`` of the kernel, an array of ``shape``.
     Along an axis where the field has n entries, ``kernel[q]`` is the
     kernel at offset q - (n - 1).  Entry i + n - 1 of the result is then
     the sum over j of field[j] * kernel(i - j) for every
-    0 <= i <= len(kernel) - n: the circular wrap-around misses these.
+    0 <= i <= shape - n: the circular wrap-around misses these.
     """
-    axes = tuple(range(kernel.ndim))
-    spectrum = (np.fft.rfftn(kernel, axes=axes)
-                * np.fft.rfftn(field, s=kernel.shape, axes=axes))
-    return np.fft.irfftn(spectrum, s=kernel.shape, axes=axes)
+    axes = tuple(range(len(shape)))
+    return np.fft.irfftn(spectrum * np.fft.rfftn(field, s=shape, axes=axes),
+                         s=shape, axes=axes)
 
 
 def _offset_grid(lo, hi) -> np.ndarray:
@@ -704,7 +707,114 @@ def _offset_grid(lo, hi) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _complement_potential(mask: DomainMask, sigma: float) -> np.ndarray:
+def _flat_strides(shape) -> np.ndarray:
+    """Element strides of a C-ordered array of ``shape``."""
+    return np.cumprod((1,) + tuple(shape[:0:-1]))[::-1]
+
+
+def _embedded(values: np.ndarray, margin: int) -> np.ndarray:
+    """``values`` inside a zero (False) margin of ``margin`` entries on
+    every side, flattened."""
+    out = np.zeros(tuple(n + 2 * margin for n in values.shape), values.dtype)
+    out[tuple(slice(margin, margin + n) for n in values.shape)] = values
+    return out.ravel()
+
+
+@dataclass(frozen=True)
+class _GridPlan:
+    """Everything assembly needs that depends on the grid and sigma
+    but not on the mask (see ``_grid_plan``)."""
+
+    far_weights: np.ndarray     # -2 m^2 K[d] over node offsets d
+    far_spectrum: np.ndarray    # rfftn of K[d]
+    far_shape: tuple
+    k_strides: np.ndarray       # of the kernel over node offsets
+    a_strides: np.ndarray       # active cells padded by _REACH
+    l_strides: np.ndarray       # node labels padded by _REACH
+    first: np.ndarray           # gather offsets of the table's cell pairs
+    second: np.ndarray
+    columns: np.ndarray         # gather offsets of its node offsets
+    weights: csr_matrix         # the table scaled by h^(n - 2 sigma)
+    comp_spectrum: np.ndarray   # rfftn of the complement far kernel
+    comp_shape: tuple
+    refined: np.ndarray         # complement near stencil values
+    shifts: np.ndarray          # and its offsets in the padded indicator
+    p_strides: np.ndarray       # inactive cells padded by 2
+    tail: np.ndarray            # complement beyond the box, per node
+
+
+def _build_plan(table: NearTable, grid: GridSpec, sigma: float) -> _GridPlan:
+    dim = grid.dim
+    h = grid.spacing
+    beta = dim + 2.0 * sigma
+    axes = tuple(range(dim))
+    node_shape = np.asarray(grid.node_shape)
+    cells = np.asarray(grid.cells)
+
+    # far kernel |d h|^-beta on node offsets d, zero at Chebyshev <= 2
+    d = _offset_grid(1 - node_shape, node_shape - 1)
+    far = np.abs(d).max(axis=-1) >= 3
+    kernel = np.zeros(far.shape)
+    kernel[far] = (h * h * np.sum(d[far] ** 2, axis=-1)) ** (-beta / 2.0)
+    # every interior node has all 2^n incident cells active, so all
+    # interior masses equal and the interior far block is one array
+    mass = 2 ** dim * (h ** dim / 2 ** dim)
+
+    # complement: node-to-centre offsets in units of h, for node minus
+    # cell index 1 - cells .. cells; squared lengths are sums of squares
+    # of half-integers, which never equal 4, so the split at 2h is exact
+    r = _offset_grid(1 - cells, cells) - 0.5
+    r2 = np.sum(r * r, axis=-1)
+    near = r2 <= 4.0
+    comp = np.where(near, 0.0, h ** dim * (h * h * r2) ** (-beta / 2.0))
+    steps = (np.arange(4) - 1.5) / 4.0
+    sub = _offset_grid([0] * dim, [3] * dim).reshape(-1, dim)
+    diff = h * (r[near][:, None, :] - steps[sub][None, :, :])
+    refined = (h / 4.0) ** dim * np.sum(
+        np.sum(diff * diff, axis=-1) ** (-beta / 2.0), axis=1)
+    # cell j = i - r - 1/2 of the indicator padded by 2, for all nodes i
+    p_strides = _flat_strides(tuple(cells + 4))
+
+    # beyond the grid box: radial tail at the distance to the box wall,
+    # by the closed form's scaling r^(-2 sigma)
+    nodes = grid.node_coords(np.indices(grid.node_shape).reshape(dim, -1).T)
+    wall = np.maximum(np.minimum(nodes - np.asarray(grid.origin),
+                                 np.asarray(grid.high_corner) - nodes
+                                 ).min(axis=1), 0.5 * h)
+    tail = tail_integral(dim, sigma, 1.0) * wall ** (-2.0 * sigma)
+
+    a_strides = _flat_strides(tuple(cells + 2 * _REACH))
+    l_strides = _flat_strides(tuple(node_shape + 2 * _REACH))
+    return _GridPlan(
+        far_weights=-(2.0 * mass * mass) * kernel,
+        far_spectrum=np.fft.rfftn(kernel, axes=axes), far_shape=kernel.shape,
+        k_strides=_flat_strides(kernel.shape), a_strides=a_strides,
+        l_strides=l_strides,
+        first=(table.cell_pairs[:, 0] @ a_strides)[:, None],
+        second=(table.cell_pairs[:, 1] @ a_strides)[:, None],
+        columns=(table.node_offsets @ l_strides)[:, None],
+        weights=table.weights * h ** (dim - 2.0 * sigma),
+        comp_spectrum=np.fft.rfftn(comp, axes=axes), comp_shape=comp.shape,
+        refined=refined,
+        shifts=np.rint(-r[near] - 0.5).astype(np.int64) @ p_strides,
+        p_strides=p_strides, tail=tail.reshape(grid.node_shape),
+    )
+
+
+def _grid_plan(table: NearTable, grid: GridSpec, sigma: float) -> _GridPlan:
+    """The table's plan for one grid and sigma, built on first use.
+
+    Plans live in the table, so they are shared by every mask assembled
+    on the grid with that table and dropped with it.
+    """
+    key = (grid, sigma)
+    plan = table._plans.get(key)
+    if plan is None:
+        plan = table._plans[key] = _build_plan(table, grid, sigma)
+    return plan
+
+
+def _complement_potential(mask: DomainMask, plan: _GridPlan) -> np.ndarray:
     """Kernel integral over the domain complement, per interior node.
 
     Inactive in-box cells contribute midpoint terms h^n k(x_i - c_j).
@@ -717,42 +827,17 @@ def _complement_potential(mask: DomainMask, sigma: float) -> np.ndarray:
     deliberate overcount at box corners — the full-space comparisons
     only need an upper-consistent complement term).
     """
-    grid = mask.grid
-    dim = grid.dim
-    h = grid.spacing
-    beta = dim + 2.0 * sigma
-    cells = np.asarray(grid.cells)
+    cells = np.asarray(mask.grid.cells)
     idx = mask.interior_idx
     kappa = np.zeros(len(idx))
     inactive = ~mask.active
     if inactive.any():
-        # node-to-centre offsets in units of h, for node minus cell index
-        # 1 - cells .. cells; squared lengths are sums of squares of
-        # half-integers, which never equal 4, so the split at 2h is exact
-        r = _offset_grid(1 - cells, cells) - 0.5
-        r2 = np.sum(r * r, axis=-1)
-        near = r2 <= 4.0
-        far = np.where(near, 0.0, h ** dim * (h * h * r2) ** (-beta / 2.0))
-        kappa += _convolve(far, inactive.astype(float))[
-            tuple((idx + cells - 1).T)]
-        steps = (np.arange(4) - 1.5) / 4.0
-        sub = _offset_grid([0] * dim, [3] * dim).reshape(-1, dim)
-        diff = h * (r[near][:, None, :] - steps[sub][None, :, :])
-        refined = (h / 4.0) ** dim * np.sum(
-            np.sum(diff * diff, axis=-1) ** (-beta / 2.0), axis=1)
-        # cell j = i - r - 1/2 of the padded indicator, for all nodes i
-        padded = np.pad(inactive, 2)
-        strides = np.asarray(padded.strides) // padded.itemsize
-        shifts = np.rint(-r[near] - 0.5).astype(np.int64) @ strides
-        hit = padded.ravel()[shifts[:, None] + ((idx + 2) @ strides)[None, :]]
-        kappa += np.sum(refined[:, None] * hit, axis=0)
-    # beyond the grid box: radial tail at the distance to the box wall,
-    # by the closed form's scaling r^(-2 sigma)
-    nodes = mask.interior_coords
-    lo = np.asarray(grid.origin)
-    hi = np.asarray(grid.high_corner)
-    wall = np.maximum(np.minimum(nodes - lo, hi - nodes).min(axis=1), 0.5 * h)
-    kappa += tail_integral(dim, sigma, 1.0) * wall ** (-2.0 * sigma)
+        kappa += _convolve(plan.comp_spectrum, plan.comp_shape,
+                           inactive.astype(float))[tuple((idx + cells - 1).T)]
+        hit = _embedded(inactive, 2)[
+            plan.shifts[:, None] + ((idx + 2) @ plan.p_strides)[None, :]]
+        kappa += np.sum(plan.refined[:, None] * hit, axis=0)
+    kappa += plan.tail[tuple(idx.T)]
     return kappa
 
 
@@ -772,6 +857,15 @@ def assemble(mask: DomainMask, sigma: float, *,
     ordered lexicographically, no step calls BLAS, and every
     accumulation order is fixed.  The matrix takes 8 N^2 bytes for N
     interior nodes.
+
+    What does not depend on the mask is built once per grid and sigma
+    and kept in the table: the far kernel, its spectrum and the far
+    block weights, the complement kernel's spectrum and its refined near
+    stencil, the tail term per node, the gather offsets of the table
+    rows and the table scaled to the spacing.  Per mask there remain
+    the node masses, the gathers of active cells and labels, the sparse
+    product, the far gather, one FFT of the mass field and one of the
+    inactive-cell field, and the complement gathers.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
@@ -781,8 +875,6 @@ def assemble(mask: DomainMask, sigma: float, *,
         table = build_near_table(dim, sigma)
     if table.dim != dim or abs(table.sigma - sigma) > 1e-12:
         raise ValueError("near table does not match mask dimension / sigma")
-    h = grid.spacing
-    beta = dim + 2.0 * sigma
 
     masses = _node_masses(mask)
     idx = mask.interior_idx
@@ -791,38 +883,23 @@ def assemble(mask: DomainMask, sigma: float, *,
     n_int = len(interior_m)
     if n_int == 0:
         raise ValueError("no interior nodes")
+    plan = _grid_plan(table, grid, float(sigma))
 
-    # far kernel |d h|^-beta on node offsets d, zero at Chebyshev <= 2
     node_shape = np.asarray(grid.node_shape)
-    d = _offset_grid(1 - node_shape, node_shape - 1)
-    far = np.abs(d).max(axis=-1) >= 3
-    kernel = np.zeros(far.shape)
-    kernel[far] = (h * h * np.sum(d[far] ** 2, axis=-1)) ** (-beta / 2.0)
-    # every interior node has all 2^n incident cells active, so all
-    # interior masses equal and the interior far block is one array
-    neg_weight = -(2.0 * interior_m[0] * interior_m[0]) * kernel
-    k_strides = np.asarray(kernel.strides) // kernel.itemsize
-    k_off = idx @ k_strides
-    k_center = (node_shape - 1) @ k_strides
+    k_off = idx @ plan.k_strides
+    k_center = (node_shape - 1) @ plan.k_strides
 
     # active cells and interior labels (N elsewhere), padded by the reach
     # of the near and gap data; entries touching the boundary ring vanish
     # against u=0, so only entries between two interior nodes are kept
     # (of a pair weight joining an interior and a boundary node, that is
     # its interior diagonal term)
-    active = np.pad(mask.active, _REACH)
-    a_strides = np.asarray(active.strides) // active.itemsize
-    active = active.ravel()
+    active = _embedded(mask.active, _REACH)
     labels = np.full(tuple(node_shape + 2 * _REACH), n_int, dtype=np.int64)
     labels[tuple((idx + _REACH).T)] = np.arange(n_int)
-    l_strides = np.asarray(labels.strides) // labels.itemsize
     labels = labels.ravel()
-    cell_base = (idx + _REACH) @ a_strides
-    node_base = (idx + _REACH) @ l_strides
-    first = (table.cell_pairs[:, 0] @ a_strides)[:, None]
-    second = (table.cell_pairs[:, 1] @ a_strides)[:, None]
-    columns = (table.node_offsets @ l_strides)[:, None]
-    weights = table.weights * h ** (dim - 2.0 * sigma)
+    cell_base = (idx + _REACH) @ plan.a_strides
+    node_base = (idx + _REACH) @ plan.l_strides
 
     A = np.empty((n_int, n_int))
     flat = A.reshape(-1)
@@ -832,17 +909,20 @@ def assemble(mask: DomainMask, sigma: float, *,
         sl = slice(s, min(s + rows, n_int))
         m = sl.stop - s
         np.subtract(k_off[None, :] + k_center, k_off[sl, None], out=gather[:m])
-        np.take(neg_weight, gather[:m], out=A[sl], mode="clip")
-        both = active[first + cell_base[sl]] & active[second + cell_base[sl]]
-        coef = weights @ both
-        col = labels[columns + node_base[sl]]
+        np.take(plan.far_weights, gather[:m], out=A[sl], mode="clip")
+        both = (active[plan.first + cell_base[sl]]
+                & active[plan.second + cell_base[sl]])
+        coef = plan.weights @ both
+        col = labels[plan.columns + node_base[sl]]
         keep = col < n_int
         flat[(col + np.arange(s, sl.stop) * n_int)[keep]] += coef[keep]
 
-    far_sums = _convolve(kernel, masses)[tuple((idx + node_shape - 1).T)]
+    far_sums = _convolve(plan.far_spectrum, plan.far_shape, masses)[
+        tuple((idx + node_shape - 1).T)]
     A[np.arange(n_int), np.arange(n_int)] += 2.0 * interior_m * far_sums
     return RegionalForm(
         mask=mask, sigma=float(sigma), table=table,
         node_weights=interior_m, boundary_weights=boundary_m,
-        complement_potential=_complement_potential(mask, sigma), _matrix=A,
+        complement_potential=_complement_potential(mask, plan),
+        _matrix=A,
     )

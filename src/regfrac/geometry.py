@@ -115,8 +115,9 @@ class DomainMask:
     """Active-cell set on a grid, with derived node classification.
 
     ``active`` is a boolean array of the grid's cell shape.  Derived
-    (deterministically, on construction): ``interior`` marks nodes whose
-    every incident cell is active — the degrees of freedom — and
+    (deterministically, on construction): ``incident_counts`` holds the
+    number of active cells around each node, ``interior`` marks nodes
+    whose every incident cell is active — the degrees of freedom — and
     ``incident`` marks vertices of at least one active cell.  Incident
     non-interior nodes are the boundary ring carrying the value 0.
     """
@@ -135,21 +136,14 @@ class DomainMask:
 
     def _derive_nodes(self) -> None:
         grid = self.grid
-        dim = grid.dim
-        # pad with inactive cells so grid-edge nodes classify as boundary
-        padded = np.pad(self.active, 1, constant_values=False)
-        node_shape = grid.node_shape
-        interior = np.ones(node_shape, dtype=bool)
-        incident = np.zeros(node_shape, dtype=bool)
-        # node (i) touches cells (i-1+offset) for offset in {0,1}^dim
-        for offset in np.ndindex(*([2] * dim)):
-            sl = tuple(slice(o, o + node_shape[k]) for k, o in enumerate(offset))
-            interior &= padded[sl]
-            incident |= padded[sl]
+        counts = _incident_counts(self.active)
+        interior = counts == 2 ** grid.dim
+        incident = counts > 0
+        for derived in (counts, interior, incident):
+            derived.setflags(write=False)
+        self.incident_counts = counts
         self.interior = interior
         self.incident = incident
-        self.interior.setflags(write=False)
-        self.incident.setflags(write=False)
         # lexicographic (C-order) index lists: the assembly ordering
         self.interior_idx = np.argwhere(interior)
         self.boundary_idx = np.argwhere(incident & ~interior)
@@ -178,6 +172,20 @@ class DomainMask:
         if np.any(idx < 0) or np.any(idx >= np.asarray(self.grid.cells)):
             return False
         return bool(self.active[tuple(idx)])
+
+
+def _incident_counts(active: np.ndarray) -> np.ndarray:
+    """Number of active cells incident to each node of the node grid.
+
+    Node i touches cells i - 1 + offset for offset in {0,1}^dim, so each
+    offset adds the cell array into a window of the node array; nodes on
+    the grid edge miss the cells beyond it.
+    """
+    counts = np.zeros(tuple(n + 1 for n in active.shape), dtype=np.int64)
+    for offset in np.ndindex(*([2] * active.ndim)):
+        counts[tuple(slice(1 - o, 1 - o + n)
+                     for o, n in zip(offset, active.shape))] += active
+    return counts
 
 
 def _bounds_check(grid: GridSpec, lo, hi) -> None:

@@ -11,7 +11,7 @@ so the best-seen energy sequence is non-increasing by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -26,9 +26,11 @@ from .spectral import EigenResult, smallest_eigenpair
 class ShapeState:
     """Snapshot of an optimization iterate.
 
-    ``energy_penalized`` is eigenvalue + volume exactly; ``history``
-    holds one (eigenvalue, volume, energy) triple per accepted iterate,
-    non-increasing in the energy column.
+    ``energy_penalized`` is eigenvalue + c * volume exactly, with c the
+    penalty of ``optimize_penalized`` and 1 in the other drivers;
+    ``history`` holds one (eigenvalue, volume, energy) triple per
+    accepted iterate with the same energy, non-increasing in the energy
+    column.
     """
 
     mask: DomainMask
@@ -228,7 +230,8 @@ def optimize_penalized(grid: GridSpec, sigma: float, c_penalty: float,
 
     Nine geometric volume steps spanning +-20% of the initial volume
     each run the fixed-measure descent; the state with the smallest
-    penalized objective wins (ties keep the smaller volume).
+    penalized objective wins (ties keep the smaller volume).  Its energy
+    and history energies are eigenvalue + c_penalty * volume.
     """
     if not c_penalty > 0.0:
         raise ValueError(f"penalty must be positive, got {c_penalty}")
@@ -251,7 +254,9 @@ def optimize_penalized(grid: GridSpec, sigma: float, c_penalty: float,
         objective = state.eigen.eigenvalue + c_penalty * state.volume
         if objective < best_objective:
             best, best_objective = state, objective
-    return best
+    history = tuple((lam, vol, lam + c_penalty * vol)
+                    for lam, vol, _ in best.history)
+    return replace(best, energy_penalized=best_objective, history=history)
 
 
 def _hull_rank(query: np.ndarray, pts: np.ndarray,

@@ -391,6 +391,7 @@ def test_optimize_modes_and_volume_flag(cli_env, tmp_path):
     assert pen.returncode == 0, pen.stderr
     state = json.loads((tmp_path / "op" / "state.json").read_text())
     assert state["mode"] == "penalized"
+    assert state["energy"] == state["lambda"] + 0.5 * state["volume"]
     # volume flag resizes the init: 12 cells of width 1/12
     sized = run_cli(["optimize", "--mode", "fixed", "--n", 1, "--sigma",
                      0.25, "--grid", 24, "--volume", 1.0, "--max-iter", 1,

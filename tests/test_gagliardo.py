@@ -7,6 +7,7 @@ interpolant's double integral (itself validated against a closed form).
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -561,6 +562,177 @@ def test_assembly_matches_reference_loops(case, table1, table2):
     kappa = _complement_reference(mask, sigma)
     err = np.abs(form.complement_potential - kappa) / kappa
     assert err.max() <= 1e-12, err.max()
+
+
+def _per_call_assembly(mask, sigma, table):
+    """Matrix, node and boundary masses and complement potential, with
+    every kernel, spectrum, stencil and gather offset built for this one
+    call, as assembly did before the per-grid plan: the bitwise
+    reference for the plan."""
+    grid = mask.grid
+    dim = grid.dim
+    h = grid.spacing
+    beta = dim + 2.0 * sigma
+    axes = tuple(range(dim))
+
+    def convolve(kernel, field):
+        spectrum = (np.fft.rfftn(kernel, axes=axes)
+                    * np.fft.rfftn(field, s=kernel.shape, axes=axes))
+        return np.fft.irfftn(spectrum, s=kernel.shape, axes=axes)
+
+    padded = np.pad(mask.active, 1, constant_values=False)
+    counts = np.zeros(grid.node_shape, dtype=np.int64)
+    for offset in np.ndindex(*([2] * dim)):
+        counts += padded[tuple(slice(o, o + n) for o, n
+                               in zip(offset, grid.node_shape))]
+    masses = counts * (h ** dim / 2 ** dim)
+    idx = mask.interior_idx
+    interior_m = masses[tuple(idx.T)]
+    boundary_m = masses[tuple(mask.boundary_idx.T)]
+    n_int = len(interior_m)
+
+    node_shape = np.asarray(grid.node_shape)
+    d = ga._offset_grid(1 - node_shape, node_shape - 1)
+    far = np.abs(d).max(axis=-1) >= 3
+    kernel = np.zeros(far.shape)
+    kernel[far] = (h * h * np.sum(d[far] ** 2, axis=-1)) ** (-beta / 2.0)
+    neg_weight = -(2.0 * interior_m[0] * interior_m[0]) * kernel
+    k_strides = np.asarray(kernel.strides) // kernel.itemsize
+    k_off = idx @ k_strides
+    k_center = (node_shape - 1) @ k_strides
+    reach = ga._REACH
+    active = np.pad(mask.active, reach)
+    a_strides = np.asarray(active.strides) // active.itemsize
+    active = active.ravel()
+    labels = np.full(tuple(node_shape + 2 * reach), n_int, dtype=np.int64)
+    labels[tuple((idx + reach).T)] = np.arange(n_int)
+    l_strides = np.asarray(labels.strides) // labels.itemsize
+    labels = labels.ravel()
+    cell_base = (idx + reach) @ a_strides
+    node_base = (idx + reach) @ l_strides
+    first = (table.cell_pairs[:, 0] @ a_strides)[:, None]
+    second = (table.cell_pairs[:, 1] @ a_strides)[:, None]
+    columns = (table.node_offsets @ l_strides)[:, None]
+    weights = table.weights * h ** (dim - 2.0 * sigma)
+    A = np.empty((n_int, n_int))
+    flat = A.reshape(-1)
+    rows = min(n_int, max(1, (1 << 20) // max(n_int, len(table.cell_pairs))))
+    for s in range(0, n_int, rows):
+        sl = slice(s, min(s + rows, n_int))
+        gather = k_off[None, :] + k_center - k_off[sl, None]
+        A[sl] = np.take(neg_weight, gather, mode="clip")
+        both = active[first + cell_base[sl]] & active[second + cell_base[sl]]
+        coef = weights @ both
+        col = labels[columns + node_base[sl]]
+        keep = col < n_int
+        flat[(col + np.arange(s, sl.stop) * n_int)[keep]] += coef[keep]
+    far_sums = convolve(kernel, masses)[tuple((idx + node_shape - 1).T)]
+    A[np.arange(n_int), np.arange(n_int)] += 2.0 * interior_m * far_sums
+
+    cells = np.asarray(grid.cells)
+    kappa = np.zeros(n_int)
+    inactive = ~mask.active
+    if inactive.any():
+        r = ga._offset_grid(1 - cells, cells) - 0.5
+        r2 = np.sum(r * r, axis=-1)
+        near = r2 <= 4.0
+        comp = np.where(near, 0.0, h ** dim * (h * h * r2) ** (-beta / 2.0))
+        kappa += convolve(comp, inactive.astype(float))[
+            tuple((idx + cells - 1).T)]
+        steps = (np.arange(4) - 1.5) / 4.0
+        sub = ga._offset_grid([0] * dim, [3] * dim).reshape(-1, dim)
+        diff = h * (r[near][:, None, :] - steps[sub][None, :, :])
+        refined = (h / 4.0) ** dim * np.sum(
+            np.sum(diff * diff, axis=-1) ** (-beta / 2.0), axis=1)
+        pad2 = np.pad(inactive, 2)
+        strides = np.asarray(pad2.strides) // pad2.itemsize
+        shifts = np.rint(-r[near] - 0.5).astype(np.int64) @ strides
+        hit = pad2.ravel()[shifts[:, None] + ((idx + 2) @ strides)[None, :]]
+        kappa += np.sum(refined[:, None] * hit, axis=0)
+    nodes = mask.interior_coords
+    wall = np.maximum(np.minimum(nodes - np.asarray(grid.origin),
+                                 np.asarray(grid.high_corner) - nodes
+                                 ).min(axis=1), 0.5 * h)
+    kappa += tail_integral(dim, sigma, 1.0) * wall ** (-2.0 * sigma)
+    return A, interior_m, boundary_m, kappa
+
+
+def _assert_bitwise(form, reference):
+    A, interior_m, boundary_m, kappa = reference
+    assert np.array_equal(form.matrix(), A)
+    assert np.array_equal(form.node_weights, interior_m)
+    assert np.array_equal(form.boundary_weights, boundary_m)
+    assert np.array_equal(form.complement_potential, kappa)
+
+
+def _plan_case_mask(case):
+    if case in ("1d", "2d", "3d"):
+        return _random_mask(case)
+    if case == "ball-1d":
+        return make_mask(GridSpec(cells=(33,), spacing=2.0 / 33,
+                                  origin=(-1.0,)),
+                         Ball(center=(0.0,), radius=0.8))
+    if case == "full-box":
+        return DomainMask(GridSpec(cells=(10, 10), spacing=0.1,
+                                   origin=(0.0, 0.0)),
+                          np.ones((10, 10), dtype=bool))
+    rng = np.random.default_rng(29)
+    cells, origin = {"non-square": ((12, 20), (-0.6, -1.0)),
+                     "off-centre": ((13, 13), (2.35, -7.1))}[case]
+    active = rng.random(cells) > 0.15
+    return DomainMask(GridSpec(cells=cells, spacing=0.1, origin=origin),
+                      active)
+
+
+@pytest.mark.parametrize("case", ["1d", "ball-1d", "2d", "3d", "non-square",
+                                  "off-centre", "full-box"])
+def test_plan_matches_per_call_construction(case, table1, table2):
+    # Building the kernels, spectra, stencils, tail term and gather
+    # offsets once per grid computes the same expressions in the same
+    # order as building them per call: every output is bitwise equal,
+    # on the first assembly on a grid and on reuse of its plan.
+    mask = _plan_case_mask(case)
+    sigma, table = {1: (0.25, table1), 2: (0.75, table2),
+                    3: (0.5, build_near_table(3, 0.5))}[mask.grid.dim]
+    reference = _per_call_assembly(mask, sigma, table)
+    _assert_bitwise(assemble(mask, sigma, table=table), reference)
+    _assert_bitwise(assemble(mask, sigma, table=table), reference)
+
+
+def test_one_plan_per_grid(table2):
+    # Two masks on one grid share one plan, and a fresh table (whose
+    # plans start empty) assembles bitwise-equal forms.
+    fresh = dataclasses.replace(table2)
+    assert fresh._plans == {} and fresh == table2
+    grid = GridSpec(cells=(16, 16), spacing=1 / 8, origin=(-1.0, -1.0))
+    masks = [make_mask(grid, Ball(center=(0.0, 0.0), radius=r))
+             for r in (0.9, 0.6)]
+    forms = [assemble(mask, 0.75, table=fresh) for mask in masks]
+    assert list(fresh._plans) == [(grid, 0.75)]
+    for mask, form in zip(masks, forms):
+        _assert_bitwise(form, _per_call_assembly(mask, 0.75, table2))
+        _assert_bitwise(assemble(mask, 0.75, table=table2),
+                        _per_call_assembly(mask, 0.75, table2))
+
+
+def test_plans_keyed_by_spacing_and_origin(table2):
+    # The kernels scale with the spacing and the tail term depends on
+    # the origin, so grids with the same cells but another spacing or
+    # origin each get their own plan, and each form matches its own
+    # per-call reference.
+    fresh = dataclasses.replace(table2)
+    active = np.random.default_rng(31).random((11, 9)) > 0.2
+    grids = [GridSpec(cells=(11, 9), spacing=0.1, origin=(0.0, 0.0)),
+             GridSpec(cells=(11, 9), spacing=0.2, origin=(0.0, 0.0)),
+             GridSpec(cells=(11, 9), spacing=0.1, origin=(0.55, -0.3))]
+    for grid in grids:
+        mask = DomainMask(grid, active)
+        _assert_bitwise(assemble(mask, 0.75, table=fresh),
+                        _per_call_assembly(mask, 0.75, fresh))
+    assert set(fresh._plans) == {(grid, 0.75) for grid in grids}
+    plans = list(fresh._plans.values())
+    assert len({id(plan) for plan in plans}) == 3
+    assert not np.array_equal(plans[0].tail, plans[2].tail)
 
 
 def test_assembly_independent_of_blas_threads():

@@ -148,6 +148,24 @@ def test_node_activity_idempotent():
     assert np.array_equal(interior, mask.interior)
 
 
+@pytest.mark.parametrize("cells", [(9,), (7, 11), (5, 6, 4)])
+def test_incident_counts_match_padded_windows(cells):
+    # counts of active cells per node, against windows of the cell array
+    # padded by one inactive layer; interior nodes count all 2^n cells
+    rng = np.random.default_rng(len(cells))
+    active = rng.random(cells) > 0.3
+    active[(0,) * len(cells)] = True
+    mask = DomainMask(GridSpec(cells, 0.1, (0.0,) * len(cells)), active)
+    padded = np.pad(active, 1)
+    expect = sum(padded[tuple(slice(o, o + n + 1)
+                              for o, n in zip(offset, cells))].astype(int)
+                 for offset in np.ndindex(*([2] * len(cells))))
+    assert np.array_equal(mask.incident_counts, expect)
+    assert np.array_equal(mask.interior, expect == 2 ** len(cells))
+    assert np.array_equal(mask.incident, expect > 0)
+    assert not mask.incident_counts.flags.writeable
+
+
 def test_mask_shape_mismatch_rejected():
     g = grid_2d(8)
     with pytest.raises(ValueError, match="does not match"):

@@ -286,6 +286,22 @@ class TestPenalized:
                                        seed=0, table=table2)
         assert state.volume == floor * cell_vol
 
+    def test_energy_uses_the_penalty(self, small_ball, table2):
+        """At c = 2 the reported energy and every history energy are
+        eigenvalue + 2 * volume, the objective the ladder minimized."""
+        grid, mask = small_ball
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*negativity.*")
+            state = optimize_penalized(grid, SIGMA, 2.0, mask, max_iter=1,
+                                       seed=0, table=table2)
+        assert state.energy_penalized == (state.eigen.eigenvalue
+                                          + 2.0 * state.volume)
+        assert state.history
+        for lam, vol, energy in state.history:
+            assert energy == lam + 2.0 * vol
+        assert state.history[-1][:2] == (state.eigen.eigenvalue,
+                                         state.volume)
+
     def test_penalty_validation(self, small_ball, table2):
         grid, mask = small_ball
         for bad in (0.0, -2.0):
