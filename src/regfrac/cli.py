@@ -323,6 +323,7 @@ def _run_eigen(config: RunConfig) -> int:
     result = smallest_eigenpair(form, tol=config.tol, seed=config.seed)
     payload = _canonical_json({"iterations": result.iterations,
                                "lambda": result.eigenvalue,
+                               "min_entry": result.min_entry,
                                "residual": result.residual})
     if not result.converged:
         partial = out / "eigen.json.partial"

@@ -45,7 +45,6 @@ the full-space energy is the regional energy plus its zero-order term.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import struct
@@ -55,7 +54,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .geometry import DomainMask, GridSpec
-from .quadrature import tensor_rule
+from .quadrature import gauss_legendre, tensor_rule
 from .special import tail_integral
 
 __all__ = [
@@ -86,20 +85,27 @@ def _patch_nodes(dim: int, delta: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(verts)
 
 
-def _basis_matrix(local: np.ndarray, verts: list[tuple[int, ...]],
-                  cols: list[int], width: int) -> np.ndarray:
-    """Multilinear vertex basis at local coords in [0,1]^dim.
+def _on_axis(a: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """A per-axis array (m, s, t) as axis k of the tensor layout
+    (m, s_0, ..., s_{dim-1}, t_0, ..., t_{dim-1})."""
+    return a.reshape(a.shape[:1] + (1,) * k + a.shape[1:2] + (1,) * (dim - 1)
+                     + a.shape[2:] + (1,) * (dim - 1 - k))
 
-    Returns (..., width) with the vertex weights scattered into the
-    patch-node columns ``cols``; other columns stay zero.
-    """
-    out = np.zeros(local.shape[:-1] + (width,))
-    for e, col in zip(verts, cols):
-        w = np.ones(local.shape[:-1])
-        for k, ek in enumerate(e):
-            xk = local[..., k]
-            w = w * (xk if ek else 1.0 - xk)
-        out[..., col] = w
+
+def _basis_columns(coords: list[np.ndarray], cols: list[int],
+                   width: int) -> np.ndarray:
+    """Multilinear vertex basis (m, s^dim, t^dim, width) from coordinates
+    coords[k] (m, s, t) along axis k at its box corners s and points t:
+    vertex e's weight, the product in axis order of y_k or 1 - y_k, goes
+    in column cols[e]; other columns stay zero."""
+    dim = len(coords)
+    m, s, t = coords[0].shape
+    out = np.zeros((m, s ** dim, t ** dim, width))
+    for e, col in zip(_cell_vertices(dim), cols):
+        w = 1.0
+        for k, (ek, y) in enumerate(zip(e, coords)):
+            w = w * _on_axis(y if ek else 1.0 - y, k, dim)
+        out[..., col] = w.reshape(m, s ** dim, t ** dim)
     return out
 
 
@@ -110,23 +116,25 @@ def _quad_classes(offsets: np.ndarray, corners: np.ndarray,
     """Tensor-Gauss integral of k (b_a(x)-b_a(y))(b_b(x)-b_b(y)) over
     weighted separated box pairs, accumulated into a patch matrix.
 
-    Pair (c, r) has its x box at ``corners[r]`` in cell 0, its y box at
-    ``corners[r] + size * offsets[c]`` and weight ``weights[c, r]``; the
-    kernel block depends only on the offset, so it is evaluated once
-    per class c.
+    Pair (c, r) has its x box at tensor corner r of the per-axis nodes
+    ``corners`` in cell 0, its y box at r + size * offsets[c] and weight
+    ``weights[c, r]``; the kernel block depends only on the offset, so it
+    is evaluated once per class c.  Separations and box positions are
+    built per axis: squared distances add the axis squares in axis order.
     """
-    dim = corners.shape[1]
+    dim = offsets.shape[1]
     width = len(nodes)
     node_col = {a: i for i, a in enumerate(nodes)}
     verts0 = _cell_vertices(dim)
     cols0 = [node_col[v] for v in verts0]
     colsd = [node_col[tuple(d + v for d, v in zip(delta, e))] for e in verts0]
-    xi, wq = tensor_rule(dim, points)  # on [0,1]^dim
-    npts = len(xi)
-    x = corners[:, None, :] + size * xi[None, :, :]         # (R,P,dim)
-    X = _basis_matrix(x, verts0, cols0, width)               # x is in cell 0
+    xi, wq = gauss_legendre(points)[0], tensor_rule(dim, points)[1]
+    npts = points ** dim
+    x = corners[:, None] + size * xi[None, :]                # (s,t)
+    X = _basis_columns([x[None]] * dim, cols0, width)[0]     # (R,P,W)
     Xt = np.swapaxes(X, 1, 2)
-    chunk = max(1, 2_000_000 // (len(corners) * npts * max(npts, width)))
+    dxi = xi[:, None] - xi[None, :]
+    chunk = max(1, 2_000_000 // (len(X) * npts * max(npts, width)))
     Q = np.zeros((width, width))
     # sums over classes and corners are numpy reductions and BLAS only
     # sees per-pair products far below its threading threshold, so the
@@ -134,12 +142,14 @@ def _quad_classes(offsets: np.ndarray, corners: np.ndarray,
     for start in range(0, len(offsets), chunk):
         off = offsets[start:start + chunk]                  # (m,dim)
         w = weights[start:start + chunk]                    # (m,R)
-        diff = size * (xi[None, :, None, :] - xi[None, None, :, :]
-                       - off[:, None, None, :])              # (m,P,P,dim)
-        ker = np.sum(diff * diff, axis=-1) ** (-beta / 2.0)
+        r2 = 0.0
+        for k in range(dim):
+            diff = size * (dxi - off[:, k, None, None])
+            r2 = r2 + _on_axis(diff * diff, k, dim)
+        ker = r2.reshape(len(off), npts, npts) ** (-beta / 2.0)
         K = ker * wq[None, :, None] * wq[None, None, :]      # (m,P,P)
-        y = x[None, :, :, :] + size * off[:, None, None, :]  # (m,R,P,dim)
-        Y = _basis_matrix(y - np.asarray(delta, float), verts0, colsd, width)
+        Y = _basis_columns([x + size * off[:, k, None, None] - delta[k]
+                            for k in range(dim)], colsd, width)
         kx = np.einsum("mr,mi->ri", w, K.sum(axis=2))       # (R,P)
         ky = w[:, :, None] * K.sum(axis=1)[:, None, :]      # (m,R,P)
         KY = np.einsum("mr,mrib->rib", w, K[:, None] @ Y)   # (R,P,W)
@@ -153,14 +163,14 @@ def _quad_classes(offsets: np.ndarray, corners: np.ndarray,
 def _corner_nodes(size: float) -> np.ndarray:
     """Per-axis interpolation nodes for the low corner of a sub-box of
     the unit cell, which ranges over [0, 1-size] (one node at size 1)."""
-    return np.unique([0.0, 0.5 * (1.0 - size), 1.0 - size])
+    return np.array(sorted({0.0, 0.5 * (1.0 - size), 1.0 - size}))
 
 
 def _lagrange(nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Quadratic Lagrange basis on three nodes at points: (3, len(at))."""
-    return np.array([np.prod([(at - nodes[s]) / (nodes[t] - nodes[s])
-                              for s in range(3) if s != t], axis=0)
-                     for t in range(3)])
+    others = np.array([[1, 2], [0, 2], [0, 1]])[:, :, None]
+    f = (at - nodes[others]) / (nodes[:, None, None] - nodes[others])
+    return f[:, 0] * f[:, 1]
 
 
 def _level_increments(dim: int, sigma: float, delta: tuple[int, ...],
@@ -176,49 +186,54 @@ def _level_increments(dim: int, sigma: float, delta: tuple[int, ...],
     o keeps, in place of its pairs, the summed tensor Lagrange weights of
     their lox on the corner nodes, which reproduces the pair sum exactly.
     Child pair (lox + size/2 c, loy + size/2 c') lands in class
-    2o + c' - c.  Returns (patch nodes, increments, complete), complete
-    when no touching pair is left.
+    2o + c' - c with weights T_c w, the 2^dim matrices T_c built once per
+    level.  Returns (patch nodes, increments, complete), complete when no
+    touching pair is left.
     """
     beta = dim + 2.0 * sigma
     nodes = _patch_nodes(dim, delta)
     size = 1.0
-    classes = {tuple(delta): np.ones(1)}
-    shifts = _cell_vertices(dim)
+    corners = _corner_nodes(size)
+    offsets = np.array([delta])
+    weights = np.ones((1, 1))
+    shifts = np.array(_cell_vertices(dim))
     increments: list[np.ndarray] = []
     for level in range(depth + 1):
-        corners = _corner_nodes(size)
-        grid = np.array(list(itertools.product(corners, repeat=dim)))
         # two forced subdivision levels give every accepted box pair a
         # separation-to-size ratio of at least one at a refined scale
-        offsets = sorted(classes)
-        sep = [o for o in offsets if level >= 2 and max(map(abs, o)) >= 2]
-        if sep:
+        sep = (np.abs(offsets).max(axis=1) >= 2) & (level >= 2)
+        if sep.any():
             increments.append(_quad_classes(
-                np.asarray(sep, float), grid,
-                np.stack([classes[o] for o in sep]), size, delta, beta,
-                nodes, points))
+                offsets[sep].astype(float), corners, weights[sep], size,
+                delta, beta, nodes, points))
         else:
             increments.append(np.zeros((len(nodes), len(nodes))))
-        touching = [o for o in offsets if o not in sep]
-        if not touching:
+        if sep.all():
             return nodes, increments, True
         if level == depth:
             break
         half = 0.5 * size
-        # per_axis[c][t', t]: weight on child corner node t' of parent
-        # corner node t moved by half * c; kron over the axes gives 3^dim
-        per_axis = [_lagrange(_corner_nodes(half), corners + half * c)
-                    for c in (0, 1)]
-        children: dict[tuple[int, ...], np.ndarray] = {}
-        for o in touching:
-            for c in shifts:
-                w = functools.reduce(np.kron, [per_axis[k] for k in c]) \
-                    @ classes[o]
-                for cp in shifts:
-                    child = tuple(2 * ok + b - a for ok, a, b in zip(o, c, cp))
-                    children[child] = children.get(child, 0.0) + w
-        classes = children
-        size = half
+        finer = _corner_nodes(half)
+        # per_axis[c, t', t]: weight on child corner node t' of parent
+        # corner node t moved by half * c; T_c = kron of per_axis[c_k]
+        per_axis = _lagrange(finer, np.concatenate(
+            [corners, corners + half])).reshape(3, 2, -1).transpose(1, 0, 2)
+        transfer = np.ones((1, 1, 1))
+        for _ in range(dim):
+            transfer = (transfer[:, None, :, None, :, None]
+                        * per_axis[None, :, None, :, None, :]).reshape(
+                2 * len(transfer), 3 * transfer.shape[1], -1)
+        moved = np.array([[t @ w for t in transfer] for w in weights[~sep]])
+        child = (2 * offsets[~sep, None, None] - shifts[:, None]
+                 + shifts).reshape(-1, dim)
+        _, first, inverse = np.unique(_offset_keys(child, np.abs(child).max()),
+                                      return_index=True, return_inverse=True)
+        offsets = child[first]
+        weights = np.zeros((len(offsets), moved.shape[2]))
+        # equal children are summed in (o, c, c') order
+        np.add.at(weights, inverse, np.repeat(moved, len(shifts), axis=1)
+                  .reshape(-1, moved.shape[2]))
+        corners, size = finer, half
     return nodes, increments, False
 
 
@@ -416,13 +431,13 @@ def _gap_geometry_cached(dim: int):
 _REACH = 4
 
 
-def _offset_keys(offsets: np.ndarray) -> np.ndarray:
-    """Lexicographic integer keys of offsets within Chebyshev _REACH;
+def _offset_keys(offsets: np.ndarray, reach: int = _REACH) -> np.ndarray:
+    """Lexicographic integer keys of offsets within Chebyshev ``reach``;
     a key is linear in the offset, so shifting every offset by one
     vector keeps their order."""
-    base = 2 * _REACH + 1
+    base = 2 * reach + 1
     powers = base ** np.arange(offsets.shape[1] - 1, -1, -1)
-    return (offsets + _REACH) @ powers
+    return (offsets + reach) @ powers
 
 
 def _regroup(o1: np.ndarray, o2: np.ndarray, cell_off: np.ndarray,
@@ -542,41 +557,26 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
     # expansion weights for every adjacency offset, relabeled from the
     # canonical class so the offset-group symmetry is exact
     pair_weights: dict[tuple[int, ...], tuple] = {}
-    for off in [(0,) * dim] + [o for o in _offsets_within(dim, 1)]:
-        cls = _canonical(off)
-        nodes, Q = canon_forms[cls]
+    for off in [(0,) * dim] + _offsets_within(dim, 1):
+        nodes, Q = canon_forms[_canonical(off)]
         node_map = _offset_transform(off)
-        a_list, b_list, w_list = [], [], []
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                w = -Q[i, j]
-                if w == 0.0:
-                    continue
-                a_list.append(node_map(nodes[i]))
-                b_list.append(node_map(nodes[j]))
-                w_list.append(w)
-        pair_weights[off] = (np.asarray(a_list, dtype=np.int64),
-                            np.asarray(b_list, dtype=np.int64),
-                            np.asarray(w_list))
+        mapped = np.array([node_map(a) for a in nodes], dtype=np.int64)
+        i, j = np.triu_indices(len(nodes), 1)
+        w = -Q[i, j]
+        keep = w != 0.0
+        pair_weights[off] = (mapped[i[keep]], mapped[j[keep]], w[keep])
 
     # stored hat energies: diagonal entries at the contact vertices
     hat_energies: dict[tuple[int, ...], float] = {}
     for off in _offsets_within(dim, 2):
         cls = _canonical(off)
         nodes, Q = canon_forms[cls]
-        verts0 = _cell_vertices(dim)
-        best = None
-        contact = []
-        for v in verts0:
-            d2 = sum(max(0, c - vk, vk - (c + 1)) ** 2
-                     for c, vk in zip(cls, v))
-            if best is None or d2 < best - 1e-12:
-                best = d2
-                contact = [v]
-            elif abs(d2 - best) <= 1e-12:
-                contact.append(v)
+        gap2 = {v: sum(max(0, c - vk, vk - (c + 1)) ** 2
+                       for c, vk in zip(cls, v)) for v in _cell_vertices(dim)}
         idx = {a: i for i, a in enumerate(nodes)}
-        hat_energies[off] = float(np.mean([Q[idx[v], idx[v]] for v in contact]))
+        hat_energies[off] = float(np.mean([Q[idx[v], idx[v]] for v, d2
+                                           in gap2.items()
+                                           if d2 == min(gap2.values())]))
 
     # the pair-weight expansions for adjacent cells, and the gap classes
     # weighted by the block volume product and the kernel at the midpoint

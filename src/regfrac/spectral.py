@@ -37,7 +37,11 @@ class EigenResult:
     ||A u - lambda M u||_{M^-1}.  ``second_estimate`` is the second Ritz
     value, an estimate of the next eigenvalue reported for gap
     diagnostics (equal to ``eigenvalue`` when there is none).
-    ``iterations`` counts the inverse solves made.
+    ``iterations`` counts the inverse solves made.  ``min_entry`` is the
+    most negative entry of the unit-norm vector before roundoff-size
+    negatives are clamped (0.0 when there is none); well below zero, the
+    discrete ground state changes sign and is not a ground state in the
+    continuous sense.
     """
 
     eigenvalue: float
@@ -46,6 +50,7 @@ class EigenResult:
     iterations: int
     converged: bool
     second_estimate: float
+    min_entry: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -162,10 +167,10 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
     # negative entries to zero and renormalize
     if float(np.sum(u * m)) < 0.0:
         u = -u
-    worst = float(u.min())
-    if worst < -1e-8:
+    min_entry = min(0.0, float(u.min() / np.sqrt(np.sum(m * u * u))))
+    if min_entry < -1e-8:
         warnings.warn(
-            f"eigenvector negativity {worst:.3e} exceeds clamp tolerance",
+            f"eigenvector negativity {min_entry:.3e} exceeds clamp tolerance",
             RuntimeWarning, stacklevel=2)
     u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
     u = u / np.sqrt(float(np.sum(m * u * u)))
@@ -173,7 +178,7 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
     residual = float(np.sqrt(np.sum(defect * defect / m)))
     return EigenResult(eigenvalue=lam, vector=u, residual=residual,
                        iterations=solves, converged=residual <= tol,
-                       second_estimate=second)
+                       second_estimate=second, min_entry=min_entry)
 
 
 def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,

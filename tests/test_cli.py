@@ -121,8 +121,10 @@ def test_eigen_artifacts_present(eigen_run):
 
 def test_eigen_json_fields_exact(eigen_run):
     payload = json.loads((eigen_run / "eigen.json").read_text())
-    assert sorted(payload) == ["iterations", "lambda", "residual"]
+    assert sorted(payload) == ["iterations", "lambda", "min_entry",
+                               "residual"]
     assert payload["lambda"] > 0.0
+    assert -1e-12 <= payload["min_entry"] <= 0.0
     assert payload["residual"] <= 1e-8
     assert payload["iterations"] >= 1
 
@@ -225,6 +227,13 @@ def test_eigen_three_dimensional(cli_env, tmp_path):
                    cli_env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((out / "eigen.json").read_text())["lambda"] > 0.0
+    # at sigma 0.5 the discrete ground state of this coarse ball changes
+    # sign (a dense generalized eigh agrees), and eigen.json says so
+    out = tmp_path / "cube-half"
+    proc = run_cli(["eigen", "--n", 3, "--sigma", 0.5, "--grid", 8,
+                    "--out-dir", out], cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "eigen.json").read_text())["min_entry"] < -0.5
 
 
 def test_nonconvergence_exit3_partial(cli_env, tmp_path):

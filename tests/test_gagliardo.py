@@ -8,6 +8,7 @@ interpolant's double integral (itself validated against a closed form).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -109,6 +110,22 @@ def test_nonconvergence_reported():
         build_near_table(1, 0.25, depth=4)
 
 
+def _basis_matrix(local, verts, cols, width):
+    """Multilinear vertex basis at local coords in [0,1]^dim.
+
+    Returns (..., width) with the vertex weights scattered into the
+    patch-node columns ``cols``; other columns stay zero.
+    """
+    out = np.zeros(local.shape[:-1] + (width,))
+    for e, col in zip(verts, cols):
+        w = np.ones(local.shape[:-1])
+        for k, ek in enumerate(e):
+            xk = local[..., k]
+            w = w * (xk if ek else 1.0 - xk)
+        out[..., col] = w
+    return out
+
+
 def _pairwise_quadrature(lox, loy, size, delta, beta, nodes, points):
     """Tensor-Gauss patch matrix summed pair by pair over box pairs."""
     dim = lox.shape[1]
@@ -122,9 +139,9 @@ def _pairwise_quadrature(lox, loy, size, delta, beta, nodes, points):
     for lx, ly in zip(lox, loy):
         x = lx + size * xi
         y = ly + size * xi
-        X = ga._basis_matrix(x, verts, cols0, width)
-        Y = ga._basis_matrix(y - np.asarray(delta, float), verts, colsd,
-                             width)
+        X = _basis_matrix(x, verts, cols0, width)
+        Y = _basis_matrix(y - np.asarray(delta, float), verts, colsd,
+                          width)
         diff = x[:, None, :] - y[None, :, :]
         K = (np.sum(diff * diff, axis=-1) ** (-beta / 2.0)
              * wq[:, None] * wq[None, :])
@@ -192,6 +209,219 @@ def test_level_sums_independent_of_blas_threads():
                                    capture_output=True, text=True,
                                    check=True).stdout)
     assert outs[0] == outs[1] != ""
+
+
+# ------------------------------------------- reference graded recursion
+#
+# The graded recursion with one Kronecker product per touching class and
+# shift, a dict of classes, and full (m,P,P,dim) separation and (m,R,P,dim)
+# position tensors: the bitwise reference for the per-level interpolation
+# operators and the per-axis tensors of the table builder.
+
+
+def _reference_quad_classes(offsets, corners, weights, size, delta, beta,
+                            nodes, points):
+    dim = corners.shape[1]
+    width = len(nodes)
+    node_col = {a: i for i, a in enumerate(nodes)}
+    verts0 = ga._cell_vertices(dim)
+    cols0 = [node_col[v] for v in verts0]
+    colsd = [node_col[tuple(d + v for d, v in zip(delta, e))] for e in verts0]
+    xi, wq = tensor_rule(dim, points)
+    npts = len(xi)
+    x = corners[:, None, :] + size * xi[None, :, :]
+    X = _basis_matrix(x, verts0, cols0, width)
+    Xt = np.swapaxes(X, 1, 2)
+    chunk = max(1, 2_000_000 // (len(corners) * npts * max(npts, width)))
+    Q = np.zeros((width, width))
+    for start in range(0, len(offsets), chunk):
+        off = offsets[start:start + chunk]
+        w = weights[start:start + chunk]
+        diff = size * (xi[None, :, None, :] - xi[None, None, :, :]
+                       - off[:, None, None, :])
+        ker = np.sum(diff * diff, axis=-1) ** (-beta / 2.0)
+        K = ker * wq[None, :, None] * wq[None, None, :]
+        y = x[None, :, :, :] + size * off[:, None, None, :]
+        Y = _basis_matrix(y - np.asarray(delta, float), verts0, colsd, width)
+        kx = np.einsum("mr,mi->ri", w, K.sum(axis=2))
+        ky = w[:, :, None] * K.sum(axis=1)[:, None, :]
+        KY = np.einsum("mr,mrib->rib", w, K[:, None] @ Y)
+        Q += (Xt @ (X * kx[..., None])).sum(axis=0)
+        Q += (np.swapaxes(Y, 2, 3) @ (Y * ky[..., None])).sum(axis=(0, 1))
+        C = (Xt @ KY).sum(axis=0)
+        Q -= C + C.T
+    return Q * size ** (2 * dim)
+
+
+def _reference_corner_nodes(size):
+    return np.unique([0.0, 0.5 * (1.0 - size), 1.0 - size])
+
+
+def _reference_lagrange(nodes, at):
+    return np.array([np.prod([(at - nodes[s]) / (nodes[t] - nodes[s])
+                              for s in range(3) if s != t], axis=0)
+                     for t in range(3)])
+
+
+def _reference_level_increments(dim, sigma, delta, depth, points):
+    beta = dim + 2.0 * sigma
+    nodes = ga._patch_nodes(dim, delta)
+    size = 1.0
+    classes = {tuple(delta): np.ones(1)}
+    shifts = ga._cell_vertices(dim)
+    increments = []
+    for level in range(depth + 1):
+        corners = _reference_corner_nodes(size)
+        grid = np.array(list(itertools.product(corners, repeat=dim)))
+        offsets = sorted(classes)
+        sep = [o for o in offsets if level >= 2 and max(map(abs, o)) >= 2]
+        if sep:
+            increments.append(_reference_quad_classes(
+                np.asarray(sep, float), grid,
+                np.stack([classes[o] for o in sep]), size, delta, beta,
+                nodes, points))
+        else:
+            increments.append(np.zeros((len(nodes), len(nodes))))
+        touching = [o for o in offsets if o not in sep]
+        if not touching:
+            return nodes, increments, True
+        if level == depth:
+            break
+        half = 0.5 * size
+        per_axis = [_reference_lagrange(_reference_corner_nodes(half),
+                                        corners + half * c)
+                    for c in (0, 1)]
+        children = {}
+        for o in touching:
+            for c in shifts:
+                w = functools.reduce(np.kron, [per_axis[k] for k in c]) \
+                    @ classes[o]
+                for cp in shifts:
+                    child = tuple(2 * ok + b - a for ok, a, b in zip(o, c, cp))
+                    children[child] = children.get(child, 0.0) + w
+        classes = children
+        size = half
+    return nodes, increments, False
+
+
+def _reference_expansions(dim, sigma, depth):
+    """Pair weights and hat energies by the table builder's per-entry
+    loops, from the canonical forms of whatever recursion is in place."""
+    points = ga._DEFAULT_POINTS[dim]
+    canon = {}
+    for cls in sorted({ga._canonical(o) for o in ga._offsets_within(dim, 2)}
+                      | {(0,) * dim}):
+        nodes, Q, _ = ga._patch_form(dim, sigma, cls, depth, points)
+        canon[cls] = (nodes, ga._symmetrize(cls, nodes, Q))
+    pair_weights = {}
+    for off in [(0,) * dim] + ga._offsets_within(dim, 1):
+        nodes, Q = canon[ga._canonical(off)]
+        node_map = ga._offset_transform(off)
+        a_list, b_list, w_list = [], [], []
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                w = -Q[i, j]
+                if w == 0.0:
+                    continue
+                a_list.append(node_map(nodes[i]))
+                b_list.append(node_map(nodes[j]))
+                w_list.append(w)
+        pair_weights[off] = (np.asarray(a_list, dtype=np.int64),
+                             np.asarray(b_list, dtype=np.int64),
+                             np.asarray(w_list))
+    hat_energies = {}
+    for off in ga._offsets_within(dim, 2):
+        cls = ga._canonical(off)
+        nodes, Q = canon[cls]
+        best = None
+        contact = []
+        for v in ga._cell_vertices(dim):
+            d2 = sum(max(0, c - vk, vk - (c + 1)) ** 2
+                     for c, vk in zip(cls, v))
+            if best is None or d2 < best - 1e-12:
+                best = d2
+                contact = [v]
+            elif abs(d2 - best) <= 1e-12:
+                contact.append(v)
+        idx = {a: i for i, a in enumerate(nodes)}
+        hat_energies[off] = float(np.mean([Q[idx[v], idx[v]]
+                                           for v in contact]))
+    return pair_weights, hat_energies
+
+
+@pytest.mark.parametrize("dim, sigma, depth", [
+    (1, 0.25, 14), (1, 0.75, 14), (2, 0.25, 5), (2, 0.75, 5), (2, 0.25, 8),
+    (2, 0.75, 8), (3, 0.5, 5)])
+def test_level_increments_match_reference(dim, sigma, depth):
+    # One interpolation operator per level, classes merged through
+    # sorted offset keys, and per-axis separation and position tensors
+    # do the same scalar operations in the same order as the reference:
+    # every level increment is bitwise equal, for every canonical class.
+    points = ga._DEFAULT_POINTS[dim]
+    classes = {ga._canonical(o) for o in ga._offsets_within(dim, 2)}
+    for delta in sorted(classes | {(0,) * dim}):
+        ref_nodes, ref, ref_done = _reference_level_increments(
+            dim, sigma, delta, depth, points)
+        nodes, got, done = ga._level_increments(dim, sigma, delta, depth,
+                                                points)
+        assert nodes == ref_nodes and done == ref_done
+        assert len(got) == len(ref)
+        for level, (g, r) in enumerate(zip(got, ref)):
+            assert np.array_equal(g, r), (delta, level)
+
+
+def _fresh_table(monkeypatch, dim, sigma, depth, tol):
+    monkeypatch.setattr(ga, "_TABLE_CACHE", {})
+    monkeypatch.setattr(ga, "_GAP_GEOMETRY_CACHE", {})
+    return build_near_table(dim, sigma, depth=depth, convergence_tol=tol)
+
+
+@pytest.mark.parametrize("depth, tol", [(5, 2e-2), (None, 1e-6)])
+def test_table_matches_reference_build(depth, tol, monkeypatch):
+    # The whole 2-d table, at the benchmark's depth and at the default
+    # one, is bitwise equal to the one built on the reference recursion,
+    # and its pair weights and hat energies equal the per-entry loops.
+    table = _fresh_table(monkeypatch, 2, 0.75, depth, tol)
+    monkeypatch.setattr(ga, "_level_increments", _reference_level_increments)
+    ref = _fresh_table(monkeypatch, 2, 0.75, depth, tol)
+    pair_weights, hat_energies = _reference_expansions(2, 0.75, ref.depth)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(table.weights, name),
+                              getattr(ref.weights, name))
+    assert np.array_equal(table.node_offsets, ref.node_offsets)
+    assert np.array_equal(table.cell_pairs, ref.cell_pairs)
+    assert table.hat_energies == ref.hat_energies == hat_energies
+    assert table.error_estimate == ref.error_estimate
+    for got in (table.pair_weights, ref.pair_weights):
+        assert list(got) == list(pair_weights)
+        for off, arrays in pair_weights.items():
+            for g, r in zip(got[off], arrays):
+                assert g.dtype == r.dtype and np.array_equal(g, r), off
+
+
+def test_cold_builds_repeat_the_same_work(monkeypatch):
+    # The benchmark's set-up empties exactly these two caches before each
+    # timed build; two cold builds must then run the same quadrature, so
+    # no other cache can shorten a build it times.
+    calls = dict.fromkeys(("_quad_classes", "_level_increments"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(ga, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(ga, name, counted)
+    monkeypatch.setattr(ga, "_TABLE_CACHE", {})
+    monkeypatch.setattr(ga, "_GAP_GEOMETRY_CACHE", {})
+    tables, counts = [], []
+    for _ in range(2):
+        ga._TABLE_CACHE.clear()
+        ga._GAP_GEOMETRY_CACHE.clear()
+        before = dict(calls)
+        tables.append(build_near_table(2, 0.75, depth=5,
+                                       convergence_tol=2e-2))
+        counts.append({k: calls[k] - before[k] for k in calls})
+    assert tables[0] is not tables[1]
+    assert counts[0] == counts[1]
+    assert min(counts[0].values()) > 0
 
 
 def _table_entries(table):

@@ -75,6 +75,7 @@ def test_ground_state_contract(ball_form, ball_pair):
     assert res.eigenvalue > 0.0
     assert res.residual <= 1e-10
     assert res.vector.min() >= -1e-12
+    assert -1e-12 <= res.min_entry <= 0.0
     mass_norm = float(np.sum(ball_form.node_weights * res.vector ** 2))
     assert abs(mass_norm - 1.0) <= 1e-12
     assert res.second_estimate > res.eigenvalue
