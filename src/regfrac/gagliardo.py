@@ -625,6 +625,10 @@ class RegionalForm:
     boundary_weights: np.ndarray
     complement_potential: np.ndarray  # kappa_i on interior nodes
     _matrix: np.ndarray = field(repr=False)
+    # per-node pseudo-distances, NaN until marched, keyed by direction
+    # rule; see hardy.hardy_check
+    _scales: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     @property
     def size(self) -> int:

@@ -164,11 +164,12 @@ class DomainMask:
     def contains_point(self, p: np.ndarray) -> bool:
         """Whether p lies in the union of active (closed) cells.
 
-        Points on shared faces are attributed to the higher-index cell,
-        the half-open convention the exit-distance traversal also uses.
+        Points on shared faces, or within 1e-9 cells of one, are
+        attributed to the higher-index cell, the half-open convention the
+        exit-distance traversal also uses.
         """
-        idx = np.floor((np.asarray(p, dtype=float) - np.asarray(self.grid.origin))
-                       / self.grid.spacing).astype(int)
+        idx = np.floor(_grid_units(self.grid, np.asarray(p, dtype=float))
+                       ).astype(int)
         if np.any(idx < 0) or np.any(idx >= np.asarray(self.grid.cells)):
             return False
         return bool(self.active[tuple(idx)])
@@ -361,6 +362,21 @@ def direction_set(dim: int, count: int) -> DirectionSet:
 # ----------------------------------------------------- exit distances
 
 
+# A coordinate within this many cells of a grid line lies on it.  Node
+# coordinates origin + i*h come back from (x - origin)/h up to a few ulps
+# off the integer i, and one just below it would put an axis ray from
+# the node in the lower row of cells
+_ON_LINE = 1e-9
+
+
+def _grid_units(grid: GridSpec, points: np.ndarray) -> np.ndarray:
+    """Coordinates in cells from the origin, each within ``_ON_LINE`` of
+    an integer set exactly on it."""
+    q = (points - np.asarray(grid.origin)) / grid.spacing
+    line = np.rint(q)
+    return np.where(np.abs(q - line) <= _ON_LINE, line, q)
+
+
 def march_exit_distances(mask: DomainMask, points: np.ndarray,
                          directions: np.ndarray) -> np.ndarray:
     """Exact exit parameters, shape (npoints, ndirections), by grid traversal
@@ -368,7 +384,9 @@ def march_exit_distances(mask: DomainMask, points: np.ndarray,
     the active-cell union, capped at the grid diameter.  Cells are
     half-open: a ray on a grid line runs in the higher cells, one starting
     outside or on the boundary facing out exits at 0, and crossings that
-    tie up to rounding (a vertex, an edge) step together."""
+    tie up to rounding (a vertex, an edge) step together.  A start
+    coordinate within 1e-9 cells of a grid line is put exactly on it, so
+    a node gives the same exits, in cells, on any spacing and origin."""
     grid = mask.grid
     points = np.atleast_2d(np.asarray(points, dtype=float))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -381,7 +399,7 @@ def march_exit_distances(mask: DomainMask, points: np.ndarray,
         raise ValueError("directions must be nonzero")
     n_pts, n_dir = len(points), len(directions)
     # one column per (point, direction) ray, in grid units
-    q = np.repeat((points - grid.origin) / grid.spacing, n_dir, axis=0).T
+    q = np.repeat(_grid_units(grid, points), n_dir, axis=0).T
     w = np.tile(directions, (n_pts, 1)).T
     cell = np.floor(q) - ((w < 0) & (np.floor(q) == q))  # on a line heading down
     crossing = np.divide(cell + (w > 0) - q, w, out=np.full_like(w, np.inf),

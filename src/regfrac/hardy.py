@@ -106,6 +106,13 @@ def hardy_check(form: RegionalForm, u: np.ndarray, dirs: DirectionSet,
     The vector must vanish on interior nodes within two cells of the
     boundary ring: the continuum statement tests functions supported
     inside, and the margin keeps every exit distance at least 3h.
+    Pseudo-distances are marched once per node, per form and per
+    direction rule: the form keeps those already computed, and a check
+    marches only the support nodes no earlier check on the form and rule
+    has.  Each ray and each directional sum is independent of the other
+    points, so the report has the same bits as on a fresh form.  Nodes
+    start their rays exactly on their grid lines: the march puts any
+    coordinate within 1e-9 cells of a line on it.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (form.size,):
@@ -118,8 +125,14 @@ def hardy_check(form: RegionalForm, u: np.ndarray, dirs: DirectionSet,
             "unsupported u: nonzero within two cells of the boundary")
     sigma = form.sigma
     constant = hardy_constant(form.mask.grid.dim, 2.0, sigma).value
-    coords = form.mask.interior_coords[support]
-    scale = pseudo_distance(form.mask, coords, sigma, dirs)
+    scales = form._scales.setdefault(
+        (dirs.directions.tobytes(), dirs.weights.tobytes()),
+        np.full(form.size, np.nan))
+    missing = support & np.isnan(scales)
+    if missing.any():
+        scales[missing] = pseudo_distance(
+            form.mask, form.mask.interior_coords[missing], sigma, dirs)
+    scale = scales[support]
     weights = form.node_weights[support]
     lhs = form.energy(u)
     rhs = constant * float(

@@ -106,6 +106,11 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
     matrix ("no interior nodes"), mismatched lengths, a matrix that is
     not finite and positive definite, or a failed ``potrs``.
     """
+    return _warn_if_negative(_solve_pencil(matrix, mass_diag, tol, seed))
+
+
+def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
+                  seed: int) -> EigenResult:
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     a = np.asarray(matrix, dtype=float)
@@ -168,10 +173,6 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
     if float(np.sum(u * m)) < 0.0:
         u = -u
     min_entry = min(0.0, float(u.min() / np.sqrt(np.sum(m * u * u))))
-    if min_entry < -1e-8:
-        warnings.warn(
-            f"eigenvector negativity {min_entry:.3e} exceeds clamp tolerance",
-            RuntimeWarning, stacklevel=2)
     u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
     u = u / np.sqrt(float(np.sum(m * u * u)))
     defect = a @ u - lam * (m * u)
@@ -184,7 +185,17 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
 def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
                        seed: int = 0) -> EigenResult:
     """Ground eigenpair of the assembled regional form."""
-    return solve_pencil(form.matrix(), form.node_weights, tol=tol, seed=seed)
+    return _warn_if_negative(
+        _solve_pencil(form.matrix(), form.node_weights, tol, seed))
+
+
+def _warn_if_negative(result: EigenResult) -> EigenResult:
+    """Warn, naming the line that called the public solver, when the
+    vector's negativity exceeds the clamp tolerance."""
+    if result.min_entry < -1e-8:
+        warnings.warn(f"eigenvector negativity {result.min_entry:.3e} "
+                      "exceeds clamp tolerance", RuntimeWarning, stacklevel=3)
+    return result
 
 
 def eigen_residual_report(form: RegionalForm, result: EigenResult,

@@ -500,6 +500,26 @@ def test_exact_exit_axis_rays_along_grid_lines():
             assert want <= march <= want + h / 8.0 + 1e-12
 
 
+def test_node_exits_do_not_depend_on_spacing_or_origin():
+    # on a grid that is not dyadic, (x - origin) / h falls just below the
+    # integer for hundreds of node coordinates; each node must still
+    # start on its grid lines, so its exits are those of the integer
+    # index on a unit-spacing copy, scaled by h, bit for bit
+    g = GridSpec((48, 48), 2.0 / 48, (-1.0, -1.0))
+    mask = make_mask(g, Ball((0.0, 0.0), 0.8))
+    q = (mask.interior_coords - g.origin) / g.spacing
+    assert np.count_nonzero(q < np.rint(q)) == 402
+    unit = DomainMask(GridSpec(g.cells, 1.0, (0.0, 0.0)), mask.active)
+    dirs = direction_set(2, 96).directions
+    got = march_exit_distances(mask, mask.interior_coords, dirs)
+    want = march_exit_distances(unit, mask.interior_idx, dirs) * g.spacing
+    assert np.array_equal(got, want)
+    # and a node lies in the cell above it on each axis, as a ray does
+    idx = np.argwhere(np.ones(g.cells, dtype=bool))
+    inside = [mask.contains_point(x) for x in g.node_coords(idx)]
+    assert np.array_equal(inside, mask.active[tuple(idx.T)])
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_exact_exit_passes_through_shared_vertex(dim):
     # two active cells meeting only at a vertex: a diagonal ray steps

@@ -1,6 +1,7 @@
 """Tests for the pseudo-distance quadrature and Hardy certificates."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 from regfrac import hardy
-from regfrac.gagliardo import assemble
+from regfrac.gagliardo import assemble, build_near_table
 from regfrac.geometry import (
     Ball,
     Box,
+    DirectionSet,
     DomainMask,
     GridSpec,
     direction_set,
@@ -258,6 +260,117 @@ def test_hardy_rejects_zero_and_mismatch(box16_form):
         hardy_check(box16_form, np.zeros(box16_form.size), dirs)
     with pytest.raises(ValueError, match="length"):
         hardy_check(box16_form, np.ones(3), dirs)
+
+
+# ------------------------------------------------- one march per node
+
+
+def _counting_march(monkeypatch):
+    """Record the number of points of every march the checks make."""
+    calls = []
+    march = hardy.march_exit_distances
+
+    def counting(mask, points, directions):
+        calls.append(len(points))
+        return march(mask, points, directions)
+
+    monkeypatch.setattr(hardy, "march_exit_distances", counting)
+    return calls
+
+
+def _halves(form, u):
+    """u cut to the nodes below and above the mask's middle in x."""
+    x = form.mask.interior_coords[:, 0]
+    middle = 0.5 * (x.min() + x.max())
+    return np.where(x < middle, u, 0.0), np.where(x < middle, 0.0, u)
+
+
+def test_corpus_checks_on_one_form_march_once(monkeypatch, box16_form):
+    form = dataclasses.replace(box16_form)  # nothing marched yet
+    corpus = standard_test_functions(form)
+    deep = deep_interior(form.mask)
+    assert all(np.array_equal(u != 0.0, deep) for _, u in corpus)
+    calls = _counting_march(monkeypatch)
+    for label, u in corpus:
+        hardy_check(form, u, direction_set(2, 96), label)
+    assert calls == [np.count_nonzero(deep)]
+
+
+def test_checks_march_only_nodes_not_yet_marched(monkeypatch, box16_form):
+    form = dataclasses.replace(box16_form)
+    u = _sine_bump(form)
+    low, high = _halves(form, u)
+    dirs = direction_set(2, 96)
+    calls = _counting_march(monkeypatch)
+    hardy_check(form, low, dirs)
+    hardy_check(form, u, dirs)        # marches the upper half only
+    hardy_check(form, high, dirs)     # marches nothing
+    hardy_check(form, 2.0 * low, dirs)
+    assert calls == [np.count_nonzero(low), np.count_nonzero(high)]
+    (scales,) = form._scales.values()
+    assert np.array_equal(np.isnan(scales), u == 0.0)
+
+
+def test_new_rule_or_new_form_marches_again(monkeypatch, box16_form):
+    form = dataclasses.replace(box16_form)
+    u = _sine_bump(form)
+    rule = direction_set(2, 96)
+    calls = _counting_march(monkeypatch)
+    hardy_check(form, u, rule)
+    hardy_check(form, u, direction_set(2, 97))
+    hardy_check(form, u, DirectionSet(rule.directions, 2.0 * rule.weights))
+    hardy_check(form, u, direction_set(2, 96))
+    hardy_check(dataclasses.replace(form), u, rule)
+    assert calls == [np.count_nonzero(u)] * 4
+    assert len(form._scales) == 3
+
+
+def test_rejected_support_leaves_marched_distances_alone(monkeypatch,
+                                                         box16_form):
+    form = dataclasses.replace(box16_form)
+    u = _sine_bump(form)
+    dirs = direction_set(2, 32)
+    hardy_check(form, 0.5 * _halves(form, u)[0], dirs)
+    before = {key: scales.copy() for key, scales in form._scales.items()}
+    shallow = u.copy()
+    shallow[np.flatnonzero(~deep_interior(form.mask))[0]] = 1.0
+    calls = _counting_march(monkeypatch)
+    for rule in (dirs, direction_set(2, 40)):
+        with pytest.raises(ValueError, match="unsupported u"):
+            hardy_check(form, shallow, rule)
+    assert calls == []
+    assert form._scales.keys() == before.keys()
+    for key, scales in before.items():
+        assert np.array_equal(form._scales[key], scales, equal_nan=True)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shared_march_reports_equal_fresh_forms(dim, ball_form):
+    # every check on one form, in an order that mixes nodes marched
+    # earlier with new ones, has the bits of the check on a fresh form
+    if dim == 1:
+        grid = GridSpec((64,), 1.0 / 32, (-1.0,))
+        form = assemble(make_mask(grid, Box((-1.0,), (1.0,))), 0.75,
+                        table=build_near_table(1, 0.75))
+    elif dim == 2:
+        form = dataclasses.replace(ball_form)
+    else:
+        grid = GridSpec((8, 8, 8), 0.125, (0.0, 0.0, 0.0))
+        form = assemble(make_mask(grid, Box((0.0,) * 3, (1.0,) * 3)), 0.75,
+                        table=build_near_table(3, 0.75, depth=4,
+                                               convergence_tol=1.0))
+    dirs = direction_set(dim, {1: 4, 2: 96, 3: 50}[dim])
+    for label, u in standard_test_functions(form):
+        for v in (_halves(form, u)[1], u, _halves(form, u)[0]):
+            fresh = hardy_check(dataclasses.replace(form), v, dirs, label)
+            assert hardy_check(form, v, dirs, label) == fresh
+            on = v != 0.0
+            scale = pseudo_distance(form.mask, form.mask.interior_coords[on],
+                                    0.75, dirs)
+            assert fresh.rhs == fresh.constant * float(np.sum(
+                form.node_weights[on] * v[on] ** 2 * scale ** -1.5))
+    (scales,) = form._scales.values()
+    assert np.array_equal(np.isnan(scales), ~deep_interior(form.mask))
 
 
 # ------------------------------------------------------------ equivalence

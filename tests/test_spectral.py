@@ -1,6 +1,8 @@
 """Tests for the smallest-eigenpair solver and its residual certificates."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -263,6 +265,34 @@ def test_nonfinite_matrix_rejected(bad):
     matrix[2, 0] = bad  # lower triangle: the factorization never reads it
     with pytest.raises(ValueError, match="not finite"):
         solve_pencil(matrix, np.ones(3))
+
+
+def _sign_changing_pencil(n):
+    # ground vector (1, ..., 1, -1/2) up to scale: its mean is positive,
+    # so the sign convention keeps the negative last entry
+    ground = np.ones(n)
+    ground[-1] = -0.5
+    basis, _ = np.linalg.qr(np.column_stack(
+        [ground, np.random.default_rng(3).standard_normal((n, n - 1))]))
+    return basis @ np.diag(np.arange(1.0, n + 1.0)) @ basis.T
+
+
+def test_negativity_warning_names_the_caller_of_either_entry_point(
+        box_form):
+    # the warning points at the line that called the public solver, not
+    # at a line inside spectral.py
+    matrix = _sign_changing_pencil(box_form.size)
+    with pytest.warns(RuntimeWarning, match="negativity") as direct:
+        res = solve_pencil(matrix, np.ones(box_form.size))
+    assert res.min_entry < -1e-8
+    # the pencil (M^1/2 B M^1/2, M) has the vectors M^-1/2 v of B's
+    root = np.sqrt(box_form.node_weights)
+    form = dataclasses.replace(box_form,
+                               _matrix=root[:, None] * matrix * root)
+    with pytest.warns(RuntimeWarning, match="negativity") as via_form:
+        assert smallest_eigenpair(form).min_entry < -1e-8
+    for record in (direct, via_form):
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_failed_inner_solve_raises(ball_form, monkeypatch):
