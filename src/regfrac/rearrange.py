@@ -139,7 +139,7 @@ def almgren_lieb_check(form: RegionalForm, u: np.ndarray,
 
 # Bound on the entries of the violation search's largest block
 # temporary, the bump offsets (at most 4 bumps per trial x nodes x dim),
-# as `assemble` bounds its row blocks.
+# as `assemble` bounds its row blocks by `gagliardo._BLOCK_ENTRIES`.
 _BLOCK_ENTRIES = 2 ** 15
 
 

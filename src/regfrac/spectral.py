@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, eigh, get_lapack_funcs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .gagliardo import RegionalForm
+from .gagliardo import _BLOCK_ENTRIES, RegionalForm
 
 # ARPACK's restart cap: a safety bound that no measured solve reaches.
 # ARPACK returns within three Lanczos cycles on every 1-3 d form
@@ -53,27 +53,6 @@ class EigenResult:
     min_entry: float = 0.0
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Eigen-equation defect split across the eigenvector's support.
-
-    ``support_residual`` is the mass-weighted residual norm over nodes
-    with u > threshold; ``complement_defect`` is the largest signed
-    value of (A u - lambda M u) on the remaining nodes, which should be
-    nonpositive up to roundoff for a true ground state.
-    """
-
-    threshold: float
-    support_count: int
-    support_residual: float
-    complement_defect: float
-
-
-def mass_diagonal(form: RegionalForm) -> np.ndarray:
-    """Lumped mass diagonal over the degrees of freedom (a copy)."""
-    return form.node_weights.copy()
-
-
 def rayleigh_quotient(form: RegionalForm, u: np.ndarray) -> float:
     """energy(u) / <M u, u>; rejects the zero vector."""
     u = np.asarray(u, dtype=float)
@@ -88,8 +67,8 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
     """Smallest eigenpair of A u = lambda M u for diagonal M.
 
     ``matrix`` is the dense symmetric positive definite A, ``mass_diag``
-    the positive mass diagonal.  A is Cholesky-factored once (one N x N
-    array beside A); ARPACK's ``eigsh``, started from a vector drawn
+    the positive mass diagonal.  A is Cholesky-factored once (in place,
+    see below); ARPACK's ``eigsh``, started from a vector drawn
     from ``seed``, then finds the two largest eigenvalues of
     M^(1/2) A^(-1) M^(1/2): 1/lambda_1 and 1/lambda_2.  Each operator
     application is one LAPACK ``potrs`` on the factor.  ARPACK stops
@@ -105,8 +84,31 @@ def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
     a dense ``eigh``.  Raises ``ValueError`` on a non-square or empty
     matrix ("no interior nodes"), mismatched lengths, a matrix that is
     not finite and positive definite, or a failed ``potrs``.
+
+    A writeable C-ordered float64 A that is bitwise equal to its
+    transpose holds its own factor: its lower triangle and diagonal are
+    overwritten, then rebuilt before the call returns or raises, so no
+    N x N array is allocated beside it; other threads must not read A
+    meanwhile.  Any other A is factored on a private copy, never written.
     """
     return _warn_if_negative(_solve_pencil(matrix, mass_diag, tol, seed))
+
+
+def _borrowable(a: np.ndarray) -> bool:
+    """Whether ``a`` can hold its own factor: writeable, C-ordered and
+    bitwise equal to its transpose.  The same blocked pass raises the
+    solver's ``ValueError`` on an entry that is not finite."""
+    n = len(a)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    ok = a.flags.c_contiguous and a.flags.writeable
+    for s in range(0, n, rows):
+        block = a[s:s + rows]
+        if not np.isfinite(block).all():
+            raise ValueError("matrix is not finite and positive definite: "
+                             "array must not contain infs or NaNs")
+        ok = ok and np.array_equal(block.view(np.int64),
+                                   a[:, s:s + rows].T.view(np.int64))
+    return ok
 
 
 def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
@@ -125,40 +127,55 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
         raise ValueError("no interior nodes")
     if not np.all(m > 0.0):
         raise ValueError("mass diagonal must be positive")
-    # one Fortran-ordered copy, factored in place by LAPACK's potrf
-    try:
-        c, lower = cho_factor(np.array(a, order="F"), overwrite_a=True)
-    except ValueError as exc:  # LinAlgError is a ValueError too
-        raise ValueError(
-            f"matrix is not finite and positive definite: {exc}") from exc
+    # potrf factors an F-ordered array in place from its upper triangle,
+    # where a symmetric a's view a.T holds what an F-ordered copy would
+    borrowed = _borrowable(a)
+    diagonal = a.diagonal().copy() if borrowed else None
     # work in mass-symmetrized coordinates: the pencil (A, M) becomes the
     # plain symmetric problem with operator M^(-1/2) A M^(-1/2), whose
     # eigenvectors are those of A u = lambda M u scaled by M^(1/2)
     sqrt_m = np.sqrt(m)
     start = np.random.default_rng(seed).standard_normal(n)
     solves = 0
-    if n < 3:  # ARPACK needs k < ncv <= n for k = 2 Ritz pairs
+    try:
+        try:
+            c, lower = cho_factor(a.T if borrowed else np.array(a, order="F"),
+                                  overwrite_a=True, check_finite=False)
+        except ValueError as exc:  # LinAlgError is a ValueError too
+            raise ValueError(
+                f"matrix is not finite and positive definite: {exc}") from exc
+        if n >= 3:  # ARPACK needs k < ncv <= n for k = 2 Ritz pairs
+            potrs, = get_lapack_funcs(("potrs",), (c,))
+
+            def inverse(x):
+                nonlocal solves
+                solves += 1
+                y, info = potrs(c, sqrt_m * x, lower=lower, overwrite_b=True)
+                if info != 0:
+                    raise ValueError(f"LAPACK potrs failed with info {info}")
+                return sqrt_m * y
+
+            # ARPACK stops when both Ritz values meet ``tol`` relative to
+            # their size, most often after one Lanczos cycle; ``tol`` is
+            # then checked below on the mass-weighted residual
+            op = LinearOperator((n, n), matvec=inverse, dtype=float)
+            try:
+                theta, vecs = eigsh(op, k=2, which="LA", v0=start, tol=tol,
+                                    maxiter=_MAX_RESTARTS)
+            except ArpackNoConvergence as exc:
+                theta, vecs = exc.eigenvalues, exc.eigenvectors
+    finally:
+        if borrowed:  # from a's intact strict upper triangle, by blocks
+            for s in range(0, n, 64):  # of 64 rows: 32 KB temporaries
+                e = min(s + 64, n)
+                a[s:e, :s] = a[:s, s:e].T
+                block = a[s:e, s:e]
+                np.copyto(block, block.T.copy(),
+                          where=np.tri(e - s, k=-1, dtype=bool))
+            np.fill_diagonal(a, diagonal)
+    if n < 3:
         lams, vecs = eigh(a / np.outer(sqrt_m, sqrt_m))
     else:
-        potrs, = get_lapack_funcs(("potrs",), (c,))
-
-        def inverse(x):
-            nonlocal solves
-            solves += 1
-            y, info = potrs(c, sqrt_m * x, lower=lower, overwrite_b=True)
-            if info != 0:
-                raise ValueError(f"LAPACK potrs failed with info {info}")
-            return sqrt_m * y
-
-        # ARPACK stops when both Ritz values meet ``tol`` relative to
-        # their size, most often after one Lanczos cycle; ``tol`` is then
-        # checked below on the mass-weighted residual
-        op = LinearOperator((n, n), matvec=inverse, dtype=float)
-        try:
-            theta, vecs = eigsh(op, k=2, which="LA", v0=start, tol=tol,
-                                maxiter=_MAX_RESTARTS)
-        except ArpackNoConvergence as exc:
-            theta, vecs = exc.eigenvalues, exc.eigenvectors
         order = np.argsort(theta)[::-1]
         lams, vecs = 1.0 / theta[order], vecs[:, order]
     if len(lams):
@@ -184,7 +201,8 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
 
 def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
                        seed: int = 0) -> EigenResult:
-    """Ground eigenpair of the assembled regional form."""
+    """Ground eigenpair of the assembled regional form, factored in the
+    form's own matrix (see ``solve_pencil``)."""
     return _warn_if_negative(
         _solve_pencil(form.matrix(), form.node_weights, tol, seed))
 
@@ -197,31 +215,3 @@ def _warn_if_negative(result: EigenResult) -> EigenResult:
                       "exceeds clamp tolerance", RuntimeWarning, stacklevel=3)
     return result
 
-
-def eigen_residual_report(form: RegionalForm, result: EigenResult,
-                          threshold: float = 0.0) -> ResidualReport:
-    """Split the eigen-equation defect across the support of the vector.
-
-    Restricting to nodes with u > threshold mirrors testing the
-    eigen-equation against functions supported where u is positive; on
-    the remaining nodes only a one-sided (subsolution) bound is
-    meaningful, so the largest signed defect is reported instead.
-    """
-    if not result.converged:
-        raise ValueError("residual report requires a converged result")
-    u = np.asarray(result.vector, dtype=float)
-    if u.shape != (form.size,):
-        raise ValueError(f"vector length {u.shape} != {form.size}")
-    m = form.node_weights
-    defect = form.apply(u) - result.eigenvalue * (m * u)
-    support = u > threshold
-    inside = defect[support]
-    m_in = m[support]
-    support_residual = float(np.sqrt(np.sum(inside * inside / m_in))) \
-        if support.any() else 0.0
-    outside = defect[~support]
-    complement_defect = float(outside.max()) if outside.size else 0.0
-    return ResidualReport(threshold=threshold,
-                          support_count=int(support.sum()),
-                          support_residual=support_residual,
-                          complement_defect=complement_defect)

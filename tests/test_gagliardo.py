@@ -15,6 +15,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -963,6 +964,36 @@ def test_plans_keyed_by_spacing_and_origin(table2):
     plans = list(fresh._plans.values())
     assert len({id(plan) for plan in plans}) == 3
     assert not np.array_equal(plans[0].tail, plans[2].tail)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "3d"])
+def test_assembly_independent_of_row_blocks(case, table1, table2,
+                                            monkeypatch):
+    # each matrix entry gets one far value and at most one near add in
+    # its row block, so blocks of two rows give the one-block matrix
+    mask = _random_mask(case)
+    sigma, table = {1: (0.25, table1), 2: (0.75, table2),
+                    3: (0.5, build_near_table(3, 0.5))}[mask.grid.dim]
+    whole = assemble(mask, sigma, table=table).matrix()
+    monkeypatch.setattr(ga, "_BLOCK_ENTRIES", 2 ** 10)
+    blocked = assemble(mask, sigma, table=table).matrix()
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_assembly_peak_memory(table2):
+    # the row blocks keep assembly's temporaries to a few MB beside the
+    # 9 MB matrix of a 48^2 box (N = 1089); blocks of 2^20 entries took
+    # 8 MB for the far-gather index alone
+    grid = GridSpec(cells=(48, 48), spacing=2.0 / 48, origin=(-1.0, -1.0))
+    mask = make_mask(grid, Box(lo=(-0.7, -0.7), hi=(0.7, 0.7)))
+    size = assemble(mask, 0.75, table=table2).matrix().nbytes  # the plan
+    tracemalloc.start()
+    try:
+        assemble(mask, 0.75, table=table2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size + 4 * 2 ** 20
 
 
 def test_assembly_independent_of_blas_threads():

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +16,6 @@ from regfrac.gagliardo import assemble
 from regfrac.geometry import Annulus, Ball, Box, DomainMask, GridSpec, make_mask
 from regfrac.spectral import (
     EigenResult,
-    eigen_residual_report,
-    mass_diagonal,
     rayleigh_quotient,
     smallest_eigenpair,
     solve_pencil,
@@ -24,6 +25,27 @@ from regfrac.spectral import (
 @pytest.fixture(scope="module")
 def ball_pair(ball_form):
     return smallest_eigenpair(ball_form, tol=1e-10, seed=0)
+
+
+def _residual_report(form, result, threshold=0.0):
+    """Split the eigen-equation defect across the support of the vector.
+
+    Restricting to nodes with u > threshold mirrors testing the
+    eigen-equation against functions supported where u is positive; on
+    the remaining nodes only a one-sided (subsolution) bound is
+    meaningful, so the largest signed defect is reported instead.
+    """
+    if not result.converged:
+        raise ValueError("residual report requires a converged result")
+    u = np.asarray(result.vector, dtype=float)
+    m = form.node_weights
+    defect = form.apply(u) - result.eigenvalue * (m * u)
+    support = u > threshold
+    inside, outside = defect[support], defect[~support]
+    return SimpleNamespace(
+        support_count=int(support.sum()),
+        support_residual=float(np.sqrt(np.sum(inside * inside / m[support]))),
+        complement_defect=float(outside.max()) if outside.size else 0.0)
 
 
 def test_injected_two_by_two():
@@ -147,13 +169,13 @@ def test_rayleigh_quotient_rejects_zero(ball_form):
 
 
 def test_residual_report_on_solution(ball_form, ball_pair):
-    report = eigen_residual_report(ball_form, ball_pair)
+    report = _residual_report(ball_form, ball_pair)
     assert report.support_count == ball_form.size
     assert report.support_residual <= 1e-10
     assert report.complement_defect <= 1e-8
     # raising the threshold exposes the one-sided check on the rest
     peak = float(ball_pair.vector.max())
-    clipped = eigen_residual_report(ball_form, ball_pair, threshold=0.5 * peak)
+    clipped = _residual_report(ball_form, ball_pair, threshold=0.5 * peak)
     assert 0 < clipped.support_count < ball_form.size
     assert clipped.complement_defect <= 1e-8
 
@@ -164,7 +186,7 @@ def test_residual_report_detects_non_solution(ball_form, ball_pair):
     fake = EigenResult(eigenvalue=rayleigh_quotient(ball_form, vec),
                        vector=vec, residual=0.0, iterations=0, converged=True,
                        second_estimate=0.0)
-    report = eigen_residual_report(ball_form, fake)
+    report = _residual_report(ball_form, fake)
     assert report.support_residual > 10 * 1e-10
 
 
@@ -173,7 +195,7 @@ def test_residual_report_requires_convergence(ball_form, ball_pair):
                         vector=ball_pair.vector, residual=1.0, iterations=5,
                         converged=False, second_estimate=0.0)
     with pytest.raises(ValueError, match="converged"):
-        eigen_residual_report(ball_form, stale)
+        _residual_report(ball_form, stale)
 
 
 def test_unconverged_is_flagged_not_raised(ball_form, monkeypatch):
@@ -261,10 +283,19 @@ def test_indefinite_matrix_rejected():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_matrix_rejected(bad):
-    matrix = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    matrix[2, 0] = bad  # lower triangle: the factorization never reads it
-    with pytest.raises(ValueError, match="not finite"):
-        solve_pencil(matrix, np.ones(3))
+    # the factorization never reads the lower triangle, so only the
+    # solver's own pass over every entry rejects a value there; with its
+    # mirror in the upper triangle the matrix would qualify for borrowing
+    for pair in (False, True):
+        matrix = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                           [0.0, -1.0, 2.0]])
+        matrix[2, 0] = bad
+        if pair:
+            matrix[0, 2] = bad
+        before = matrix.copy()
+        with pytest.raises(ValueError, match="not finite.*infs or NaNs"):
+            solve_pencil(matrix, np.ones(3))
+        assert _same_bits(matrix, before)
 
 
 def _sign_changing_pencil(n):
@@ -303,17 +334,114 @@ def test_failed_inner_solve_raises(ball_form, monkeypatch):
 
     monkeypatch.setattr(regfrac.spectral, "get_lapack_funcs",
                         lambda names, arrays: (failing,))
+    before = ball_form.matrix().copy()
     with pytest.raises(ValueError, match="potrs failed with info -2"):
         smallest_eigenpair(ball_form, tol=1e-8, seed=0)
+    # the factor sat in the form's matrix: an error rebuilds it too
+    assert _same_bits(ball_form.matrix(), before)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Per call of cho_factor in the solver: the array it was given and,
+    when it succeeded, the factor it returned."""
+    calls = []
+    real = regfrac.spectral.cho_factor
+
+    def recording(a, **kwargs):
+        call = {"given": a}
+        calls.append(call)
+        call["factor"], lower = real(a, **kwargs)
+        return call["factor"], lower
+
+    monkeypatch.setattr(regfrac.spectral, "cho_factor", recording)
+    return calls
+
+
+def test_solve_factors_the_form_matrix_in_place(ball_form, factored):
+    # the factor is computed in the form's own storage (a SciPy that
+    # copied the transposed view fails here), the matrix is bitwise the
+    # same afterwards, and every result field is bitwise that of a
+    # solve on a read-only copy, which is factored on a private copy
+    matrix = ball_form.matrix()
+    before = matrix.copy()
+    res = smallest_eigenpair(ball_form, tol=1e-10, seed=3)
+    assert np.shares_memory(factored[0]["factor"], matrix)
+    assert _same_bits(matrix, before)
+    frozen = before.copy()
+    frozen.flags.writeable = False
+    ref = solve_pencil(frozen, ball_form.node_weights, tol=1e-10, seed=3)
+    assert not np.shares_memory(factored[1]["given"], frozen)
+    assert _same_bits(frozen, before)
+    for f in dataclasses.fields(EigenResult):
+        assert _same_bits(np.asarray(getattr(res, f.name)),
+                          np.asarray(getattr(ref, f.name))), f.name
+
+
+def test_matrix_restored_when_factorization_fails(ball_form, factored):
+    # a negative pivot halfway down: potrf has overwritten half of the
+    # borrowed lower triangle and diagonal when it stops
+    matrix = ball_form.matrix().copy()
+    k = len(matrix) // 2
+    matrix[k, k] = -matrix[k, k]
+    before = matrix.copy()
+    with pytest.raises(ValueError, match=f"{k + 1}-th leading minor"):
+        solve_pencil(matrix, ball_form.node_weights)
+    assert np.shares_memory(factored[0]["given"], matrix)
+    assert _same_bits(matrix, before)
+
+
+@pytest.mark.parametrize("flip", ["ulp", "signed zero", "rounded"])
+def test_asymmetric_matrix_is_never_written(flip, factored):
+    # a matrix that is not bitwise symmetric is factored on a private
+    # copy: rebuilding its lower triangle from the upper one would
+    # change it.  The flips differ from the transpose in one last bit,
+    # in the sign of one zero, and by rounding in many entries
+    n = 200
+    matrix = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    if flip == "ulp":
+        matrix[0, 1] = np.nextafter(-1.0, 0.0)
+    elif flip == "signed zero":
+        matrix[0, 5] = -0.0
+    else:
+        matrix = _sign_changing_pencil(n)
+        assert not np.array_equal(matrix, matrix.T)
+    before = matrix.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # negativity
+        solve_pencil(matrix, np.ones(n))
+    assert not np.shares_memory(factored[0]["given"], matrix)
+    assert _same_bits(matrix, before)
+
+
+@pytest.fixture(scope="module")
+def box48_form(table2):
+    # the largest eigen-ladder form of the benchmark, N = 1089
+    grid = GridSpec(cells=(48, 48), spacing=2.0 / 48, origin=(-1.0, -1.0))
+    return assemble(make_mask(grid, Box(lo=(-0.7, -0.7), hi=(0.7, 0.7))),
+                    0.75, table=table2)
+
+
+def test_solve_allocates_no_matrix_beside_the_form(box48_form):
+    # a factor copy would take A.nbytes, and a finiteness mask over
+    # all of A an eighth of it
+    tracemalloc.start()
+    try:
+        smallest_eigenpair(box48_form, tol=1e-8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < box48_form.matrix().nbytes / 8
 
 
 def test_mass_diagonal_bookkeeping(box_form):
-    m = mass_diagonal(box_form)
+    m = box_form.node_weights
     assert np.all(m > 0.0)
-    m[0] = -1.0
-    assert box_form.node_weights[0] > 0.0  # a copy, not a view
-    total = float(np.sum(box_form.node_weights) +
-                  np.sum(box_form.boundary_weights))
+    total = float(np.sum(m) + np.sum(box_form.boundary_weights))
     assert abs(total - box_form.mask.volume) <= 1e-12 * box_form.mask.volume
 
 
