@@ -168,6 +168,11 @@ def validate(config: RunConfig) -> None:
     if not 0.0 < c.sigma < 1.0:
         raise CliError(
             f"sigma must be in the open interval (0, 1), got {c.sigma}")
+    if c.subcommand == "optimize" and not c.sigma > 0.5:
+        raise CliError(
+            f"sigma must exceed 1/2 for optimize, got {c.sigma}: the "
+            "regional eigenvalue's infimum over domains is 0 for "
+            "sigma <= 1/2")
     if not c.p > 0.0:
         raise CliError(f"p must be positive, got {c.p}")
     if not c.extent > 0.0:

@@ -417,15 +417,6 @@ def _gap_geometry(dim: int):
     return (o1, o2, slot_off), np.sum(mid * mid, axis=1), coef, slots
 
 
-_GAP_GEOMETRY_CACHE: dict[int, tuple] = {}
-
-
-def _gap_geometry_cached(dim: int):
-    if dim not in _GAP_GEOMETRY_CACHE:
-        _GAP_GEOMETRY_CACHE[dim] = _gap_geometry(dim)
-    return _GAP_GEOMETRY_CACHE[dim]
-
-
 # Chebyshev reach of the near and gap data from a row node: node offsets
 # lie in [-4, 4]^dim and cell offsets in [-4, 3]^dim
 _REACH = 4
@@ -511,9 +502,6 @@ class NearTable:
     _plans: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
-    def hat_energy(self, offset: tuple[int, ...]) -> float:
-        return self.hat_energies[tuple(offset)]
-
 
 _TABLE_CACHE: dict[tuple, NearTable] = {}
 
@@ -587,7 +575,7 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
         o2 += [a, b, b, a]
         cell_off.append(np.broadcast_to(off, (4 * len(w), dim)))
         vals += [w, w, -w, -w]
-    (g1, g2, g_off), mid2, coef, slots = _gap_geometry_cached(dim)
+    (g1, g2, g_off), mid2, coef, slots = _gap_geometry(dim)
     kernel = 4.0 ** -dim * mid2 ** (-(dim + 2.0 * sigma) / 2.0)
     vals.append(np.bincount(slots.ravel(),
                             weights=(coef * kernel[:, None]).ravel(),
@@ -622,7 +610,6 @@ class RegionalForm:
     sigma: float
     table: NearTable
     node_weights: np.ndarray        # interior lumped masses m_i
-    boundary_weights: np.ndarray
     complement_potential: np.ndarray  # kappa_i on interior nodes
     _matrix: np.ndarray = field(repr=False)
     # per-node pseudo-distances, NaN until marched, keyed by direction
@@ -658,28 +645,15 @@ class RegionalForm:
     def full_energy(self, u: np.ndarray) -> float:
         return self.energy(u) + self.zero_order(u)
 
-    def _dump_header(self, fh) -> None:
-        fh.write(b"RFRM")
-        fh.write(struct.pack("<i", self.mask.grid.dim))
-        fh.write(struct.pack("<d", self.sigma))
-        fh.write(struct.pack("<q", self.size))
-
     def dump_matrix(self, path) -> None:
         """Binary dump of the assembled matrix: magic 'RFRM', int32 dim,
         float64 sigma, int64 node count, then the dense matrix row-major
-        little-endian float64."""
-        A = self.matrix()
+        little-endian float64.  On a little-endian host the matrix is
+        written from its own memory, with no copy."""
         with open(path, "wb") as fh:
-            self._dump_header(fh)
-            fh.write(A.astype("<f8").tobytes(order="C"))
-
-    def dump_potential(self, path) -> None:
-        """Binary dump of the complement potential, same header as
-        ``dump_matrix`` followed by the per-node values as little-endian
-        float64."""
-        with open(path, "wb") as fh:
-            self._dump_header(fh)
-            fh.write(self.complement_potential.astype("<f8").tobytes())
+            fh.write(b"RFRM" + struct.pack("<idq", self.mask.grid.dim,
+                                           self.sigma, self.size))
+            np.asarray(self._matrix, dtype="<f8").tofile(fh)
 
 
 def _node_masses(mask: DomainMask) -> np.ndarray:
@@ -868,7 +842,9 @@ def assemble(mask: DomainMask, sigma: float, *,
     column labels and one indexed add.  Deterministic at any BLAS thread
     count: nodes are ordered lexicographically, no step calls BLAS, and
     every accumulation order is fixed.  The matrix takes 8 N^2 bytes for
-    N interior nodes; the row blocks add a few MB at most.
+    N interior nodes; the row blocks add a few MB at most.  It is a
+    writeable C-ordered float64 array bitwise equal to its transpose, as
+    ``spectral.smallest_eigenpair`` requires to factor it in place.
 
     What does not depend on the mask is built once per grid and sigma
     and kept in the table: the far kernel, its spectrum and the far
@@ -891,7 +867,6 @@ def assemble(mask: DomainMask, sigma: float, *,
     masses = _node_masses(mask)
     idx = mask.interior_idx
     interior_m = masses[tuple(idx.T)]
-    boundary_m = masses[tuple(mask.boundary_idx.T)]
     n_int = len(interior_m)
     if n_int == 0:
         raise ValueError("no interior nodes")
@@ -935,7 +910,7 @@ def assemble(mask: DomainMask, sigma: float, *,
     A[np.arange(n_int), np.arange(n_int)] += 2.0 * interior_m * far_sums
     return RegionalForm(
         mask=mask, sigma=float(sigma), table=table,
-        node_weights=interior_m, boundary_weights=boundary_m,
+        node_weights=interior_m,
         complement_potential=_complement_potential(mask, plan),
         _matrix=A,
     )

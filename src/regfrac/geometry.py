@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "GridSpec", "DomainMask", "DirectionSet",
     "Ball", "Box", "Annulus", "CellList", "Bitmap",
-    "make_mask", "direction_set", "directional_distance",
+    "make_mask", "direction_set", "march_exit_distances",
     "read_pbm", "write_pbm",
 ]
 
@@ -160,19 +160,6 @@ class DomainMask:
 
     def same_cells(self, other: "DomainMask") -> bool:
         return self.grid == other.grid and bool(np.array_equal(self.active, other.active))
-
-    def contains_point(self, p: np.ndarray) -> bool:
-        """Whether p lies in the union of active (closed) cells.
-
-        Points on shared faces, or within 1e-9 cells of one, are
-        attributed to the higher-index cell, the half-open convention the
-        exit-distance traversal also uses.
-        """
-        idx = np.floor(_grid_units(self.grid, np.asarray(p, dtype=float))
-                       ).astype(int)
-        if np.any(idx < 0) or np.any(idx >= np.asarray(self.grid.cells)):
-            return False
-        return bool(self.active[tuple(idx)])
 
 
 def _incident_counts(active: np.ndarray) -> np.ndarray:
@@ -423,16 +410,3 @@ def march_exit_distances(mask: DomainMask, points: np.ndarray,
         cell += ties * step
         crossing += np.where(ties, delta, 0.0)
     return (dist * grid.spacing).reshape(n_pts, n_dir)
-
-
-def directional_distance(mask: DomainMask, x, omega) -> float:
-    """inf over both signs of |t| with x + t*omega outside the domain.
-
-    Exact grid traversal capped at the grid diameter; x must lie inside
-    the active-cell union.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    omega = np.asarray(omega, dtype=float).reshape(-1)
-    if not mask.contains_point(x):
-        raise ValueError(f"point not in domain: {tuple(x)}")
-    return float(march_exit_distances(mask, x, [omega, -omega]).min())

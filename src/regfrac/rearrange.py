@@ -145,8 +145,10 @@ _BLOCK_ENTRIES = 2 ** 15
 
 def _draw_bumps(rng: np.random.Generator, center: np.ndarray,
                 radius: float) -> list:
-    """One trial's bumps (see ``random_bump_field``), drawn in the
-    stream's order, as (|c|, width, amplitude, spot) rows."""
+    """One trial's 1-4 Gaussian bumps, drawn in the stream's order, as
+    (|c|, width, amplitude, spot) rows: centers uniform in the
+    0.9-radius ball (area-weighted, so samples concentrate toward the
+    boundary), widths 0.05-0.3 radii, amplitudes 0.2-1."""
     dim = len(center)
     bumps = []
     for _ in range(int(rng.integers(1, 5))):
@@ -190,15 +192,6 @@ def _bump_fields(coords: np.ndarray, trials: list) -> np.ndarray:
         rows = np.flatnonzero(counts > j)
         fields[rows] += values[first[rows] + j]
     return fields
-
-
-def random_bump_field(mask: DomainMask, rng: np.random.Generator,
-                      radius: float) -> tuple[np.ndarray, str]:
-    """Sum of 1-4 Gaussian bumps: centers uniform in the 0.9-radius
-    ball (area-weighted, so samples concentrate toward the boundary),
-    widths 0.05-0.3 radii, amplitudes 0.2-1."""
-    bumps = _draw_bumps(rng, _grid_center(mask.grid), radius)
-    return _bump_fields(mask.interior_coords, [bumps])[0], _describe(bumps)
 
 
 def search_domain(grid: GridSpec) -> tuple[DomainMask, float]:

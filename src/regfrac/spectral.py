@@ -62,60 +62,34 @@ def rayleigh_quotient(form: RegionalForm, u: np.ndarray) -> float:
     return form.energy(u) / mass
 
 
-def solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, *,
-                 tol: float = 1e-8, seed: int = 0) -> EigenResult:
-    """Smallest eigenpair of A u = lambda M u for diagonal M.
-
-    ``matrix`` is the dense symmetric positive definite A, ``mass_diag``
-    the positive mass diagonal.  A is Cholesky-factored once (in place,
-    see below); ARPACK's ``eigsh``, started from a vector drawn
-    from ``seed``, then finds the two largest eigenvalues of
-    M^(1/2) A^(-1) M^(1/2): 1/lambda_1 and 1/lambda_2.  Each operator
-    application is one LAPACK ``potrs`` on the factor.  ARPACK stops
-    when both Ritz values meet ``tol`` relative to their size, usually
-    after its first Lanczos cycle and never near its fixed restart cap;
-    the result is converged when the mass-weighted residual of the
-    returned pair is at most ``tol``, so an early or loose stop (an
-    unattainable ``tol`` included) is flagged, not raised.
-    ``second_estimate`` is a Ritz value, whose error is quadratic in its
-    residual: at ``tol`` 1e-8 it is within 1e-13 relative of a dense
-    eigensolve on 1-3 d balls, boxes and annuli, near-double second
-    eigenvalues included.  Orders below 3, which ARPACK cannot take, use
-    a dense ``eigh``.  Raises ``ValueError`` on a non-square or empty
-    matrix ("no interior nodes"), mismatched lengths, a matrix that is
-    not finite and positive definite, or a failed ``potrs``.
-
-    A writeable C-ordered float64 A that is bitwise equal to its
-    transpose holds its own factor: its lower triangle and diagonal are
-    overwritten, then rebuilt before the call returns or raises, so no
-    N x N array is allocated beside it; other threads must not read A
-    meanwhile.  Any other A is factored on a private copy, never written.
-    """
-    return _warn_if_negative(_solve_pencil(matrix, mass_diag, tol, seed))
-
-
-def _borrowable(a: np.ndarray) -> bool:
-    """Whether ``a`` can hold its own factor: writeable, C-ordered and
-    bitwise equal to its transpose.  The same blocked pass raises the
-    solver's ``ValueError`` on an entry that is not finite."""
+def _check_factorable(a: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``a`` can hold its own factor: a
+    writeable, C-ordered float64 array, finite and bitwise equal to its
+    transpose (an int64 view, so a signed zero counts).  One pass in
+    row blocks, with no N x N mask."""
+    if a.dtype != np.float64 or not (a.flags.c_contiguous
+                                     and a.flags.writeable):
+        raise ValueError("matrix must be a writeable C-ordered float64 "
+                         "array: the solver factors it in its own storage")
     n = len(a)
     rows = max(1, _BLOCK_ENTRIES // n)
-    ok = a.flags.c_contiguous and a.flags.writeable
     for s in range(0, n, rows):
         block = a[s:s + rows]
         if not np.isfinite(block).all():
             raise ValueError("matrix is not finite and positive definite: "
                              "array must not contain infs or NaNs")
-        ok = ok and np.array_equal(block.view(np.int64),
-                                   a[:, s:s + rows].T.view(np.int64))
-    return ok
+        if not np.array_equal(block.view(np.int64),
+                              a[:, s:s + rows].T.view(np.int64)):
+            raise ValueError("matrix is not bitwise symmetric: its factor "
+                             "would be read from the upper triangle alone")
 
 
 def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
                   seed: int) -> EigenResult:
+    """``smallest_eigenpair`` on the pencil (matrix, diag(mass_diag))."""
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    a = np.asarray(matrix, dtype=float)
+    a = np.asarray(matrix)
     m = np.asarray(mass_diag, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -129,8 +103,8 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
         raise ValueError("mass diagonal must be positive")
     # potrf factors an F-ordered array in place from its upper triangle,
     # where a symmetric a's view a.T holds what an F-ordered copy would
-    borrowed = _borrowable(a)
-    diagonal = a.diagonal().copy() if borrowed else None
+    _check_factorable(a)
+    diagonal = a.diagonal().copy()
     # work in mass-symmetrized coordinates: the pencil (A, M) becomes the
     # plain symmetric problem with operator M^(-1/2) A M^(-1/2), whose
     # eigenvectors are those of A u = lambda M u scaled by M^(1/2)
@@ -139,8 +113,7 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
     solves = 0
     try:
         try:
-            c, lower = cho_factor(a.T if borrowed else np.array(a, order="F"),
-                                  overwrite_a=True, check_finite=False)
+            c, lower = cho_factor(a.T, overwrite_a=True, check_finite=False)
         except ValueError as exc:  # LinAlgError is a ValueError too
             raise ValueError(
                 f"matrix is not finite and positive definite: {exc}") from exc
@@ -165,14 +138,15 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
             except ArpackNoConvergence as exc:
                 theta, vecs = exc.eigenvalues, exc.eigenvectors
     finally:
-        if borrowed:  # from a's intact strict upper triangle, by blocks
-            for s in range(0, n, 64):  # of 64 rows: 32 KB temporaries
-                e = min(s + 64, n)
-                a[s:e, :s] = a[:s, s:e].T
-                block = a[s:e, s:e]
-                np.copyto(block, block.T.copy(),
-                          where=np.tri(e - s, k=-1, dtype=bool))
-            np.fill_diagonal(a, diagonal)
+        # rebuild the lower triangle from a's intact strict upper one, by
+        # blocks of 64 rows (32 KB temporaries), then the diagonal
+        for s in range(0, n, 64):
+            e = min(s + 64, n)
+            a[s:e, :s] = a[:s, s:e].T
+            block = a[s:e, s:e]
+            np.copyto(block, block.T.copy(),
+                      where=np.tri(e - s, k=-1, dtype=bool))
+        np.fill_diagonal(a, diagonal)
     if n < 3:
         lams, vecs = eigh(a / np.outer(sqrt_m, sqrt_m))
     else:
@@ -201,17 +175,36 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
 
 def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
                        seed: int = 0) -> EigenResult:
-    """Ground eigenpair of the assembled regional form, factored in the
-    form's own matrix (see ``solve_pencil``)."""
-    return _warn_if_negative(
-        _solve_pencil(form.matrix(), form.node_weights, tol, seed))
+    """Ground eigenpair of A u = lambda M u for the assembled form: A its
+    matrix, M the diagonal of its lumped node masses.
 
+    A is Cholesky-factored once; ARPACK's ``eigsh``, started from a
+    vector drawn from ``seed``, then finds the two largest eigenvalues
+    of M^(1/2) A^(-1) M^(1/2): 1/lambda_1 and 1/lambda_2.  Each operator
+    application is one LAPACK ``potrs`` on the factor.  ARPACK stops
+    when both Ritz values meet ``tol`` relative to their size, usually
+    after its first Lanczos cycle and never near its fixed restart cap;
+    the result is converged when the mass-weighted residual of the
+    returned pair is at most ``tol``, so an early or loose stop (an
+    unattainable ``tol`` included) is flagged, not raised.
+    ``second_estimate`` is a Ritz value, whose error is quadratic in its
+    residual: at ``tol`` 1e-8 it is within 1e-13 relative of a dense
+    eigensolve on 1-3 d balls, boxes and annuli, near-double second
+    eigenvalues included.  Orders below 3, which ARPACK cannot take, use
+    a dense ``eigh``.  A ``RuntimeWarning`` names the calling line when
+    the vector's negativity exceeds the clamp tolerance.
 
-def _warn_if_negative(result: EigenResult) -> EigenResult:
-    """Warn, naming the line that called the public solver, when the
-    vector's negativity exceeds the clamp tolerance."""
+    The matrix holds its own factor: its lower triangle and diagonal
+    are overwritten, then rebuilt before the call returns or raises, so
+    no N x N array is allocated beside it; other threads must not read
+    it meanwhile.  Every matrix ``assemble`` returns qualifies.  Raises
+    ``ValueError``, and writes nothing, on a matrix that is not a
+    writeable C-ordered float64 array, finite and bitwise equal to its
+    transpose; also on a non-positive ``tol``, a form without interior
+    nodes, a matrix that is not positive definite or a failed ``potrs``.
+    """
+    result = _solve_pencil(form.matrix(), form.node_weights, tol, seed)
     if result.min_entry < -1e-8:
         warnings.warn(f"eigenvector negativity {result.min_entry:.3e} "
-                      "exceeds clamp tolerance", RuntimeWarning, stacklevel=3)
+                      "exceeds clamp tolerance", RuntimeWarning, stacklevel=2)
     return result
-

@@ -369,7 +369,7 @@ def test_rearrange_artifacts(cli_env, tmp_path):
 def test_optimize_fixed_artifacts(cli_env, tmp_path):
     out = tmp_path / "of"
     proc = run_cli(["optimize", "--mode", "fixed", "--n", 1, "--sigma",
-                    0.25, "--grid", 24, "--max-iter", 3, "--seed", 2,
+                    0.75, "--grid", 24, "--max-iter", 3, "--seed", 2,
                     "--out-dir", out], cli_env)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads((out / "state.json").read_text())
@@ -391,11 +391,11 @@ def test_optimize_fixed_artifacts(cli_env, tmp_path):
 
 def test_optimize_modes_and_volume_flag(cli_env, tmp_path):
     conv = run_cli(["optimize", "--mode", "convex", "--n", 1, "--sigma",
-                    0.25, "--grid", 24, "--init", "square", "--max-iter",
+                    0.75, "--grid", 24, "--init", "square", "--max-iter",
                     2, "--out-dir", tmp_path / "oc"], cli_env)
     assert conv.returncode == 0, conv.stderr
     pen = run_cli(["optimize", "--mode", "penalized", "--n", 1, "--sigma",
-                   0.25, "--grid", 24, "--penalty", 0.5, "--max-iter", 2,
+                   0.75, "--grid", 24, "--penalty", 0.5, "--max-iter", 2,
                    "--out-dir", tmp_path / "op"], cli_env)
     assert pen.returncode == 0, pen.stderr
     state = json.loads((tmp_path / "op" / "state.json").read_text())
@@ -403,11 +403,26 @@ def test_optimize_modes_and_volume_flag(cli_env, tmp_path):
     assert state["energy"] == state["lambda"] + 0.5 * state["volume"]
     # volume flag resizes the init: 12 cells of width 1/12
     sized = run_cli(["optimize", "--mode", "fixed", "--n", 1, "--sigma",
-                     0.25, "--grid", 24, "--volume", 1.0, "--max-iter", 1,
+                     0.75, "--grid", 24, "--volume", 1.0, "--max-iter", 1,
                      "--out-dir", tmp_path / "ov"], cli_env)
     assert sized.returncode == 0, sized.stderr
     state = json.loads((tmp_path / "ov" / "state.json").read_text())
     assert state["volume"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_optimize_requires_sigma_above_one_half(cli_env, tmp_path):
+    # the infimum over domains is 0 for sigma <= 1/2, so optimize refuses
+    # it before any work; eigen and rearrange still take all of (0, 1)
+    args = ["optimize", "--mode", "fixed", "--n", 1, "--grid", 24,
+            "--max-iter", 1]
+    low = run_cli(args + ["--sigma", 0.5, "--out-dir", tmp_path / "lo"],
+                  cli_env)
+    assert low.returncode == 2
+    assert "sigma" in low.stderr and "1/2" in low.stderr
+    assert not (tmp_path / "lo").exists()
+    above = run_cli(args + ["--sigma", 0.5000001,
+                            "--out-dir", tmp_path / "hi"], cli_env)
+    assert above.returncode == 0, above.stderr
 
 
 # ---------------------------------------------------------------- report

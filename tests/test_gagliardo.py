@@ -43,7 +43,7 @@ def test_hat_energy_matches_direct_quadrature(table1):
         return val
 
     direct, _ = quad(inner, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
-    assert abs(table1.hat_energy((1,)) - direct) < 1e-6
+    assert abs(table1.hat_energies[(1,)] - direct) < 1e-6
 
 
 def test_same_cell_weight_closed_form(table1):
@@ -65,11 +65,11 @@ def test_hat_energies_positive_finite(table2):
 
 
 def test_offset_symmetry_exact(table2):
-    g = table2.hat_energy
-    assert g((1, 0)) == g((0, 1)) == g((-1, 0)) == g((0, -1))
+    g = table2.hat_energies
+    assert g[(1, 0)] == g[(0, 1)] == g[(-1, 0)] == g[(0, -1)]
     orbit = [(2, 1), (1, 2), (-2, 1), (2, -1), (-2, -1), (-1, -2), (1, -2),
              (-1, 2)]
-    vals = {g(off) for off in orbit}
+    vals = {g[off] for off in orbit}
     assert len(vals) == 1
 
 
@@ -373,7 +373,6 @@ def test_level_increments_match_reference(dim, sigma, depth):
 
 def _fresh_table(monkeypatch, dim, sigma, depth, tol):
     monkeypatch.setattr(ga, "_TABLE_CACHE", {})
-    monkeypatch.setattr(ga, "_GAP_GEOMETRY_CACHE", {})
     return build_near_table(dim, sigma, depth=depth, convergence_tol=tol)
 
 
@@ -401,21 +400,20 @@ def test_table_matches_reference_build(depth, tol, monkeypatch):
 
 
 def test_cold_builds_repeat_the_same_work(monkeypatch):
-    # The benchmark's set-up empties exactly these two caches before each
-    # timed build; two cold builds must then run the same quadrature, so
-    # no other cache can shorten a build it times.
-    calls = dict.fromkeys(("_quad_classes", "_level_increments"), 0)
+    # The benchmark's set-up empties the table cache before each timed
+    # build; two cold builds must then run the same quadrature and gap
+    # geometry, so no other cache can shorten a build it times.
+    calls = dict.fromkeys(("_quad_classes", "_level_increments",
+                           "_gap_geometry"), 0)
     for name in calls:
         def counted(*args, _real=getattr(ga, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(ga, name, counted)
     monkeypatch.setattr(ga, "_TABLE_CACHE", {})
-    monkeypatch.setattr(ga, "_GAP_GEOMETRY_CACHE", {})
     tables, counts = [], []
     for _ in range(2):
         ga._TABLE_CACHE.clear()
-        ga._GAP_GEOMETRY_CACHE.clear()
         before = dict(calls)
         tables.append(build_near_table(2, 0.75, depth=5,
                                        convergence_tol=2e-2))
@@ -819,7 +817,6 @@ def _per_call_assembly(mask, sigma, table):
     masses = counts * (h ** dim / 2 ** dim)
     idx = mask.interior_idx
     interior_m = masses[tuple(idx.T)]
-    boundary_m = masses[tuple(mask.boundary_idx.T)]
     n_int = len(interior_m)
 
     node_shape = np.asarray(grid.node_shape)
@@ -885,14 +882,13 @@ def _per_call_assembly(mask, sigma, table):
                                  np.asarray(grid.high_corner) - nodes
                                  ).min(axis=1), 0.5 * h)
     kappa += tail_integral(dim, sigma, 1.0) * wall ** (-2.0 * sigma)
-    return A, interior_m, boundary_m, kappa
+    return A, interior_m, kappa
 
 
 def _assert_bitwise(form, reference):
-    A, interior_m, boundary_m, kappa = reference
+    A, interior_m, kappa = reference
     assert np.array_equal(form.matrix(), A)
     assert np.array_equal(form.node_weights, interior_m)
-    assert np.array_equal(form.boundary_weights, boundary_m)
     assert np.array_equal(form.complement_potential, kappa)
 
 
@@ -1185,11 +1181,17 @@ def test_assembly_deterministic(ball_form, table2):
                           ball_form.complement_potential)
 
 
+def _reference_dump(form):
+    """The dump's bytes as built by joining full copies of the header
+    fields and of the matrix."""
+    return (b"RFRM" + struct.pack("<i", form.mask.grid.dim)
+            + struct.pack("<d", form.sigma) + struct.pack("<q", form.size)
+            + form.matrix().astype("<f8").tobytes(order="C"))
+
+
 def test_dump_files_roundtrip(ball_form, tmp_path):
     mpath = tmp_path / "form.bin"
-    kpath = tmp_path / "kappa.bin"
     ball_form.dump_matrix(mpath)
-    ball_form.dump_potential(kpath)
     raw = mpath.read_bytes()
     assert raw[:4] == b"RFRM"
     dim, = struct.unpack_from("<i", raw, 4)
@@ -1198,10 +1200,24 @@ def test_dump_files_roundtrip(ball_form, tmp_path):
     assert (dim, sigma, count) == (2, 0.75, ball_form.size)
     A = np.frombuffer(raw[24:], dtype="<f8").reshape(count, count)
     assert np.array_equal(A, ball_form.matrix())
-    kraw = kpath.read_bytes()
-    assert kraw[:4] == b"RFRM"
-    kappa = np.frombuffer(kraw[24:], dtype="<f8")
-    assert np.array_equal(kappa, ball_form.complement_potential)
+    assert raw == _reference_dump(ball_form)
+
+
+def test_matrix_dump_copies_nothing(table2, tmp_path):
+    # the matrix of a 48^2 box (N = 1089, 9 MB) is written from its own
+    # memory; the two copies the reference makes took 18 MB
+    grid = GridSpec(cells=(48, 48), spacing=2.0 / 48, origin=(-1.0, -1.0))
+    form = assemble(make_mask(grid, Box(lo=(-0.7, -0.7), hi=(0.7, 0.7))),
+                    0.75, table=table2)
+    path = tmp_path / "box48.rfrm"
+    tracemalloc.start()
+    try:
+        form.dump_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < form.matrix().nbytes / 8
+    assert path.read_bytes() == _reference_dump(form)
 
 
 def test_error_paths(table1, table2):
@@ -1227,7 +1243,7 @@ def test_three_dimensional_smoke():
     # the default 3-d grading depth meets the default convergence gate
     table = build_near_table(3, 0.5)
     assert table.error_estimate <= 1e-6
-    assert table.hat_energy((1, 0, 0)) == table.hat_energy((0, 0, 1))
+    assert table.hat_energies[(1, 0, 0)] == table.hat_energies[(0, 0, 1)]
     grid = GridSpec(cells=(5, 5, 5), spacing=0.2, origin=(0.0, 0.0, 0.0))
     mask = make_mask(grid, Box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)))
     form = assemble(mask, 0.5, table=table)

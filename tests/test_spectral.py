@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,13 +11,13 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import regfrac.spectral
-from regfrac.gagliardo import assemble
+from regfrac.gagliardo import _node_masses, assemble
 from regfrac.geometry import Annulus, Ball, Box, DomainMask, GridSpec, make_mask
 from regfrac.spectral import (
     EigenResult,
+    _solve_pencil,
     rayleigh_quotient,
     smallest_eigenpair,
-    solve_pencil,
 )
 
 
@@ -51,7 +50,7 @@ def _residual_report(form, result, threshold=0.0):
 def test_injected_two_by_two():
     # Known eigensystem: eigenvalues 1 and 3, ground vector (1,1)/sqrt(2).
     matrix = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    res = solve_pencil(matrix, np.ones(2), tol=1e-12, seed=1)
+    res = _solve_pencil(matrix, np.ones(2), 1e-12, 1)
     assert res.converged
     assert abs(res.eigenvalue - 1.0) < 1e-12
     assert abs(res.second_estimate - 3.0) < 1e-9
@@ -66,7 +65,7 @@ def test_smallest_orders_match_generalized_eigh(n):
     matrix = (np.diag(2.0 + rng.uniform(0.0, 1.0, n))
               - np.eye(n, k=1) - np.eye(n, k=-1))
     mass = rng.uniform(0.5, 2.0, n)
-    res = solve_pencil(matrix, mass, tol=1e-12, seed=0)
+    res = _solve_pencil(matrix, mass, 1e-12, 0)
     exact, vecs = scipy.linalg.eigh(matrix, np.diag(mass))
     assert res.converged
     assert abs(res.eigenvalue - exact[0]) <= 1e-12 * exact[0]
@@ -84,7 +83,7 @@ def test_nonuniform_mass_matches_generalized_eigh():
     matrix = (np.diag(2.0 + rng.uniform(0.0, 1.0, 30))
               - np.eye(30, k=1) - np.eye(30, k=-1))
     mass = rng.uniform(0.2, 5.0, 30)
-    res = solve_pencil(matrix, mass, tol=1e-11, seed=2)
+    res = _solve_pencil(matrix, mass, 1e-11, 2)
     exact, vecs = scipy.linalg.eigh(matrix, np.diag(mass),
                                     subset_by_index=[0, 0])
     assert res.converged
@@ -149,6 +148,21 @@ def test_refinement_decreases_eigenvalue(table1):
                         table=table1)
         values.append(smallest_eigenpair(form, tol=1e-10).eigenvalue)
     assert values[0] > values[1] > values[2] > 0.0
+
+
+def test_eigenvalue_falls_to_zero_below_one_half(table1):
+    # at sigma 1/4 the infimum over domains is 0: on [-1, 1], lambda_h
+    # falls like h^(1 - 2 sigma) = h^(1/2) on every halving from 64 to
+    # 1024 cells (measured 0.495-0.496) instead of converging to a
+    # positive limit, which is why optimize requires sigma > 1/2
+    values = []
+    for cells in (64, 128, 256, 512, 1024):
+        grid = GridSpec(cells=(cells,), spacing=2.0 / cells, origin=(-1.0,))
+        form = assemble(make_mask(grid, Box(lo=(-1.0,), hi=(1.0,))), 0.25,
+                        table=table1)
+        values.append(smallest_eigenpair(form, tol=1e-10).eigenvalue)
+    orders = np.log2(np.divide(values[:-1], values[1:]))
+    assert np.all((0.45 <= orders) & (orders <= 0.55)), orders
 
 
 def test_rayleigh_quotient_contract(ball_form, ball_pair):
@@ -260,32 +274,32 @@ def test_no_converged_pair_returns_start_vector(ball_form, monkeypatch):
 
 def test_empty_and_invalid_inputs():
     with pytest.raises(ValueError, match="no interior nodes"):
-        solve_pencil(np.zeros((0, 0)), np.zeros(0))
+        _solve_pencil(np.zeros((0, 0)), np.zeros(0), 1e-8, 0)
     with pytest.raises(ValueError, match="tolerance"):
-        solve_pencil(np.eye(2), np.ones(2), tol=0.0)
+        _solve_pencil(np.eye(2), np.ones(2), 0.0, 0)
     with pytest.raises(ValueError, match="square"):
-        solve_pencil(np.ones((2, 3)), np.ones(2))
+        _solve_pencil(np.ones((2, 3)), np.ones(2), 1e-8, 0)
     with pytest.raises(ValueError, match="square"):
-        solve_pencil(np.ones(4), np.ones(4))
+        _solve_pencil(np.ones(4), np.ones(4), 1e-8, 0)
     with pytest.raises(ValueError, match="does not match"):
-        solve_pencil(np.eye(3), np.ones(2))
+        _solve_pencil(np.eye(3), np.ones(2), 1e-8, 0)
     with pytest.raises(ValueError, match="mass diagonal must be positive"):
-        solve_pencil(np.eye(2), np.array([1.0, 0.0]))
+        _solve_pencil(np.eye(2), np.array([1.0, 0.0]), 1e-8, 0)
     with pytest.raises(ValueError, match="mass diagonal must be positive"):
-        solve_pencil(np.eye(2), np.array([1.0, np.nan]))
+        _solve_pencil(np.eye(2), np.array([1.0, np.nan]), 1e-8, 0)
 
 
 def test_indefinite_matrix_rejected():
     # eigenvalues -1 and 3: the Cholesky factorization fails at pivot 2
     with pytest.raises(ValueError, match="positive definite"):
-        solve_pencil(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+        _solve_pencil(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), 1e-8, 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_matrix_rejected(bad):
     # the factorization never reads the lower triangle, so only the
     # solver's own pass over every entry rejects a value there; with its
-    # mirror in the upper triangle the matrix would qualify for borrowing
+    # mirror in the upper triangle the matrix is bitwise symmetric
     for pair in (False, True):
         matrix = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
                            [0.0, -1.0, 2.0]])
@@ -294,13 +308,14 @@ def test_nonfinite_matrix_rejected(bad):
             matrix[0, 2] = bad
         before = matrix.copy()
         with pytest.raises(ValueError, match="not finite.*infs or NaNs"):
-            solve_pencil(matrix, np.ones(3))
+            _solve_pencil(matrix, np.ones(3), 1e-8, 0)
         assert _same_bits(matrix, before)
 
 
-def _sign_changing_pencil(n):
+def _rounded_product(n):
     # ground vector (1, ..., 1, -1/2) up to scale: its mean is positive,
-    # so the sign convention keeps the negative last entry
+    # so the sign convention keeps the negative last entry.  The product
+    # is symmetric only up to rounding
     ground = np.ones(n)
     ground[-1] = -0.5
     basis, _ = np.linalg.qr(np.column_stack(
@@ -308,22 +323,25 @@ def _sign_changing_pencil(n):
     return basis @ np.diag(np.arange(1.0, n + 1.0)) @ basis.T
 
 
-def test_negativity_warning_names_the_caller_of_either_entry_point(
-        box_form):
-    # the warning points at the line that called the public solver, not
-    # at a line inside spectral.py
-    matrix = _sign_changing_pencil(box_form.size)
-    with pytest.warns(RuntimeWarning, match="negativity") as direct:
-        res = solve_pencil(matrix, np.ones(box_form.size))
-    assert res.min_entry < -1e-8
-    # the pencil (M^1/2 B M^1/2, M) has the vectors M^-1/2 v of B's
+def _mirrored(matrix):
+    """``matrix`` with its strict lower triangle copied from the upper
+    one: bitwise symmetric."""
+    out = matrix.copy()
+    i, j = np.tril_indices(len(out), -1)
+    out[i, j] = out[j, i]
+    return out
+
+
+def test_negativity_warning_names_the_caller(box_form):
+    # the warning points at the line that called the solver, not at a
+    # line inside spectral.py.  The pencil (M^1/2 B M^1/2, M) has the
+    # vectors M^-1/2 v of B's
     root = np.sqrt(box_form.node_weights)
-    form = dataclasses.replace(box_form,
-                               _matrix=root[:, None] * matrix * root)
-    with pytest.warns(RuntimeWarning, match="negativity") as via_form:
+    matrix = _mirrored(root[:, None] * _rounded_product(box_form.size) * root)
+    form = dataclasses.replace(box_form, _matrix=matrix)
+    with pytest.warns(RuntimeWarning, match="negativity") as record:
         assert smallest_eigenpair(form).min_entry < -1e-8
-    for record in (direct, via_form):
-        assert [w.filename for w in record] == [__file__]
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_failed_inner_solve_raises(ball_form, monkeypatch):
@@ -362,21 +380,24 @@ def factored(monkeypatch):
     return calls
 
 
-def test_solve_factors_the_form_matrix_in_place(ball_form, factored):
+def test_solve_factors_the_form_matrix_in_place(ball_form, factored,
+                                                monkeypatch):
     # the factor is computed in the form's own storage (a SciPy that
     # copied the transposed view fails here), the matrix is bitwise the
-    # same afterwards, and every result field is bitwise that of a
-    # solve on a read-only copy, which is factored on a private copy
+    # same afterwards, and every result field is bitwise that of the
+    # reference solve, which factors an F-ordered copy instead
     matrix = ball_form.matrix()
     before = matrix.copy()
     res = smallest_eigenpair(ball_form, tol=1e-10, seed=3)
     assert np.shares_memory(factored[0]["factor"], matrix)
     assert _same_bits(matrix, before)
-    frozen = before.copy()
-    frozen.flags.writeable = False
-    ref = solve_pencil(frozen, ball_form.node_weights, tol=1e-10, seed=3)
-    assert not np.shares_memory(factored[1]["given"], frozen)
-    assert _same_bits(frozen, before)
+    in_place = regfrac.spectral.cho_factor
+    monkeypatch.setattr(regfrac.spectral, "cho_factor",
+                        lambda a, **kwargs: in_place(np.array(a, order="F"),
+                                                     **kwargs))
+    ref = smallest_eigenpair(ball_form, tol=1e-10, seed=3)
+    assert not np.shares_memory(factored[1]["given"], matrix)
+    assert _same_bits(matrix, before)
     for f in dataclasses.fields(EigenResult):
         assert _same_bits(np.asarray(getattr(res, f.name)),
                           np.asarray(getattr(ref, f.name))), f.name
@@ -384,38 +405,59 @@ def test_solve_factors_the_form_matrix_in_place(ball_form, factored):
 
 def test_matrix_restored_when_factorization_fails(ball_form, factored):
     # a negative pivot halfway down: potrf has overwritten half of the
-    # borrowed lower triangle and diagonal when it stops
+    # lower triangle and diagonal when it stops
     matrix = ball_form.matrix().copy()
     k = len(matrix) // 2
     matrix[k, k] = -matrix[k, k]
     before = matrix.copy()
     with pytest.raises(ValueError, match=f"{k + 1}-th leading minor"):
-        solve_pencil(matrix, ball_form.node_weights)
+        _solve_pencil(matrix, ball_form.node_weights, 1e-8, 0)
     assert np.shares_memory(factored[0]["given"], matrix)
     assert _same_bits(matrix, before)
 
 
-@pytest.mark.parametrize("flip", ["ulp", "signed zero", "rounded"])
-def test_asymmetric_matrix_is_never_written(flip, factored):
-    # a matrix that is not bitwise symmetric is factored on a private
-    # copy: rebuilding its lower triangle from the upper one would
-    # change it.  The flips differ from the transpose in one last bit,
-    # in the sign of one zero, and by rounding in many entries
-    n = 200
-    matrix = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    if flip == "ulp":
-        matrix[0, 1] = np.nextafter(-1.0, 0.0)
-    elif flip == "signed zero":
-        matrix[0, 5] = -0.0
-    else:
-        matrix = _sign_changing_pencil(n)
-        assert not np.array_equal(matrix, matrix.T)
+def _rejected_unwritten(form, matrix, match, factored):
+    """``smallest_eigenpair`` on ``form`` with ``matrix`` raises a
+    ``ValueError`` matching ``match`` before any factorization, and
+    leaves ``matrix`` bitwise as it was."""
     before = matrix.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # negativity
-        solve_pencil(matrix, np.ones(n))
-    assert not np.shares_memory(factored[0]["given"], matrix)
+    with pytest.raises(ValueError, match=match):
+        smallest_eigenpair(dataclasses.replace(form, _matrix=matrix))
+    assert not factored
     assert _same_bits(matrix, before)
+
+
+@pytest.mark.parametrize("flip", ["ulp", "signed zero", "rounded"])
+def test_asymmetric_matrix_is_never_written(flip, box_form, factored):
+    # rebuilding the lower triangle from the upper one would change a
+    # matrix that is not bitwise symmetric, so it is rejected.  The flips
+    # differ from the transpose in one last bit, in the sign of one zero,
+    # and by rounding in many entries
+    matrix = box_form.matrix().copy()
+    if flip == "ulp":
+        matrix[0, 1] = np.nextafter(matrix[0, 1], 0.0)
+    elif flip == "signed zero":
+        matrix[0, -1], matrix[-1, 0] = -0.0, 0.0
+    else:
+        matrix = _rounded_product(box_form.size)
+        assert not np.array_equal(matrix, matrix.T)
+    _rejected_unwritten(box_form, matrix, "not bitwise symmetric", factored)
+
+
+def _read_only(matrix):
+    matrix.flags.writeable = False
+    return matrix
+
+
+@pytest.mark.parametrize("make, match", [
+    (_read_only, "writeable C-ordered float64"),
+    (np.asfortranarray, "writeable C-ordered float64"),
+    (lambda a: np.where(np.eye(len(a), dtype=bool), np.inf, a),
+     "not finite.*infs or NaNs"),
+], ids=["read-only", "F-ordered", "non-finite"])
+def test_unfit_matrix_is_rejected_unwritten(make, match, box_form, factored):
+    _rejected_unwritten(box_form, make(box_form.matrix().copy()), match,
+                        factored)
 
 
 @pytest.fixture(scope="module")
@@ -441,7 +483,8 @@ def test_solve_allocates_no_matrix_beside_the_form(box48_form):
 def test_mass_diagonal_bookkeeping(box_form):
     m = box_form.node_weights
     assert np.all(m > 0.0)
-    total = float(np.sum(m) + np.sum(box_form.boundary_weights))
+    boundary = _node_masses(box_form.mask)[tuple(box_form.mask.boundary_idx.T)]
+    total = float(np.sum(m) + np.sum(boundary))
     assert abs(total - box_form.mask.volume) <= 1e-12 * box_form.mask.volume
 
 
