@@ -31,16 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .gagliardo import NearFieldError, assemble, build_near_table
-from .geometry import Ball, Bitmap, Box, DomainMask, GridSpec, make_mask
+from .gagliardo import NearFieldError, assemble
+from .geometry import (Ball, Bitmap, Box, DomainMask, GridSpec,
+                       direction_set, make_mask)
 from .hardy import hardy_check, standard_test_functions
-from .geometry import direction_set
 from .rearrange import (regional_violation_search, search_domain,
                         symmetric_decreasing_rearrangement, trial_field)
-from .shapeopt import (ShapeState, convexify, optimize_fixed_measure,
-                       optimize_penalized, resize_mask)
+from .shapeopt import optimize
 from .special import exit_scale_prefactor, hardy_constant, sphere_area
-from .spectral import smallest_eigenpair
+from .spectral import EigenResult, smallest_eigenpair
 
 
 class CliError(Exception):
@@ -73,8 +72,6 @@ class RunConfig:
     dirs: int = 96
     seed: int = 0
     out_dir: str = ""
-    emit_json: bool = True
-    emit_csv: bool = True
     emit_pgm: bool = False
     emit_matrix: bool = False
     force: bool = False
@@ -94,7 +91,8 @@ _PARSERS = {f.name: _TYPE_PARSERS[f.type]
             for f in dataclasses.fields(RunConfig)}
 # keys echoed by older versions that select nothing now: a replayed
 # echo may carry them, and they are accepted and ignored
-_RETIRED_KEYS = frozenset({"eigen_max_iter", "table_cache"})
+_RETIRED_KEYS = frozenset({"eigen_max_iter", "table_cache", "emit_json",
+                           "emit_csv"})
 
 
 def _format_value(value) -> str:
@@ -157,7 +155,15 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-_NEEDS_OUT_DIR = {"eigen", "hardy", "rearrange", "optimize"}
+# the subcommands that run on a grid; each writes into an out dir
+_GRIDDED = ("eigen", "hardy", "rearrange", "optimize")
+# subcommands that need sigma > 1/2, and why
+_ABOVE_ONE_HALF = {
+    "hardy": "the sharp regional Hardy constant exists only for "
+             "1/2 < sigma < 1",
+    "optimize": "the regional eigenvalue's infimum over domains is 0 for "
+                "sigma <= 1/2",
+}
 
 
 def validate(config: RunConfig) -> None:
@@ -168,11 +174,10 @@ def validate(config: RunConfig) -> None:
     if not 0.0 < c.sigma < 1.0:
         raise CliError(
             f"sigma must be in the open interval (0, 1), got {c.sigma}")
-    if c.subcommand == "optimize" and not c.sigma > 0.5:
+    if c.subcommand in _ABOVE_ONE_HALF and not c.sigma > 0.5:
         raise CliError(
-            f"sigma must exceed 1/2 for optimize, got {c.sigma}: the "
-            "regional eigenvalue's infimum over domains is 0 for "
-            "sigma <= 1/2")
+            f"sigma must exceed 1/2 for {c.subcommand}, got {c.sigma}: "
+            + _ABOVE_ONE_HALF[c.subcommand])
     if not c.p > 0.0:
         raise CliError(f"p must be positive, got {c.p}")
     if not c.extent > 0.0:
@@ -193,11 +198,14 @@ def validate(config: RunConfig) -> None:
     if c.mode not in ("fixed", "penalized", "convex"):
         raise CliError(
             f"mode must be fixed, penalized, or convex, got '{c.mode}'")
-    if c.subcommand == "optimize" and c.mode == "penalized" \
-            and not c.penalty > 0.0:
+    penalized = c.subcommand == "optimize" and c.mode == "penalized"
+    if penalized and not c.penalty > 0.0:
         raise CliError(f"penalty must be positive, got {c.penalty}")
     if c.volume < 0.0:
         raise CliError(f"volume must be nonnegative, got {c.volume}")
+    if penalized and c.volume > 0.0:
+        raise CliError(f"volume applies to fixed and convex modes only, "
+                       f"got {c.volume} in penalized mode")
     if not c.tol > 0.0:
         raise CliError(f"tol must be positive, got {c.tol}")
     if c.max_iter < 1:
@@ -206,7 +214,7 @@ def validate(config: RunConfig) -> None:
         raise CliError(f"trials must be at least 1, got {c.trials}")
     if c.dirs < 4:
         raise CliError(f"dirs must be at least 4, got {c.dirs}")
-    if c.subcommand in _NEEDS_OUT_DIR and not c.out_dir:
+    if c.subcommand in _GRIDDED and not c.out_dir:
         raise CliError(
             "out-dir is required (flag --out-dir or config key out_dir)")
     if c.emit_pgm and c.dim > 2:
@@ -235,23 +243,96 @@ def _init_mask(config: RunConfig, grid: GridSpec) -> DomainMask:
     return make_mask(grid, Bitmap(path=config.shape_file))
 
 
+def _targets(config: RunConfig) -> list[str]:
+    """The result files a run writes into its out dir, in the order in
+    which its executor hands back their contents."""
+    pgm = config.emit_pgm
+    return {
+        "constants": ["constants.json"],
+        "eigen": (["eigen.json"] + ["eigen_u.pgm"] * pgm
+                  + ["matrix.rfrm"] * config.emit_matrix),
+        "hardy": ["hardy.json", "hardy.csv"],
+        "rearrange": (["rearrange.json"]
+                      + ["rearrange_u.pgm", "rearrange_star.pgm"] * pgm),
+        "optimize": (["state.json", "iterations.csv"]
+                     + ["mask.pgm", "eigen_u.pgm"] * (config.dim <= 2)),
+    }[config.subcommand]
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """One content per ``_targets`` name, each a text or a function that
+    writes the file at a path, and the line for stdout.  ``unconverged``
+    is the eigenpair that did not converge, if one did not; ``contents``
+    then holds only the leading texts, kept as ``.partial`` files."""
+
+    contents: tuple
+    summary: str = ""
+    unconverged: EigenResult | None = None
+
+
 def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _refuse_existing(paths, force: bool) -> None:
-    if force:
-        return
-    clashes = [str(p) for p in paths if Path(p).exists()]
+    clashes = [] if force else [str(p) for p in paths if Path(p).exists()]
     if clashes:
         raise CliError("refusing to overwrite existing artifacts "
                        f"(use --force): {', '.join(clashes)}")
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, content) -> None:
+    """Write a text, or call a writer, on ``<path>.partial``, then rename
+    it into place."""
     tmp = path.with_name(path.name + ".partial")
-    tmp.write_text(text)
+    if callable(content):
+        content(tmp)
+    else:
+        tmp.write_text(content)
     os.replace(tmp, path)
+
+
+def _prepare_out_dir(config: RunConfig) -> None:
+    """Refuse to overwrite any file of the run (unless forced), then echo
+    its configuration, so that a failed run is still replayable."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _refuse_existing([out / name for name in ["config.echo"]
+                      + _targets(config)], config.force)
+    _atomic_write(out / "config.echo", echo_text(config))
+
+
+def _write_outcome(config: RunConfig, outcome: _Outcome) -> int:
+    """Rename each result into place, or leave a non-converged run's
+    texts as ``.partial`` files and return 3."""
+    if not config.out_dir:
+        print(outcome.summary)
+        return 0
+    paths = [Path(config.out_dir) / name for name in _targets(config)]
+    eig = outcome.unconverged
+    if eig is not None:
+        kept = [path.with_name(path.name + ".partial")
+                for path, _ in zip(paths, outcome.contents)]
+        for path, text in zip(kept, outcome.contents):
+            path.write_text(text)
+        print(f"error: eigen solver did not converge (residual "
+              f"{eig.residual:.3e} after {eig.iterations} iterations); "
+              f"partial results at {', '.join(map(str, kept))}",
+              file=sys.stderr)
+        return 3
+    for path, content in zip(paths, outcome.contents, strict=True):
+        _atomic_write(path, content)
+    print(outcome.summary)
+    return 0
 
 
 def _pgm_text(field: np.ndarray) -> str:
@@ -278,19 +359,10 @@ def _node_field(mask: DomainMask, u: np.ndarray) -> np.ndarray:
     return full
 
 
-def _prepare_out_dir(config: RunConfig, targets) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _refuse_existing([out / "config.echo"] + [out / t for t in targets],
-                     config.force)
-    _atomic_write(out / "config.echo", echo_text(config))
-    return out
-
-
-def _run_constants(config: RunConfig) -> int:
+def _run_constants(config: RunConfig) -> _Outcome:
     constant = hardy_constant(config.dim, config.p, config.sigma)
     alpha = 2.0 * config.sigma
-    payload = {
+    text = _canonical_json({
         "C_hardy": constant.value,
         "dim": config.dim,
         "m_prefactor": exit_scale_prefactor(config.dim, alpha)
@@ -298,70 +370,42 @@ def _run_constants(config: RunConfig) -> int:
         "p": config.p,
         "sigma": config.sigma,
         "sphere_area": sphere_area(config.dim),
-    }
-    text = _canonical_json(payload)
-    print(text, end="")
+    })
     if config.out_dir:
-        out = _prepare_out_dir(config, ["constants.json"])
-        _atomic_write(out / "constants.json", text)
-        print(f"wrote {out / 'constants.json'}", file=sys.stderr)
-    return 0
+        _prepare_out_dir(config)
+    return _Outcome((text,), text.rstrip("\n"))
 
 
-def _run_eigen(config: RunConfig) -> int:
-    grid = _grid(config)
-    mask = _init_mask(config, grid)
+def _run_eigen(config: RunConfig) -> _Outcome:
+    mask = _init_mask(config, _grid(config))
     n_interior = len(mask.interior_idx)
     if config.emit_matrix and n_interior > 2048:
         raise CliError("matrix dump limited to 2048 interior nodes, "
                        f"grid has {n_interior}")
-    targets = []
-    if config.emit_json:
-        targets.append("eigen.json")
-    if config.emit_pgm:
-        targets.append("eigen_u.pgm")
-    if config.emit_matrix:
-        targets.append("matrix.rfrm")
-    out = _prepare_out_dir(config, targets)
-    form = assemble(mask, config.sigma,
-                    table=build_near_table(config.dim, config.sigma))
+    _prepare_out_dir(config)
+    form = assemble(mask, config.sigma)
     result = smallest_eigenpair(form, tol=config.tol, seed=config.seed)
     payload = _canonical_json({"iterations": result.iterations,
                                "lambda": result.eigenvalue,
                                "min_entry": result.min_entry,
                                "residual": result.residual})
     if not result.converged:
-        partial = out / "eigen.json.partial"
-        partial.write_text(payload)
-        print(f"error: eigen solver did not converge (residual "
-              f"{result.residual:.3e} after {result.iterations} "
-              f"iterations); partial result at {partial}", file=sys.stderr)
-        return 3
-    if config.emit_json:
-        _atomic_write(out / "eigen.json", payload)
+        return _Outcome((payload,), unconverged=result)
+    contents = [payload]
     if config.emit_pgm:
-        _atomic_write(out / "eigen_u.pgm",
-                      _pgm_text(_node_field(mask, result.vector)))
+        contents.append(_pgm_text(_node_field(mask, result.vector)))
     if config.emit_matrix:
-        tmp = out / "matrix.rfrm.partial"
-        form.dump_matrix(tmp)
-        os.replace(tmp, out / "matrix.rfrm")
-    print(f"lambda={result.eigenvalue!r} residual={result.residual:.3e} "
-          f"iterations={result.iterations}")
-    return 0
+        contents.append(form.dump_matrix)
+    return _Outcome(tuple(contents),
+                    f"lambda={result.eigenvalue!r} "
+                    f"residual={result.residual:.3e} "
+                    f"iterations={result.iterations}")
 
 
-def _run_hardy(config: RunConfig) -> int:
-    grid = _grid(config)
-    mask = _init_mask(config, grid)
-    targets = []
-    if config.emit_json:
-        targets.append("hardy.json")
-    if config.emit_csv:
-        targets.append("hardy.csv")
-    out = _prepare_out_dir(config, targets)
-    form = assemble(mask, config.sigma,
-                    table=build_near_table(config.dim, config.sigma))
+def _run_hardy(config: RunConfig) -> _Outcome:
+    mask = _init_mask(config, _grid(config))
+    _prepare_out_dir(config)
+    form = assemble(mask, config.sigma)
     corpus = [(label, u) for label, u
               in standard_test_functions(form, seed=config.seed)
               if np.any(u != 0.0)]
@@ -371,137 +415,69 @@ def _run_hardy(config: RunConfig) -> int:
     rules = direction_set(config.dim, config.dirs)
     reports = [hardy_check(form, u, rules, label=label)
                for label, u in corpus]
-    payload = [{"constant": r.constant, "dim": r.dim, "label": r.label,
-                "lhs": r.lhs, "margin": r.margin, "ratio": r.ratio,
-                "rhs": r.rhs, "sigma": r.sigma} for r in reports]
-    if config.emit_json:
-        _atomic_write(out / "hardy.json", _canonical_json(payload))
-    if config.emit_csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["label", "dim", "sigma", "constant", "lhs", "rhs",
-                         "ratio", "margin"])
-        for r in reports:
-            writer.writerow([r.label, r.dim, r.sigma, r.constant, r.lhs,
-                             r.rhs, r.ratio, r.margin])
-        _atomic_write(out / "hardy.csv", buf.getvalue())
+    header = ["label", "dim", "sigma", "constant", "lhs", "rhs", "ratio",
+              "margin"]
+    rows = [[getattr(r, key) for key in header] for r in reports]
     worst = min(r.ratio for r in reports)
-    print(f"hardy: {len(reports)} test functions, smallest ratio {worst!r}")
-    return 0
+    return _Outcome((_canonical_json([dict(zip(header, row))
+                                      for row in rows]),
+                     _csv_text(header, rows)),
+                    f"hardy: {len(reports)} test functions, "
+                    f"smallest ratio {worst!r}")
 
 
-def _run_rearrange(config: RunConfig) -> int:
+def _run_rearrange(config: RunConfig) -> _Outcome:
     grid = _grid(config)
-    targets = []
-    if config.emit_json:
-        targets.append("rearrange.json")
-    if config.emit_pgm:
-        targets.extend(["rearrange_u.pgm", "rearrange_star.pgm"])
-    out = _prepare_out_dir(config, targets)
+    _prepare_out_dir(config)
     report = regional_violation_search(config.sigma, grid,
                                        trials=config.trials,
-                                       seed=config.seed,
-                                       table=build_near_table(config.dim,
-                                                              config.sigma))
-    if config.emit_json:
-        _atomic_write(out / "rearrange.json",
-                      _canonical_json(dataclasses.asdict(report)))
+                                       seed=config.seed)
+    contents = [_canonical_json(dataclasses.asdict(report))]
     if config.emit_pgm:
         mask, radius = search_domain(grid)
         trial = int(re.search(r"trial=(\d+)", report.descriptor).group(1))
         u, _ = trial_field(mask, radius, config.seed, trial)
         star = symmetric_decreasing_rearrangement(u, mask)
-        _atomic_write(out / "rearrange_u.pgm",
-                      _pgm_text(_node_field(mask, u)))
-        _atomic_write(out / "rearrange_star.pgm",
-                      _pgm_text(_node_field(mask, star)))
-    print(f"rearrange: best ratio {report.ratio!r} "
-          f"({'violation' if report.violation else 'no violation'})")
-    return 0
+        contents += [_pgm_text(_node_field(mask, u)),
+                     _pgm_text(_node_field(mask, star))]
+    return _Outcome(tuple(contents),
+                    f"rearrange: best ratio {report.ratio!r} "
+                    f"({'violation' if report.violation else 'no violation'})")
 
 
-def _optimize_state(config: RunConfig, grid: GridSpec, init: DomainMask,
-                    table) -> ShapeState:
-    common = dict(max_iter=config.max_iter, seed=config.seed, table=table,
-                  eigen_tol=config.tol)
-    if config.mode == "penalized":
-        return optimize_penalized(grid, config.sigma, config.penalty, init,
-                                  **common)
-    if config.mode == "convex":
-        if config.volume > 0.0:
-            cell_vol = grid.spacing ** grid.dim
-            init = resize_mask(grid, init,
-                               int(round(config.volume / cell_vol)))
-        start = convexify(init)
-        state = optimize_fixed_measure(grid, config.sigma, start.volume,
-                                       start, **common)
-        final = convexify(state.mask)
-        if state.eigen.converged and not final.same_cells(state.mask):
-            eig = smallest_eigenpair(assemble(final, config.sigma,
-                                              table=table),
-                                     tol=config.tol, seed=config.seed)
-            history = state.history + ((eig.eigenvalue, final.volume,
-                                        eig.eigenvalue + final.volume),)
-            state = ShapeState(mask=final, eigen=eig, sigma=config.sigma,
-                               volume=final.volume,
-                               energy_penalized=eig.eigenvalue + final.volume,
-                               iteration=state.iteration, history=history)
-        return state
-    target = config.volume if config.volume > 0.0 else init.volume
-    if abs(target - init.volume) > 1e-9 * target:
-        cell_vol = grid.spacing ** grid.dim
-        init = resize_mask(grid, init, int(round(target / cell_vol)))
-    return optimize_fixed_measure(grid, config.sigma, target, init, **common)
-
-
-def _run_optimize(config: RunConfig) -> int:
+def _run_optimize(config: RunConfig) -> _Outcome:
     grid = _grid(config)
     init = _init_mask(config, grid)
-    emit_images = config.dim <= 2
-    targets = []
-    if config.emit_json:
-        targets.append("state.json")
-    if config.emit_csv:
-        targets.append("iterations.csv")
-    if emit_images:
-        targets.extend(["mask.pgm", "eigen_u.pgm"])
-    out = _prepare_out_dir(config, targets)
-    state = _optimize_state(config, grid, init,
-                            build_near_table(config.dim, config.sigma))
-    payload = _canonical_json({
-        "converged": state.eigen.converged,
-        "energy": state.energy_penalized,
-        "iterations": state.iteration,
-        "lambda": state.eigen.eigenvalue,
-        "mode": config.mode,
-        "sigma": config.sigma,
-        "volume": state.volume,
-    })
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iter", "lambda", "volume", "energy", "accepted"])
-    for k, (lam, vol, energy) in enumerate(state.history):
-        writer.writerow([k, lam, vol, energy, 1])
+    _prepare_out_dir(config)
+    state = optimize(config.mode, grid, config.sigma, init,
+                     volume=config.volume, penalty=config.penalty,
+                     max_iter=config.max_iter, seed=config.seed,
+                     eigen_tol=config.tol)
+    records = (
+        _canonical_json({
+            "converged": state.eigen.converged,
+            "energy": state.energy_penalized,
+            "iterations": state.iteration,
+            "lambda": state.eigen.eigenvalue,
+            "mode": config.mode,
+            "sigma": config.sigma,
+            "volume": state.volume,
+        }),
+        _csv_text(["iter", "lambda", "volume", "energy", "accepted"],
+                  [[k, lam, vol, energy, 1] for k, (lam, vol, energy)
+                   in enumerate(state.history)]),
+    )
     if not state.eigen.converged:
-        (out / "state.json.partial").write_text(payload)
-        (out / "iterations.csv.partial").write_text(buf.getvalue())
-        print(f"error: eigen solver did not converge (residual "
-              f"{state.eigen.residual:.3e}); partial results at "
-              f"{out / 'state.json.partial'}", file=sys.stderr)
-        return 3
-    if config.emit_json:
-        _atomic_write(out / "state.json", payload)
-    if config.emit_csv:
-        _atomic_write(out / "iterations.csv", buf.getvalue())
-    if emit_images:
-        _atomic_write(out / "mask.pgm",
-                      _pgm_text(state.mask.active.astype(float)))
-        _atomic_write(out / "eigen_u.pgm",
-                      _pgm_text(_node_field(state.mask,
-                                            state.eigen.vector)))
-    print(f"optimize[{config.mode}]: lambda={state.eigen.eigenvalue!r} "
-          f"volume={state.volume!r} energy={state.energy_penalized!r}")
-    return 0
+        return _Outcome(records, unconverged=state.eigen)
+    images = ()
+    if config.dim <= 2:
+        images = (_pgm_text(state.mask.active.astype(float)),
+                  _pgm_text(_node_field(state.mask, state.eigen.vector)))
+    return _Outcome(records + images,
+                    f"optimize[{config.mode}]: "
+                    f"lambda={state.eigen.eigenvalue!r} "
+                    f"volume={state.volume!r} "
+                    f"energy={state.energy_penalized!r}")
 
 
 _SCALARS = (str, int, float, bool)
@@ -565,29 +541,21 @@ def run_report(directory: Path, force: bool = False) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for label, subcommand, data in rows:
-        writer.writerow([label, subcommand]
-                        + [_format_value(data[k]) if k in data else ""
-                           for k in keys])
-    _atomic_write(directory / "report.csv", buf.getvalue())
+    cells = [[label, subcommand] + [_format_value(data[k]) if k in data
+                                    else "" for k in keys]
+             for label, subcommand, data in rows]
+    _atomic_write(directory / "report.csv", _csv_text(header, cells))
     md = ["# regfrac report", "",
           "| " + " | ".join(header) + " |",
           "|" + "---|" * len(header)]
-    for label, subcommand, data in rows:
-        cells = [label, subcommand] + [
-            _format_value(data[k]) if k in data else "" for k in keys]
-        md.append("| " + " | ".join(cells) + " |")
+    md.extend("| " + " | ".join(row) + " |" for row in cells)
     if problems:
         md.extend(["", "## Missing or unreadable", ""])
         md.extend(f"- {p}" for p in problems)
     _atomic_write(directory / "report.md", "\n".join(md) + "\n")
     print(f"report: {len(rows)} runs -> {directory / 'report.csv'}")
-    if problems:
-        for p in problems:
-            print(f"note: {p}", file=sys.stderr)
+    for p in problems:
+        print(f"note: {p}", file=sys.stderr)
     return 0
 
 
@@ -604,42 +572,66 @@ def run(config: RunConfig) -> int:
     """Validate and execute one configured run; returns the exit code."""
     try:
         validate(config)
-        return _EXECUTORS[config.subcommand](config)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _write_outcome(config, _EXECUTORS[config.subcommand](config))
     except NearFieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _add_common(parser: argparse.ArgumentParser, *, geometry: bool) -> None:
-    parser.add_argument("--config", default=None, metavar="FILE",
-                        help="key=value config file (flags override)")
-    parser.add_argument("--n", dest="dim", type=int, default=None,
-                        help="spatial dimension (1, 2, or 3)")
-    parser.add_argument("--sigma", type=float, default=None,
-                        help="fractional order in (0, 1)")
-    parser.add_argument("--out-dir", dest="out_dir", default=None,
-                        help="directory for artifacts")
-    parser.add_argument("--force", dest="force", action="store_const",
-                        const=True, default=None,
-                        help="overwrite existing artifacts")
-    if geometry:
-        parser.add_argument("--grid", dest="resolution", type=int,
-                            default=None, help="cells per axis (>= 8)")
-        parser.add_argument("--extent", type=float, default=None,
-                            help="box side length (grid is centered)")
-        parser.add_argument("--radius", type=float, default=None,
-                            help="ball radius / square size parameter "
-                                 "(default 0.4 * extent)")
-        parser.add_argument("--seed", type=int, default=None)
-        parser.add_argument("--no-json", dest="emit_json",
-                            action="store_const", const=False, default=None,
-                            help="skip the JSON artifact")
+_HELP = {
+    "constants": "print the Hardy and pseudo-distance constants",
+    "eigen": "ground eigenpair on a shaped domain",
+    "hardy": "Hardy-quotient suite over the standard corpus",
+    "rearrange": "rearrangement violation search on a ball",
+    "optimize": "eigenvalue descent over cell masks",
+}
+_ALL = tuple(_HELP)
+_SHAPED = ("eigen", "hardy", "optimize")
+_SWITCH = dict(action="store_const", const=True)
+# each flag once: its option strings, the subcommands that read it, and
+# its argparse keywords (every default is None: resolve_config takes
+# only the flags given)
+_FLAGS = (
+    ("--config", _ALL,
+     dict(metavar="FILE", help="key=value config file (flags override)")),
+    ("--n", _ALL,
+     dict(dest="dim", type=int, help="spatial dimension (1, 2, or 3)")),
+    ("--sigma", _ALL, dict(type=float, help="fractional order in (0, 1)")),
+    ("--p", ["constants"],
+     dict(type=float, help="integrability exponent (default 2)")),
+    ("--out-dir", _ALL, dict(help="directory for artifacts")),
+    ("--force", _ALL, dict(_SWITCH, help="overwrite existing artifacts")),
+    ("--grid", _GRIDDED,
+     dict(dest="resolution", type=int, help="cells per axis (>= 8)")),
+    ("--extent", _GRIDDED,
+     dict(type=float, help="box side length (grid is centered)")),
+    ("--seed", _GRIDDED, dict(type=int)),
+    ("--radius", _SHAPED,
+     dict(type=float, help="ball radius or square size (0.4 * extent)")),
+    ("--shape --init", _SHAPED, dict(choices=("ball", "square", "file"))),
+    ("--shape-file", _SHAPED,
+     dict(metavar="PBM", help="P1 bitmap when --shape file")),
+    ("--tol", ["eigen", "optimize"],
+     dict(type=float, help="eigen residual tolerance")),
+    ("--pgm", ["eigen", "rearrange"],
+     dict(_SWITCH, dest="emit_pgm", help="write P2 images: the "
+          "eigenfunction, or the best trial and its rearrangement")),
+    ("--matrix", ["eigen"],
+     dict(_SWITCH, dest="emit_matrix", help="binary dump of the matrix")),
+    ("--dirs", ["hardy"],
+     dict(type=int, help="direction count of the pseudo-distance rule")),
+    ("--trials", ["rearrange"],
+     dict(type=int, help="number of random trials (trial 0 is radial)")),
+    ("--mode", ["optimize"], dict(choices=("fixed", "penalized", "convex"))),
+    ("--volume", ["optimize"],
+     dict(type=float, help="target volume (fixed, convex; default: init)")),
+    ("--penalty", ["optimize"],
+     dict(type=float, help="volume penalty (penalized mode)")),
+    ("--max-iter", ["optimize"], dict(type=int)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -648,69 +640,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regional fractional eigenvalue experiments with "
                     "reproducible file artifacts.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_const = subs.add_parser(
-        "constants", help="print the Hardy and pseudo-distance constants")
-    _add_common(p_const, geometry=False)
-    p_const.add_argument("--p", type=float, default=None,
-                         help="integrability exponent (default 2)")
-
-    p_eigen = subs.add_parser(
-        "eigen", help="ground eigenpair on a shaped domain")
-    _add_common(p_eigen, geometry=True)
-    p_eigen.add_argument("--shape", "--init", dest="shape", default=None,
-                         choices=("ball", "square", "file"))
-    p_eigen.add_argument("--shape-file", dest="shape_file", default=None,
-                         metavar="PBM", help="P1 bitmap when --shape file")
-    p_eigen.add_argument("--tol", type=float, default=None,
-                         help="eigen residual tolerance")
-    p_eigen.add_argument("--pgm", dest="emit_pgm", action="store_const",
-                         const=True, default=None,
-                         help="write the eigenfunction as a P2 image")
-    p_eigen.add_argument("--matrix", dest="emit_matrix",
-                         action="store_const", const=True, default=None,
-                         help="binary dump of the assembled matrix")
-
-    p_hardy = subs.add_parser(
-        "hardy", help="Hardy-quotient suite over the standard corpus")
-    _add_common(p_hardy, geometry=True)
-    p_hardy.add_argument("--shape", "--init", dest="shape", default=None,
-                         choices=("ball", "square", "file"))
-    p_hardy.add_argument("--shape-file", dest="shape_file", default=None,
-                         metavar="PBM")
-    p_hardy.add_argument("--dirs", type=int, default=None,
-                         help="direction count of the pseudo-distance sphere rule")
-    p_hardy.add_argument("--no-csv", dest="emit_csv", action="store_const",
-                         const=False, default=None)
-
-    p_re = subs.add_parser(
-        "rearrange", help="rearrangement violation search on a ball")
-    _add_common(p_re, geometry=True)
-    p_re.add_argument("--trials", type=int, default=None,
-                      help="number of random trials (trial 0 is radial)")
-    p_re.add_argument("--pgm", dest="emit_pgm", action="store_const",
-                      const=True, default=None,
-                      help="write the best trial and its rearrangement")
-
-    p_opt = subs.add_parser(
-        "optimize", help="eigenvalue descent over cell masks")
-    _add_common(p_opt, geometry=True)
-    p_opt.add_argument("--mode", default=None,
-                       choices=("fixed", "penalized", "convex"))
-    p_opt.add_argument("--init", "--shape", dest="shape", default=None,
-                       choices=("ball", "square", "file"))
-    p_opt.add_argument("--shape-file", dest="shape_file", default=None,
-                       metavar="PBM")
-    p_opt.add_argument("--volume", type=float, default=None,
-                       help="target volume (fixed mode; default: init)")
-    p_opt.add_argument("--penalty", type=float, default=None,
-                       help="volume penalty (penalized mode)")
-    p_opt.add_argument("--max-iter", dest="max_iter", type=int,
-                       default=None)
-    p_opt.add_argument("--tol", type=float, default=None)
-    p_opt.add_argument("--no-csv", dest="emit_csv", action="store_const",
-                       const=False, default=None)
-
+    runs = {name: subs.add_parser(name, help=text)
+            for name, text in _HELP.items()}
+    for options, readers, keywords in _FLAGS:
+        for name in readers:
+            runs[name].add_argument(*options.split(), default=None,
+                                    **keywords)
     p_rep = subs.add_parser(
         "report", help="merge finished runs into CSV + markdown")
     p_rep.add_argument("directory", help="directory holding run folders")

@@ -155,8 +155,8 @@ def equivalence_check(form: RegionalForm, u: np.ndarray) -> EquivalenceReport:
     composed = 1.0 + (exit_scale_prefactor(dim, 2.0 * sigma)
                       / (sigma * hardy_constant(dim, 2.0, sigma).value))
     slack = 1.1
-    full = form.full_energy(u)
     regional = form.energy(u)
+    full = regional + form.zero_order(u)
     ratio = full / regional if regional > 0.0 else 0.0
     return EquivalenceReport(full=full, regional=regional,
                              composed_bound=composed, slack=slack,

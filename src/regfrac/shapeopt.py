@@ -1,7 +1,8 @@
 """Eigenvalue shape optimization under measure constraints.
 
 Two descent drivers (fixed measure and volume-penalized), a convex-hull
-projection of a cell mask, the connected-component reduction that keeps
+projection of a cell mask, ``optimize``, which runs one of the fixed,
+penalized and convex modes, the connected-component reduction that keeps
 only the energetically best piece of a disconnected candidate, and
 growth diagnostics for the optimizer's eigenfunctions.  Support updates
 threshold the squared eigenfunction: the top cells by vertex-mean of
@@ -257,6 +258,48 @@ def optimize_penalized(grid: GridSpec, sigma: float, c_penalty: float,
     history = tuple((lam, vol, lam + c_penalty * vol)
                     for lam, vol, _ in best.history)
     return replace(best, energy_penalized=best_objective, history=history)
+
+
+def optimize(mode: str, grid: GridSpec, sigma: float, init: DomainMask, *,
+             volume: float = 0.0, penalty: float = 1.0, max_iter: int = 20,
+             seed: int = 0, eigen_tol: float = 1e-8) -> ShapeState:
+    """Run one optimizer mode from ``init``.
+
+    ``fixed`` descends at ``volume`` (0: the volume of ``init``, which
+    is resized to it first); ``penalized`` runs ``optimize_penalized``
+    with ``penalty`` and takes no volume; ``convex`` resizes ``init`` to
+    a positive ``volume``, projects it onto a convex mask, descends at
+    that mask's volume and projects the result again, re-solving when
+    the projection moved a cell.
+    """
+    common = dict(max_iter=max_iter, seed=seed, eigen_tol=eigen_tol)
+    cell_vol = grid.spacing ** grid.dim
+    if mode == "penalized":
+        if volume > 0.0:
+            raise ValueError("volume does not apply to penalized mode, "
+                             f"got {volume}")
+        return optimize_penalized(grid, sigma, penalty, init, **common)
+    if mode == "convex":
+        if volume > 0.0:
+            init = resize_mask(grid, init, int(round(volume / cell_vol)))
+        start = convexify(init)
+        state = optimize_fixed_measure(grid, sigma, start.volume, start,
+                                       **common)
+        final = convexify(state.mask)
+        if state.eigen.converged and not final.same_cells(state.mask):
+            eig = smallest_eigenpair(assemble(final, sigma), tol=eigen_tol,
+                                     seed=seed)
+            history = list(state.history) + [
+                (eig.eigenvalue, final.volume, eig.eigenvalue + final.volume)]
+            state = _make_state(final, eig, sigma, state.iteration, history)
+        return state
+    if mode != "fixed":
+        raise ValueError(
+            f"mode must be fixed, penalized, or convex, got '{mode}'")
+    target = volume if volume > 0.0 else init.volume
+    if abs(target - init.volume) > 1e-9 * target:
+        init = resize_mask(grid, init, int(round(target / cell_vol)))
+    return optimize_fixed_measure(grid, sigma, target, init, **common)
 
 
 def _hull_rank(query: np.ndarray, pts: np.ndarray,

@@ -204,11 +204,12 @@ def test_matrix_dump_too_large_rejected_before_assembly(monkeypatch, tmp_path,
 
 def test_legacy_table_cache_key_replays(cli_env, eigen_run, tmp_path):
     # echoes written by older versions carry retired keys (the table
-    # cache, the eigensolver's restart cap); they are accepted, ignored,
-    # and not echoed again
+    # cache, the eigensolver's restart cap, the switches of the JSON and
+    # CSV outputs); they are accepted, ignored, and not echoed again
     legacy = tmp_path / "legacy.echo"
     legacy.write_text((eigen_run / "config.echo").read_text()
-                      + "table_cache=/x\neigen_max_iter=600\n")
+                      + "table_cache=/x\neigen_max_iter=600\n"
+                      + "emit_json=true\nemit_csv=true\n")
     out = tmp_path / "replay"
     proc = run_cli(["eigen", "--config", legacy, "--out-dir", out], cli_env)
     assert proc.returncode == 0, proc.stderr
@@ -216,8 +217,8 @@ def test_legacy_table_cache_key_replays(cli_env, eigen_run, tmp_path):
         (eigen_run / "eigen.json").read_bytes()
     keys = [line.split("=", 1)[0]
             for line in (out / "config.echo").read_text().splitlines()]
-    assert "table_cache" not in keys
-    assert "eigen_max_iter" not in keys
+    for key in ("table_cache", "eigen_max_iter", "emit_json", "emit_csv"):
+        assert key not in keys
 
 
 def test_eigen_three_dimensional(cli_env, tmp_path):
@@ -412,17 +413,70 @@ def test_optimize_modes_and_volume_flag(cli_env, tmp_path):
 
 def test_optimize_requires_sigma_above_one_half(cli_env, tmp_path):
     # the infimum over domains is 0 for sigma <= 1/2, so optimize refuses
-    # it before any work; eigen and rearrange still take all of (0, 1)
-    args = ["optimize", "--mode", "fixed", "--n", 1, "--grid", 24,
-            "--max-iter", 1]
-    low = run_cli(args + ["--sigma", 0.5, "--out-dir", tmp_path / "lo"],
-                  cli_env)
-    assert low.returncode == 2
-    assert "sigma" in low.stderr and "1/2" in low.stderr
-    assert not (tmp_path / "lo").exists()
-    above = run_cli(args + ["--sigma", 0.5000001,
-                            "--out-dir", tmp_path / "hi"], cli_env)
-    assert above.returncode == 0, above.stderr
+    # it before any work, and so does hardy, whose sharp constant needs
+    # sigma > 1/2; eigen and rearrange still take all of (0, 1)
+    for args in (["optimize", "--mode", "fixed", "--n", 1, "--grid", 24,
+                  "--max-iter", 1],
+                 ["hardy", "--n", 1, "--grid", 24, "--dirs", 8]):
+        low = run_cli(args + ["--sigma", 0.5,
+                              "--out-dir", tmp_path / "lo"], cli_env)
+        assert low.returncode == 2
+        assert "sigma" in low.stderr and "1/2" in low.stderr
+        assert args[0] in low.stderr
+        assert not (tmp_path / "lo").exists()
+        above = run_cli(args + ["--sigma", 0.5000001,
+                                "--out-dir", tmp_path / args[0]], cli_env)
+        assert above.returncode == 0, above.stderr
+
+
+def test_penalized_rejects_volume(tmp_path, capsys):
+    # penalized mode chooses its own volume; a volume flag would be
+    # echoed but not used
+    out = tmp_path / "pv"
+    code = cli.main(["optimize", "--mode", "penalized", "--n", "1",
+                     "--sigma", "0.75", "--grid", "24", "--volume", "0.5",
+                     "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "volume" in err and "penalized" in err
+    assert not out.exists()
+
+
+def test_rearrange_rejects_radius(tmp_path, capsys):
+    # the search domain is always the ball of radius 0.4 * extent
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rearrange", "--n", "1", "--sigma", "0.25", "--grid", "24",
+                  "--radius", "0.3", "--out-dir", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "--radius" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--n", "2", "--sigma", "0.75"],
+    ["eigen", "--n", "1", "--sigma", "0.25", "--grid", "16", "--pgm",
+     "--matrix"],
+    ["hardy", "--n", "1", "--sigma", "0.75", "--grid", "24", "--dirs", "8"],
+    ["rearrange", "--n", "1", "--sigma", "0.25", "--grid", "16", "--trials",
+     "3", "--pgm"],
+    ["optimize", "--mode", "convex", "--n", "1", "--sigma", "0.75", "--grid",
+     "16", "--max-iter", "1"],
+], ids=lambda argv: argv[0])
+def test_run_writes_its_targets_and_refuses_overwrite(argv, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = argv + ["--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    args = cli.build_parser().parse_args(argv)
+    targets = cli._targets(cli.resolve_config(args.subcommand, args))
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(written) == sorted(["config.echo"] + targets)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--force" in err
+    for name in written:
+        assert str(out / name) in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 # ---------------------------------------------------------------- report

@@ -22,8 +22,9 @@ import regfrac.shapeopt
 from regfrac.gagliardo import assemble
 from regfrac.geometry import Ball, Box, DomainMask, GridSpec, make_mask
 from regfrac.shapeopt import (ShapeState, component_reduction, convexify,
-                              growth_diagnostics, optimize_fixed_measure,
-                              optimize_penalized, resize_mask)
+                              growth_diagnostics, optimize,
+                              optimize_fixed_measure, optimize_penalized,
+                              resize_mask)
 from regfrac.spectral import EigenResult, rayleigh_quotient, smallest_eigenpair
 
 SIGMA = 0.75
@@ -540,3 +541,34 @@ class TestGrowthDiagnostics:
                              second_estimate=None)
         with pytest.raises(ValueError, match="converged eigen state"):
             growth_diagnostics(_state_from(growth_state.mask, broken))
+
+
+def test_optimize_convex_mode_projects_and_resolves(table2):
+    # on this 12^2 ball the descent leaves a non-convex mask, so convex
+    # mode projects it once more and re-solves on the projection
+    grid = GridSpec(cells=(12, 12), spacing=2.0 / 12, origin=(-1.0, -1.0))
+    init = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.6))
+    start = convexify(init)
+    descent = _quiet_optimize(grid, SIGMA, start.volume, start, max_iter=4,
+                              table=table2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*negativity.*")
+        state = optimize("convex", grid, SIGMA, init, max_iter=4)
+    assert not state.mask.same_cells(descent.mask)
+    assert convexify(state.mask).same_cells(state.mask)
+    lam = smallest_eigenpair(assemble(state.mask, SIGMA,
+                                      table=table2)).eigenvalue
+    assert state.eigen.eigenvalue == lam
+    assert state.energy_penalized == lam + state.volume
+    assert state.iteration == descent.iteration
+    assert state.history == descent.history + (
+        (lam, state.volume, lam + state.volume),)
+
+
+def test_optimize_rejects_volume_in_penalized_and_unknown_modes():
+    grid = GridSpec(cells=(16,), spacing=2.0 / 16, origin=(-1.0,))
+    init = make_mask(grid, Ball(center=(0.0,), radius=0.8))
+    with pytest.raises(ValueError, match="volume"):
+        optimize("penalized", grid, SIGMA, init, volume=0.5)
+    with pytest.raises(ValueError, match="mode"):
+        optimize("annealed", grid, SIGMA, init)
