@@ -34,10 +34,10 @@ import numpy as np
 from .gagliardo import NearFieldError, assemble
 from .geometry import (Ball, Bitmap, Box, DomainMask, GridSpec,
                        direction_set, make_mask)
-from .hardy import hardy_check, standard_test_functions
+from .hardy import deep_interior, hardy_check, standard_test_functions
 from .rearrange import (regional_violation_search, search_domain,
                         symmetric_decreasing_rearrangement, trial_field)
-from .shapeopt import optimize
+from .shapeopt import cell_count, optimize
 from .special import exit_scale_prefactor, hardy_constant, sphere_area
 from .spectral import EigenResult, smallest_eigenpair
 
@@ -167,7 +167,7 @@ _ABOVE_ONE_HALF = {
 
 
 def validate(config: RunConfig) -> None:
-    """Field-precise validation; raises CliError (exit code 2)."""
+    """Field-precise validation; raises CliError or ValueError (exit 2)."""
     c = config
     if c.dim not in (1, 2, 3):
         raise CliError(f"n must be 1, 2, or 3, got {c.dim}")
@@ -201,11 +201,13 @@ def validate(config: RunConfig) -> None:
     penalized = c.subcommand == "optimize" and c.mode == "penalized"
     if penalized and not c.penalty > 0.0:
         raise CliError(f"penalty must be positive, got {c.penalty}")
-    if c.volume < 0.0:
+    if not c.volume >= 0.0:
         raise CliError(f"volume must be nonnegative, got {c.volume}")
     if penalized and c.volume > 0.0:
         raise CliError(f"volume applies to fixed and convex modes only, "
                        f"got {c.volume} in penalized mode")
+    if c.subcommand == "optimize" and c.volume > 0.0:
+        cell_count(_grid(c), c.volume)
     if not c.tol > 0.0:
         raise CliError(f"tol must be positive, got {c.tol}")
     if c.max_iter < 1:
@@ -404,14 +406,15 @@ def _run_eigen(config: RunConfig) -> _Outcome:
 
 def _run_hardy(config: RunConfig) -> _Outcome:
     mask = _init_mask(config, _grid(config))
+    # the sine-product member is nonzero on every deep-interior node
+    if not deep_interior(mask).any():
+        raise CliError("mask too small for the hardy corpus "
+                       "(no deep-interior support)")
     _prepare_out_dir(config)
     form = assemble(mask, config.sigma)
     corpus = [(label, u) for label, u
               in standard_test_functions(form, seed=config.seed)
               if np.any(u != 0.0)]
-    if not corpus:
-        raise CliError("mask too small for the hardy corpus "
-                       "(no deep-interior support)")
     rules = direction_set(config.dim, config.dirs)
     reports = [hardy_check(form, u, rules, label=label)
                for label, u in corpus]
@@ -446,11 +449,10 @@ def _run_rearrange(config: RunConfig) -> _Outcome:
 
 
 def _run_optimize(config: RunConfig) -> _Outcome:
-    grid = _grid(config)
-    init = _init_mask(config, grid)
+    init = _init_mask(config, _grid(config))
     _prepare_out_dir(config)
-    state = optimize(config.mode, grid, config.sigma, init,
-                     volume=config.volume, penalty=config.penalty,
+    state = optimize(config.mode, init, config.sigma,
+                     volume=config.volume or None, penalty=config.penalty,
                      max_iter=config.max_iter, seed=config.seed,
                      eigen_tol=config.tol)
     records = (

@@ -7,11 +7,13 @@ only the energetically best piece of a disconnected candidate, and
 growth diagnostics for the optimizer's eigenfunctions.  Support updates
 threshold the squared eigenfunction: the top cells by vertex-mean of
 u^2 form the next candidate, accepted only on strict energy decrease,
-so the best-seen energy sequence is non-increasing by construction.
+so a descent's history strictly decreases; convex mode then appends the
+re-solved convex projection of the best mask, which may be higher.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,8 +32,8 @@ class ShapeState:
     ``energy_penalized`` is eigenvalue + c * volume exactly, with c the
     penalty of ``optimize_penalized`` and 1 in the other drivers;
     ``history`` holds one (eigenvalue, volume, energy) triple per
-    accepted iterate with the same energy, non-increasing in the energy
-    column.
+    accepted iterate, strictly decreasing in energy except for the last
+    row of convex mode, its re-solved projection, which may be higher.
     """
 
     mask: DomainMask
@@ -134,11 +136,10 @@ def _swap_candidates(grid: GridSpec, score: np.ndarray, base: DomainMask,
         yield DomainMask(grid, new.reshape(grid.cells))
 
 
-def optimize_fixed_measure(grid: GridSpec, sigma: float, target_volume: float,
-                           init: DomainMask, max_iter: int = 20, seed: int = 0,
-                           *, table: NearTable | None = None,
+def optimize_fixed_measure(init: DomainMask, sigma: float, max_iter: int = 20,
+                           seed: int = 0, *, table: NearTable | None = None,
                            eigen_tol: float = 1e-8) -> ShapeState:
-    """Descend the principal eigenvalue at fixed support measure.
+    """Descend the principal eigenvalue at the cell count of ``init``.
 
     Candidates keep the top cells by eigenfunction score; a candidate is
     accepted only if its eigenvalue beats the best seen by more than
@@ -148,15 +149,7 @@ def optimize_fixed_measure(grid: GridSpec, sigma: float, target_volume: float,
     non-converged eigensolve aborts the run, returning the best state
     with its partial history.
     """
-    cell_vol = grid.spacing ** grid.dim
-    count = target_volume / cell_vol
-    count_int = int(round(count))
-    if count_int < 1 or abs(count - count_int) > 1e-9 * max(1.0, count):
-        raise ValueError(
-            "target volume must be a positive multiple of the cell volume")
-    if abs(init.volume - target_volume) > 1e-9 * target_volume:
-        raise ValueError(f"initial mask volume {init.volume:.6g} does not "
-                         f"match the target {target_volume:.6g}")
+    grid = init.grid
     if table is None:
         table = build_near_table(grid.dim, sigma)
 
@@ -176,7 +169,7 @@ def optimize_fixed_measure(grid: GridSpec, sigma: float, target_volume: float,
     current_mask, current_eigen = init, eigen
     for iteration in range(1, max_iter + 1):
         score = _cell_scores(current_mask, current_eigen.vector)
-        threshold = _top_cells(grid, score, count_int)
+        threshold = _top_cells(grid, score, init.cell_count)
         candidates = itertools.chain(
             [] if threshold.same_cells(current_mask) else [threshold],
             _swap_candidates(grid, score, current_mask, limit=5))
@@ -199,14 +192,29 @@ def optimize_fixed_measure(grid: GridSpec, sigma: float, target_volume: float,
     return best
 
 
-def resize_mask(grid: GridSpec, init: DomainMask,
-                 count: int) -> DomainMask:
+def cell_count(grid: GridSpec, volume: float) -> int:
+    """The number of cells of ``grid`` that make up ``volume``: a whole
+    number (to 1e-9 relative) between 1 and the grid's cell count."""
+    count = volume / grid.spacing ** grid.dim
+    total = math.prod(grid.cells)
+    whole = round(count) if math.isfinite(count) else 0
+    if not 1 <= whole <= total or abs(count - whole) > 1e-9 * max(1.0, count):
+        raise ValueError(f"volume must be a whole number of cells, 1 to "
+                         f"{total}, got {volume!r} ({count:.6g} cells)")
+    return whole
+
+
+def resize_mask(mask: DomainMask, count: int) -> DomainMask:
     """Deterministically grow or shrink a mask to a cell count, keeping
     cells nearest the support centroid (ties by raster order)."""
-    act = init.active.ravel()
+    grid = mask.grid
+    if not 1 <= count <= math.prod(grid.cells):
+        raise ValueError(f"cell count must be 1 to {math.prod(grid.cells)}, "
+                         f"got {count}")
+    act = mask.active.ravel()
     have = int(act.sum())
     if count == have:
-        return init
+        return mask
     centers = grid.cell_centers().reshape(-1, grid.dim)
     centroid = centers[act].mean(axis=0)
     d2 = np.sum((centers - centroid) ** 2, axis=1)
@@ -223,9 +231,9 @@ def resize_mask(grid: GridSpec, init: DomainMask,
     return DomainMask(grid, new.reshape(grid.cells))
 
 
-def optimize_penalized(grid: GridSpec, sigma: float, c_penalty: float,
-                       init: DomainMask, max_iter: int = 10, seed: int = 0,
-                       *, table: NearTable | None = None,
+def optimize_penalized(init: DomainMask, sigma: float, c_penalty: float,
+                       max_iter: int = 10, seed: int = 0, *,
+                       table: NearTable | None = None,
                        eigen_tol: float = 1e-8) -> ShapeState:
     """Minimize eigenvalue + c_penalty * volume over a volume ladder.
 
@@ -237,20 +245,14 @@ def optimize_penalized(grid: GridSpec, sigma: float, c_penalty: float,
     if not c_penalty > 0.0:
         raise ValueError(f"penalty must be positive, got {c_penalty}")
     if table is None:
-        table = build_near_table(grid.dim, sigma)
-    cell_vol = grid.spacing ** grid.dim
-    base = int(round(init.volume / cell_vol))
-    counts = []
-    for factor in np.geomspace(0.8, 1.2, 9):
-        k = max(1, int(round(factor * base)))
-        if k not in counts:
-            counts.append(k)
+        table = build_near_table(init.grid.dim, sigma)
+    counts = dict.fromkeys(max(1, int(round(f * init.cell_count)))
+                           for f in np.geomspace(0.8, 1.2, 9))
     best = None
     best_objective = np.inf
     for k in counts:
-        start = resize_mask(grid, init, k)
         state = optimize_fixed_measure(
-            grid, sigma, k * cell_vol, start, max_iter=max_iter, seed=seed,
+            resize_mask(init, k), sigma, max_iter=max_iter, seed=seed,
             table=table, eigen_tol=eigen_tol)
         objective = state.eigen.eigenvalue + c_penalty * state.volume
         if objective < best_objective:
@@ -260,46 +262,42 @@ def optimize_penalized(grid: GridSpec, sigma: float, c_penalty: float,
     return replace(best, energy_penalized=best_objective, history=history)
 
 
-def optimize(mode: str, grid: GridSpec, sigma: float, init: DomainMask, *,
-             volume: float = 0.0, penalty: float = 1.0, max_iter: int = 20,
-             seed: int = 0, eigen_tol: float = 1e-8) -> ShapeState:
+def optimize(mode: str, init: DomainMask, sigma: float, *,
+             volume: float | None = None, penalty: float = 1.0,
+             max_iter: int = 20, seed: int = 0,
+             eigen_tol: float = 1e-8) -> ShapeState:
     """Run one optimizer mode from ``init``.
 
-    ``fixed`` descends at ``volume`` (0: the volume of ``init``, which
-    is resized to it first); ``penalized`` runs ``optimize_penalized``
-    with ``penalty`` and takes no volume; ``convex`` resizes ``init`` to
-    a positive ``volume``, projects it onto a convex mask, descends at
-    that mask's volume and projects the result again, re-solving when
-    the projection moved a cell.
+    ``fixed`` and ``convex`` first resize ``init`` to the cell count of
+    ``volume`` (``cell_count``; None keeps ``init``).  ``fixed`` then
+    descends at that count; ``convex`` projects the mask onto a convex
+    one, descends and projects the result again, re-solving and
+    appending the projection as the last history row when it moved a
+    cell, even if its energy is higher.  ``penalized`` runs
+    ``optimize_penalized`` with ``penalty`` and takes no volume.
     """
     common = dict(max_iter=max_iter, seed=seed, eigen_tol=eigen_tol)
-    cell_vol = grid.spacing ** grid.dim
     if mode == "penalized":
-        if volume > 0.0:
+        if volume is not None:
             raise ValueError("volume does not apply to penalized mode, "
                              f"got {volume}")
-        return optimize_penalized(grid, sigma, penalty, init, **common)
-    if mode == "convex":
-        if volume > 0.0:
-            init = resize_mask(grid, init, int(round(volume / cell_vol)))
-        start = convexify(init)
-        state = optimize_fixed_measure(grid, sigma, start.volume, start,
-                                       **common)
-        final = convexify(state.mask)
-        if state.eigen.converged and not final.same_cells(state.mask):
-            eig = smallest_eigenpair(assemble(final, sigma), tol=eigen_tol,
-                                     seed=seed)
-            history = list(state.history) + [
-                (eig.eigenvalue, final.volume, eig.eigenvalue + final.volume)]
-            state = _make_state(final, eig, sigma, state.iteration, history)
-        return state
-    if mode != "fixed":
+        return optimize_penalized(init, sigma, penalty, **common)
+    if mode not in ("fixed", "convex"):
         raise ValueError(
             f"mode must be fixed, penalized, or convex, got '{mode}'")
-    target = volume if volume > 0.0 else init.volume
-    if abs(target - init.volume) > 1e-9 * target:
-        init = resize_mask(grid, init, int(round(target / cell_vol)))
-    return optimize_fixed_measure(grid, sigma, target, init, **common)
+    if volume is not None:
+        init = resize_mask(init, cell_count(init.grid, volume))
+    if mode == "fixed":
+        return optimize_fixed_measure(init, sigma, **common)
+    state = optimize_fixed_measure(convexify(init), sigma, **common)
+    final = convexify(state.mask)
+    if state.eigen.converged and not final.same_cells(state.mask):
+        eig = smallest_eigenpair(assemble(final, sigma), tol=eigen_tol,
+                                 seed=seed)
+        history = list(state.history) + [
+            (eig.eigenvalue, final.volume, eig.eigenvalue + final.volume)]
+        state = _make_state(final, eig, sigma, state.iteration, history)
+    return state
 
 
 def _hull_rank(query: np.ndarray, pts: np.ndarray,

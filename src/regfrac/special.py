@@ -144,9 +144,7 @@ def hardy_constant(n: int, p: float, sigma: float) -> HardyConstant:
         raise ValueError(
             "outside Loss-Sloane range: need 1/2 < sigma < min(1, p/2), "
             f"got sigma={sigma}, p={p}")
-    prefactor = (2.0 * math.pi ** ((n - 1) / 2.0)
-                 * gamma((1.0 + 2.0 * sigma) / 2.0)
-                 / gamma((n + 2.0 * sigma) / 2.0))
+    prefactor = exit_scale_prefactor(n, 2.0 * sigma)
     integral, err = _hardy_profile_integral(p, sigma)
     return HardyConstant(
         n=int(n), p=float(p), sigma=float(sigma),

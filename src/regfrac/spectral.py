@@ -1,7 +1,7 @@
 """Smallest eigenpair of the regional form under the lumped mass matrix.
 
-The mass matrix is diagonal (each node owns the fraction of its incident
-active cells), so the generalized problem A u = lambda M u reduces
+The lumped mass matrix is h^n I: every unknown is an interior node, all
+of whose 2^n incident cells are active, so A u = lambda M u reduces
 cleanly to a symmetric one.  The form is Cholesky-factored once and
 ARPACK's implicitly restarted Lanczos iteration (Lehoucq, Sorensen &
 Yang 1998) runs on the symmetrized inverse: spectral-transformation

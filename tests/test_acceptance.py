@@ -231,8 +231,8 @@ def test_criterion_07_optimizer_contracts(table2):
     ball = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.8))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        state = optimize_fixed_measure(grid, 0.75, ball.volume, ball,
-                                       max_iter=2, seed=0, table=table2)
+        state = optimize_fixed_measure(ball, 0.75, max_iter=2, seed=0,
+                                       table=table2)
     assert state.eigen.converged
     assert state.volume == ball.volume                      # exact volume
     assert state.mask.same_cells(ball)                      # fixed point

@@ -13,6 +13,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,17 @@ def test_hardy_reruns_byte_identical(cli_env, tmp_path):
     assert len(json.loads(first)) == 5
 
 
+def test_hardy_mask_too_small_rejected_before_writing(tmp_path, capsys):
+    # a radius-0.2 interval on 8 cells has no deep-interior node, so the
+    # corpus would be empty: refused before the out dir is made
+    out = tmp_path / "small"
+    code = cli.main(["hardy", "--n", "1", "--grid", "8", "--radius", "0.2",
+                     "--dirs", "8", "--out-dir", str(out)])
+    assert code == 2
+    assert "too small for the hardy corpus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- rearrange
 
 
@@ -440,6 +452,40 @@ def test_penalized_rejects_volume(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "volume" in err and "penalized" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["fixed", "convex"])
+@pytest.mark.parametrize("volume", ["0.55", "5", "nan"])
+def test_bad_volume_rejected_before_writing(mode, volume, tmp_path, capsys):
+    # 24 cells of width 1/12: 0.55 is 6.6 cells, 5 is more than the
+    # grid's volume of 2; both modes turn a volume into cells by one rule
+    out = tmp_path / "bad"
+    code = cli.main(["optimize", "--mode", mode, "--n", "1", "--sigma",
+                     "0.75", "--grid", "24", "--volume", volume,
+                     "--out-dir", str(out)])
+    assert code == 2
+    assert "volume" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convex_projection_row_may_be_worse(tmp_path, capsys):
+    # the re-solved convex projection of the best mask is appended as the
+    # last row even when its energy is higher, and state.json reports it
+    out = tmp_path / "cx"
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*negativity.*")
+        code = cli.main(["optimize", "--mode", "convex", "--n", "2",
+                         "--sigma", "0.75", "--grid", "12", "--radius",
+                         "0.6", "--max-iter", "4", "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = (out / "iterations.csv").read_text().splitlines()[1:]
+    energies = [float(row.split(",")[3]) for row in rows]
+    assert energies[-1] > energies[-2]
+    assert all(b < a for a, b in zip(energies[:-2], energies[1:-1]))
+    state = json.loads((out / "state.json").read_text())
+    _, lam, vol, energy, _ = rows[-1].split(",")
+    assert (state["lambda"], state["volume"], state["energy"]) == (
+        float(lam), float(vol), float(energy))
 
 
 def test_rearrange_rejects_radius(tmp_path, capsys):

@@ -21,8 +21,8 @@ from scipy.spatial import ConvexHull
 import regfrac.shapeopt
 from regfrac.gagliardo import assemble
 from regfrac.geometry import Ball, Box, DomainMask, GridSpec, make_mask
-from regfrac.shapeopt import (ShapeState, component_reduction, convexify,
-                              growth_diagnostics, optimize,
+from regfrac.shapeopt import (ShapeState, cell_count, component_reduction,
+                              convexify, growth_diagnostics, optimize,
                               optimize_fixed_measure, optimize_penalized,
                               resize_mask)
 from regfrac.spectral import EigenResult, rayleigh_quotient, smallest_eigenpair
@@ -42,8 +42,7 @@ def _quiet_optimize(*args, **kwargs):
 def ball33_run(table2):
     grid = GridSpec(cells=(33, 33), spacing=2.0 / 33, origin=(-1.0, -1.0))
     init = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.803))
-    state = _quiet_optimize(grid, SIGMA, init.volume, init, max_iter=2,
-                            seed=0, table=table2)
+    state = _quiet_optimize(init, SIGMA, max_iter=2, seed=0, table=table2)
     return init, state
 
 
@@ -54,11 +53,10 @@ def dueling48(table2):
     ball = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.5))
     count = int(ball.active.sum())
     side = 0.5 * math.sqrt(math.pi)
-    square = resize_mask(grid, make_mask(
+    square = resize_mask(make_mask(
         grid, Box(lo=(-side / 2, -side / 2), hi=(side / 2, side / 2))), count)
-    st_ball = _quiet_optimize(grid, SIGMA, ball.volume, ball, max_iter=3,
-                              seed=0, table=table2)
-    st_square = _quiet_optimize(grid, SIGMA, ball.volume, square, max_iter=3,
+    st_ball = _quiet_optimize(ball, SIGMA, max_iter=3, seed=0, table=table2)
+    st_square = _quiet_optimize(square, SIGMA, max_iter=3,
                                 seed=0, table=table2)
     return {"ball": (ball, st_ball), "square": (square, st_square)}
 
@@ -165,18 +163,16 @@ class TestFixedMeasure:
             assert state.history[-1][0] == state.eigen.eigenvalue
 
     def test_deterministic_rerun(self, small_ball, table2):
-        grid, mask = small_ball
-        first = _quiet_optimize(grid, SIGMA, mask.volume, mask, max_iter=1,
-                                seed=3, table=table2)
-        second = _quiet_optimize(grid, SIGMA, mask.volume, mask, max_iter=1,
-                                 seed=3, table=table2)
+        _, mask = small_ball
+        first = _quiet_optimize(mask, SIGMA, max_iter=1, seed=3, table=table2)
+        second = _quiet_optimize(mask, SIGMA, max_iter=1, seed=3, table=table2)
         assert first.mask.same_cells(second.mask)
         assert first.eigen.eigenvalue == second.eigen.eigenvalue
         assert first.history == second.history
 
     def test_unconverged_init_aborts(self, small_ball, table2):
-        grid, mask = small_ball
-        state = _quiet_optimize(grid, SIGMA, mask.volume, mask, max_iter=5,
+        _, mask = small_ball
+        state = _quiet_optimize(mask, SIGMA, max_iter=5,
                                 seed=0, table=table2, eigen_tol=1e-20)
         assert not state.eigen.converged
         assert state.history == ()
@@ -200,8 +196,7 @@ class TestFixedMeasure:
             return real(form, **kwargs)
 
         monkeypatch.setattr(regfrac.shapeopt, "smallest_eigenpair", counting)
-        state = _quiet_optimize(grid, SIGMA, init.volume, init, max_iter=3,
-                                seed=0, table=table2)
+        state = _quiet_optimize(init, SIGMA, max_iter=3, seed=0, table=table2)
         assert solved == [1]
         assert state.eigen.converged
         assert state.mask.same_cells(init)
@@ -209,7 +204,7 @@ class TestFixedMeasure:
 
     def test_solver_error_on_candidate_raises(self, small_ball, table2,
                                               monkeypatch):
-        grid, mask = small_ball
+        _, mask = small_ball
         real = regfrac.shapeopt.smallest_eigenpair
         calls = []
 
@@ -222,19 +217,23 @@ class TestFixedMeasure:
         monkeypatch.setattr(regfrac.shapeopt, "smallest_eigenpair",
                             failing_after_init)
         with pytest.raises(ValueError, match="positive definite"):
-            _quiet_optimize(grid, SIGMA, mask.volume, mask, max_iter=1,
-                            seed=0, table=table2)
+            _quiet_optimize(mask, SIGMA, max_iter=1, seed=0, table=table2)
         assert len(calls) == 2
 
-    def test_target_volume_validation(self, small_ball, table2):
+    def test_target_volume_validation(self, small_ball):
+        # one rule turns a volume into cells, for fixed and convex mode
+        # alike: a whole number of cells between 1 and the whole grid
         grid, mask = small_ball
-        with pytest.raises(ValueError,
-                           match="positive multiple of the cell volume"):
-            optimize_fixed_measure(grid, SIGMA, 0.305 * grid.spacing ** 2,
-                                   mask, table=table2)
-        with pytest.raises(ValueError, match="does not match the target"):
-            optimize_fixed_measure(grid, SIGMA, mask.volume + grid.spacing ** 2,
-                                   mask, table=table2)
+        cell = grid.spacing ** 2
+        assert cell_count(grid, mask.volume) == mask.cell_count
+        assert cell_count(grid, 400 * cell) == 400
+        for bad in (0.305 * cell, 0.0, 401 * cell, 6.6 * cell):
+            with pytest.raises(ValueError, match="volume must be a whole"):
+                cell_count(grid, bad)
+            for mode in ("fixed", "convex"):
+                with pytest.raises(ValueError,
+                                   match="volume must be a whole"):
+                    optimize(mode, mask, SIGMA, volume=bad)
 
     def test_state_is_frozen(self, ball33_run):
         _, state = ball33_run
@@ -244,30 +243,37 @@ class TestFixedMeasure:
 
 class TestResize:
     def test_exact_counts_and_nesting(self, small_ball):
-        grid, mask = small_ball
+        _, mask = small_ball
         have = int(mask.active.sum())
-        smaller = resize_mask(grid, mask, have - 4)
-        larger = resize_mask(grid, mask, have + 4)
+        smaller = resize_mask(mask, have - 4)
+        larger = resize_mask(mask, have + 4)
         assert int(smaller.active.sum()) == have - 4
         assert int(larger.active.sum()) == have + 4
         assert bool(np.all(~smaller.active | mask.active))
         assert bool(np.all(~mask.active | larger.active))
 
     def test_identity_and_determinism(self, small_ball):
-        grid, mask = small_ball
+        _, mask = small_ball
         have = int(mask.active.sum())
-        assert resize_mask(grid, mask, have) is mask
-        a = resize_mask(grid, mask, have - 7)
-        b = resize_mask(grid, mask, have - 7)
+        assert resize_mask(mask, have) is mask
+        a = resize_mask(mask, have - 7)
+        b = resize_mask(mask, have - 7)
         assert a.same_cells(b)
+
+    def test_counts_outside_the_grid_rejected(self, small_ball):
+        _, mask = small_ball
+        assert resize_mask(mask, 400).active.all()
+        for bad in (0, 401):
+            with pytest.raises(ValueError, match="cell count must be"):
+                resize_mask(mask, bad)
 
 
 class TestPenalized:
     def test_small_penalty_never_worse(self, small_ball, table2):
-        grid, mask = small_ball
+        _, mask = small_ball
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*negativity.*")
-            state = optimize_penalized(grid, SIGMA, 1.0, mask, max_iter=2,
+            state = optimize_penalized(mask, SIGMA, 1.0, max_iter=2,
                                        seed=0, table=table2)
         init_eig = smallest_eigenpair(assemble(mask, SIGMA, table=table2),
                                       tol=1e-8)
@@ -283,17 +289,17 @@ class TestPenalized:
         floor = max(1, int(round(0.8 * base)))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*negativity.*")
-            state = optimize_penalized(grid, SIGMA, 1e4, mask, max_iter=1,
+            state = optimize_penalized(mask, SIGMA, 1e4, max_iter=1,
                                        seed=0, table=table2)
         assert state.volume == floor * cell_vol
 
     def test_energy_uses_the_penalty(self, small_ball, table2):
         """At c = 2 the reported energy and every history energy are
         eigenvalue + 2 * volume, the objective the ladder minimized."""
-        grid, mask = small_ball
+        _, mask = small_ball
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*negativity.*")
-            state = optimize_penalized(grid, SIGMA, 2.0, mask, max_iter=1,
+            state = optimize_penalized(mask, SIGMA, 2.0, max_iter=1,
                                        seed=0, table=table2)
         assert state.energy_penalized == (state.eigen.eigenvalue
                                           + 2.0 * state.volume)
@@ -304,11 +310,11 @@ class TestPenalized:
                                          state.volume)
 
     def test_penalty_validation(self, small_ball, table2):
-        grid, mask = small_ball
+        _, mask = small_ball
         for bad in (0.0, -2.0):
             with pytest.raises(ValueError,
                                match="penalty must be positive"):
-                optimize_penalized(grid, SIGMA, bad, mask, table=table2)
+                optimize_penalized(mask, SIGMA, bad, table=table2)
 
     def test_rescaling_output_consistent(self, small_ball, table2):
         """Dilating the returned support to a reference volume and
@@ -317,7 +323,7 @@ class TestPenalized:
         grid, mask = small_ball
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*negativity.*")
-            state = optimize_penalized(grid, SIGMA, 1.0, mask, max_iter=1,
+            state = optimize_penalized(mask, SIGMA, 1.0, max_iter=1,
                                        seed=0, table=table2)
         reference = mask.volume
         t = math.sqrt(reference / state.volume)
@@ -549,11 +555,10 @@ def test_optimize_convex_mode_projects_and_resolves(table2):
     grid = GridSpec(cells=(12, 12), spacing=2.0 / 12, origin=(-1.0, -1.0))
     init = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.6))
     start = convexify(init)
-    descent = _quiet_optimize(grid, SIGMA, start.volume, start, max_iter=4,
-                              table=table2)
+    descent = _quiet_optimize(start, SIGMA, max_iter=4, table=table2)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*negativity.*")
-        state = optimize("convex", grid, SIGMA, init, max_iter=4)
+        state = optimize("convex", init, SIGMA, max_iter=4)
     assert not state.mask.same_cells(descent.mask)
     assert convexify(state.mask).same_cells(state.mask)
     lam = smallest_eigenpair(assemble(state.mask, SIGMA,
@@ -569,6 +574,6 @@ def test_optimize_rejects_volume_in_penalized_and_unknown_modes():
     grid = GridSpec(cells=(16,), spacing=2.0 / 16, origin=(-1.0,))
     init = make_mask(grid, Ball(center=(0.0,), radius=0.8))
     with pytest.raises(ValueError, match="volume"):
-        optimize("penalized", grid, SIGMA, init, volume=0.5)
+        optimize("penalized", init, SIGMA, volume=0.5)
     with pytest.raises(ValueError, match="mode"):
-        optimize("annealed", grid, SIGMA, init)
+        optimize("annealed", init, SIGMA)

@@ -199,6 +199,13 @@ def test_hardy_constant_outside_range(n, p, sigma):
         hardy_constant(n, p, sigma)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9])
+def test_hardy_prefactor_is_the_exit_scale_prefactor(n, sigma):
+    assert (hardy_constant(n, 2.0, sigma).prefactor
+            == exit_scale_prefactor(n, 2.0 * sigma))
+
+
 def test_hardy_constant_prefactor_times_integral():
     c = hardy_constant(2, 2.0, 0.75)
     assert c.value == pytest.approx(c.prefactor * c.integral, rel=1e-15)

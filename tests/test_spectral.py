@@ -11,7 +11,7 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import regfrac.spectral
-from regfrac.gagliardo import _node_masses, assemble
+from regfrac.gagliardo import _node_masses, assemble, build_near_table
 from regfrac.geometry import Annulus, Ball, Box, DomainMask, GridSpec, make_mask
 from regfrac.spectral import (
     EigenResult,
@@ -90,6 +90,28 @@ def test_nonuniform_mass_matches_generalized_eigh():
     assert abs(res.eigenvalue - exact[0]) <= 1e-12 * exact[0]
     ref = vecs[:, 0] * np.sign(np.sum(mass * vecs[:, 0]))
     assert float(np.max(np.abs(res.vector - ref))) <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lumped_mass_is_the_cell_volume(dim, table1, table2):
+    """Every unknown is an interior node, all of whose 2^n incident
+    cells are active, so its lumped mass is exactly h^n."""
+    cells = {1: 24, 2: 16, 3: 10}[dim]
+    grid = GridSpec(cells=(cells,) * dim, spacing=2.0 / cells,
+                    origin=(-1.0,) * dim)
+    sigma, table = {1: (0.25, table1), 2: (0.75, table2),
+                    3: (0.5, build_near_table(3, 0.5))}[dim]
+    ell = np.ones(grid.cells, dtype=bool)
+    ell[(slice(cells // 2, None),) * dim] = False
+    h = grid.spacing
+    for mask in (make_mask(grid, Ball(center=(0.0,) * dim, radius=0.9)),
+                 make_mask(grid, Annulus(center=(0.0,) * dim, r_inner=0.3,
+                                         r_outer=0.95)),
+                 DomainMask(grid, ell)):
+        form = assemble(mask, sigma, table=table)
+        assert form.size > 0
+        assert np.array_equal(form.node_weights,
+                              np.full(form.size, h ** dim))
 
 
 def test_ground_state_contract(ball_form, ball_pair):
