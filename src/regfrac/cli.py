@@ -37,7 +37,7 @@ from .geometry import (Ball, Bitmap, Box, DomainMask, GridSpec,
 from .hardy import deep_interior, hardy_check, standard_test_functions
 from .rearrange import (regional_violation_search, search_domain,
                         symmetric_decreasing_rearrangement, trial_field)
-from .shapeopt import cell_count, optimize
+from .shapeopt import cell_count, optimize, resize_mask
 from .special import exit_scale_prefactor, hardy_constant, sphere_area
 from .spectral import EigenResult, smallest_eigenpair
 
@@ -207,7 +207,10 @@ def validate(config: RunConfig) -> None:
         raise CliError(f"volume applies to fixed and convex modes only, "
                        f"got {c.volume} in penalized mode")
     if c.subcommand == "optimize" and c.volume > 0.0:
-        cell_count(_grid(c), c.volume)
+        grid = _grid(c)
+        start = resize_mask(_init_mask(c, grid), cell_count(grid, c.volume))
+        if not len(start.interior_idx):
+            raise CliError(f"volume {c.volume!r} leaves no interior node")
     if not c.tol > 0.0:
         raise CliError(f"tol must be positive, got {c.tol}")
     if c.max_iter < 1:
@@ -326,8 +329,10 @@ def _write_outcome(config: RunConfig, outcome: _Outcome) -> int:
                 for path, _ in zip(paths, outcome.contents)]
         for path, text in zip(kept, outcome.contents):
             path.write_text(text)
+        solver = (f"Lanczos, {eig.iterations} inverse solves"
+                  if eig.iterations else "dense eigh")
         print(f"error: eigen solver did not converge (residual "
-              f"{eig.residual:.3e} after {eig.iterations} iterations); "
+              f"{eig.residual:.3e}, {solver}); "
               f"partial results at {', '.join(map(str, kept))}",
               file=sys.stderr)
         return 3
@@ -390,7 +395,8 @@ def _run_eigen(config: RunConfig) -> _Outcome:
     payload = _canonical_json({"iterations": result.iterations,
                                "lambda": result.eigenvalue,
                                "min_entry": result.min_entry,
-                               "residual": result.residual})
+                               "residual": result.residual,
+                               "volume": mask.volume})
     if not result.converged:
         return _Outcome((payload,), unconverged=result)
     contents = [payload]

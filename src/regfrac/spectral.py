@@ -1,15 +1,13 @@
 """Smallest eigenpair of the regional form under the lumped mass matrix.
 
-The lumped mass matrix is h^n I: every unknown is an interior node, all
-of whose 2^n incident cells are active, so A u = lambda M u reduces
-cleanly to a symmetric one.  The form is Cholesky-factored once and
-ARPACK's implicitly restarted Lanczos iteration (Lehoucq, Sorensen &
-Yang 1998) runs on the symmetrized inverse: spectral-transformation
-Lanczos, where every operator application is one LAPACK ``potrs`` on
-the factor.  ARPACK stops at the caller's tolerance, and the returned
-pair must then meet it on the mass-weighted residual.  Two Ritz pairs
-are kept, the second for gap diagnostics.  A seeded start vector makes
-equal seeds reproduce results bit for bit at a fixed BLAS thread count.
+The lumped mass matrix is h^n I: every unknown is an interior node, all of
+whose 2^n incident cells are active, so A u = lambda M u reduces cleanly to
+a symmetric one.  Up to ``_DENSE_ORDER`` nodes one dense ``eigh`` solves
+it; larger forms are Cholesky-factored once and ARPACK's implicitly
+restarted Lanczos (Lehoucq, Sorensen & Yang 1998) runs on the symmetrized
+inverse from a seeded start, one ``potrs`` per operator application.  The
+pair must meet the caller's tolerance on the mass-weighted residual; reruns
+repeat it bit for bit at a fixed BLAS thread count.
 """
 from __future__ import annotations
 
@@ -27,6 +25,12 @@ from .gagliardo import _BLOCK_ENTRIES, RegionalForm
 # measured, even at a tolerance it cannot meet (1e-20)
 _MAX_RESTARTS = 200
 
+# Largest order solved by one dense eigh.  Median solve, Lanczos -> dense,
+# on 2-d balls at sigma 0.75, tol 1e-8, one BLAS thread: N 101 1.41 ->
+# 0.78 ms, 137 1.51 -> 1.15, 177 2.10 -> 1.83, 213 2.52 -> 2.44, 245
+# 3.03 -> 3.21, 293 3.97 -> 4.41; the bound sits where dense clearly wins
+_DENSE_ORDER = 160
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -34,14 +38,14 @@ class EigenResult:
 
     ``vector`` is normalized to unit lumped-L2 norm and sign-fixed to
     nonnegative mean; ``residual`` is the mass-weighted defect
-    ||A u - lambda M u||_{M^-1}.  ``second_estimate`` is the second Ritz
-    value, an estimate of the next eigenvalue reported for gap
-    diagnostics (equal to ``eigenvalue`` when there is none).
-    ``iterations`` counts the inverse solves made.  ``min_entry`` is the
-    most negative entry of the unit-norm vector before roundoff-size
-    negatives are clamped (0.0 when there is none); well below zero, the
-    discrete ground state changes sign and is not a ground state in the
-    continuous sense.
+    ||A u - lambda M u||_{M^-1}.  ``second_estimate`` is the second
+    eigenvalue (a Ritz value on the Lanczos path) for gap diagnostics,
+    equal to ``eigenvalue`` when there is none.  ``iterations`` counts
+    the inverse solves made, 0 when a dense ``eigh`` solved the order.
+    ``min_entry`` is the most negative entry of the unit-norm vector
+    before roundoff-size negatives are clamped (0.0 when there is none);
+    well below zero, the discrete ground state changes sign and is not a
+    ground state in the continuous sense.
     """
 
     eigenvalue: float
@@ -101,23 +105,30 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
         raise ValueError("no interior nodes")
     if not np.all(m > 0.0):
         raise ValueError("mass diagonal must be positive")
-    # potrf factors an F-ordered array in place from its upper triangle,
-    # where a symmetric a's view a.T holds what an F-ordered copy would
+    # both paths take only matrices potrf can factor in place: a symmetric
+    # a's view a.T holds in its upper triangle what an F-ordered copy would
     _check_factorable(a)
-    diagonal = a.diagonal().copy()
     # work in mass-symmetrized coordinates: the pencil (A, M) becomes the
     # plain symmetric problem with operator M^(-1/2) A M^(-1/2), whose
     # eigenvectors are those of A u = lambda M u scaled by M^(1/2)
     sqrt_m = np.sqrt(m)
-    start = np.random.default_rng(seed).standard_normal(n)
     solves = 0
-    try:
+    if n <= _DENSE_ORDER:
+        lams, vecs = eigh(a / np.outer(sqrt_m, sqrt_m), check_finite=False,
+                          subset_by_index=[0, min(1, n - 1)], overwrite_a=True)
+        if not lams[0] > 0.0:
+            raise ValueError("matrix is not finite and positive definite: "
+                             f"its smallest eigenvalue is {lams[0]:.3e}")
+    else:
+        diagonal = a.diagonal().copy()
+        start = np.random.default_rng(seed).standard_normal(n)
         try:
-            c, lower = cho_factor(a.T, overwrite_a=True, check_finite=False)
-        except ValueError as exc:  # LinAlgError is a ValueError too
-            raise ValueError(
-                f"matrix is not finite and positive definite: {exc}") from exc
-        if n >= 3:  # ARPACK needs k < ncv <= n for k = 2 Ritz pairs
+            try:
+                c, lower = cho_factor(a.T, overwrite_a=True,
+                                      check_finite=False)
+            except ValueError as exc:  # LinAlgError is a ValueError too
+                raise ValueError("matrix is not finite and positive "
+                                 f"definite: {exc}") from exc
             potrs, = get_lapack_funcs(("potrs",), (c,))
 
             def inverse(x):
@@ -137,19 +148,16 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
                                     maxiter=_MAX_RESTARTS)
             except ArpackNoConvergence as exc:
                 theta, vecs = exc.eigenvalues, exc.eigenvectors
-    finally:
-        # rebuild the lower triangle from a's intact strict upper one, by
-        # blocks of 64 rows (32 KB temporaries), then the diagonal
-        for s in range(0, n, 64):
-            e = min(s + 64, n)
-            a[s:e, :s] = a[:s, s:e].T
-            block = a[s:e, s:e]
-            np.copyto(block, block.T.copy(),
-                      where=np.tri(e - s, k=-1, dtype=bool))
-        np.fill_diagonal(a, diagonal)
-    if n < 3:
-        lams, vecs = eigh(a / np.outer(sqrt_m, sqrt_m))
-    else:
+        finally:
+            # rebuild the lower triangle from a's intact strict upper one, by
+            # blocks of 64 rows (32 KB temporaries), then the diagonal
+            for s in range(0, n, 64):
+                e = min(s + 64, n)
+                a[s:e, :s] = a[:s, s:e].T
+                block = a[s:e, s:e]
+                np.copyto(block, block.T.copy(),
+                          where=np.tri(e - s, k=-1, dtype=bool))
+            np.fill_diagonal(a, diagonal)
         order = np.argsort(theta)[::-1]
         lams, vecs = 1.0 / theta[order], vecs[:, order]
     if len(lams):
@@ -178,30 +186,31 @@ def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
     """Ground eigenpair of A u = lambda M u for the assembled form: A its
     matrix, M the diagonal of its lumped node masses.
 
-    A is Cholesky-factored once; ARPACK's ``eigsh``, started from a
-    vector drawn from ``seed``, then finds the two largest eigenvalues
-    of M^(1/2) A^(-1) M^(1/2): 1/lambda_1 and 1/lambda_2.  Each operator
-    application is one LAPACK ``potrs`` on the factor.  ARPACK stops
-    when both Ritz values meet ``tol`` relative to their size, usually
-    after its first Lanczos cycle and never near its fixed restart cap;
-    the result is converged when the mass-weighted residual of the
-    returned pair is at most ``tol``, so an early or loose stop (an
-    unattainable ``tol`` included) is flagged, not raised.
-    ``second_estimate`` is a Ritz value, whose error is quadratic in its
-    residual: at ``tol`` 1e-8 it is within 1e-13 relative of a dense
-    eigensolve on 1-3 d balls, boxes and annuli, near-double second
-    eigenvalues included.  Orders below 3, which ARPACK cannot take, use
-    a dense ``eigh``.  A ``RuntimeWarning`` names the calling line when
-    the vector's negativity exceeds the clamp tolerance.
+    Up to ``_DENSE_ORDER`` nodes, one ``eigh`` of a scaled copy of A,
+    M^(-1/2) A M^(-1/2), gives its two smallest eigenpairs (``seed``
+    unused).  Above it, A is Cholesky-factored once; ARPACK's ``eigsh``,
+    started from a vector drawn from ``seed``, then finds the two largest
+    eigenvalues of M^(1/2) A^(-1) M^(1/2), 1/lambda_1 and 1/lambda_2, by
+    ``potrs`` on the factor.  ARPACK stops when both Ritz values meet
+    ``tol`` relative to their size, usually after one Lanczos cycle and
+    never near its restart cap.  Either way the result is converged when
+    the mass-weighted residual of the returned pair is at most ``tol``,
+    so an early or loose stop (an unattainable ``tol`` included) is
+    flagged, not raised.  A Ritz ``second_estimate`` is within 1e-13
+    relative of a dense eigensolve at ``tol`` 1e-8 on 1-3 d balls, boxes
+    and annuli, near-double second eigenvalues included.  A
+    ``RuntimeWarning`` names the calling line when the vector's
+    negativity exceeds the clamp tolerance.
 
-    The matrix holds its own factor: its lower triangle and diagonal
-    are overwritten, then rebuilt before the call returns or raises, so
-    no N x N array is allocated beside it; other threads must not read
-    it meanwhile.  Every matrix ``assemble`` returns qualifies.  Raises
-    ``ValueError``, and writes nothing, on a matrix that is not a
-    writeable C-ordered float64 array, finite and bitwise equal to its
-    transpose; also on a non-positive ``tol``, a form without interior
-    nodes, a matrix that is not positive definite or a failed ``potrs``.
+    Above ``_DENSE_ORDER`` the matrix holds its own factor: its lower
+    triangle and diagonal are overwritten, then rebuilt before the call
+    returns or raises, so no N x N array is allocated beside it; other
+    threads must not read it meanwhile.  Every matrix ``assemble``
+    returns qualifies.  Raises ``ValueError``, and writes nothing, on a
+    matrix that is not a writeable C-ordered float64 array, finite and
+    bitwise equal to its transpose; also on a non-positive ``tol``, a
+    form without interior nodes, a matrix that is not positive definite
+    or a failed ``potrs``.
     """
     result = _solve_pencil(form.matrix(), form.node_weights, tol, seed)
     if result.min_entry < -1e-8:

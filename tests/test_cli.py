@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import regfrac.spectral
 from regfrac import cli
 from regfrac.cli import (RunConfig, _grid, _init_mask, _pgm_text, echo_text,
                          load_config_file)
@@ -123,11 +124,32 @@ def test_eigen_artifacts_present(eigen_run):
 def test_eigen_json_fields_exact(eigen_run):
     payload = json.loads((eigen_run / "eigen.json").read_text())
     assert sorted(payload) == ["iterations", "lambda", "min_entry",
-                               "residual"]
+                               "residual", "volume"]
     assert payload["lambda"] > 0.0
     assert -1e-12 <= payload["min_entry"] <= 0.0
     assert payload["residual"] <= 1e-8
+    # 32 interior nodes: one dense eigh, no inverse solves
+    assert payload["iterations"] == 0
+    config = RunConfig(subcommand="eigen", dim=1, resolution=33)
+    assert payload["volume"] == _init_mask(config, _grid(config)).volume
+
+
+def test_eigen_lanczos_side_counts_inverse_solves(tmp_path, capsys):
+    # the 24^2 ball has 245 interior nodes, above the dense order: it is
+    # factored and solved by Lanczos, whose inverse solves eigen.json
+    # counts and whose non-convergence message names them
+    config = RunConfig(subcommand="eigen", dim=2, resolution=24)
+    mask = _init_mask(config, _grid(config))
+    assert len(mask.interior_idx) > regfrac.spectral._DENSE_ORDER
+    args = ["eigen", "--n", "2", "--sigma", "0.75", "--grid", "24"]
+    assert cli.main(args + ["--out-dir", str(tmp_path / "e")]) == 0
+    payload = json.loads((tmp_path / "e" / "eigen.json").read_text())
     assert payload["iterations"] >= 1
+    assert payload["volume"] == mask.volume
+    capsys.readouterr()
+    assert cli.main(args + ["--tol", "1e-20",
+                            "--out-dir", str(tmp_path / "bad")]) == 3
+    assert "inverse solves" in capsys.readouterr().err
 
 
 def test_eigen_deterministic_bytes(cli_env, eigen_run, tmp_path):
@@ -244,6 +266,7 @@ def test_nonconvergence_exit3_partial(cli_env, tmp_path):
                     "--tol", "1e-20", "--out-dir", out], cli_env)
     assert proc.returncode == 3
     assert "did not converge" in proc.stderr
+    assert "dense eigh" in proc.stderr
     assert (out / "eigen.json.partial").exists()
     assert not (out / "eigen.json").exists()
     # the echo is still written, so the failure is replayable
@@ -463,6 +486,18 @@ def test_bad_volume_rejected_before_writing(mode, volume, tmp_path, capsys):
     code = cli.main(["optimize", "--mode", mode, "--n", "1", "--sigma",
                      "0.75", "--grid", "24", "--volume", volume,
                      "--out-dir", str(out)])
+    assert code == 2
+    assert "volume" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_volume_without_interior_node_rejected_before_writing(tmp_path,
+                                                              capsys):
+    # 0.0625 is one cell of the 8^2 grid: a whole number of cells, but a
+    # one-cell start mask has no interior node to solve for
+    out = tmp_path / "onecell"
+    code = cli.main(["optimize", "--n", "2", "--sigma", "0.75", "--grid",
+                     "8", "--volume", "0.0625", "--out-dir", str(out)])
     assert code == 2
     assert "volume" in capsys.readouterr().err
     assert not out.exists()

@@ -26,6 +26,17 @@ def ball_pair(ball_form):
     return smallest_eigenpair(ball_form, tol=1e-10, seed=0)
 
 
+@pytest.fixture(scope="module")
+def ball24_form(table2):
+    # the eigen-ladder's 24^2 ball, N = 245: above the dense order, so
+    # solved by factor + Lanczos
+    grid = GridSpec(cells=(24, 24), spacing=2.0 / 24, origin=(-1.0, -1.0))
+    form = assemble(make_mask(grid, Ball(center=(0.0, 0.0), radius=0.8)),
+                    0.75, table=table2)
+    assert form.size > regfrac.spectral._DENSE_ORDER
+    return form
+
+
 def _residual_report(form, result, threshold=0.0):
     """Split the eigen-equation defect across the support of the vector.
 
@@ -59,8 +70,8 @@ def test_injected_two_by_two():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_smallest_orders_match_generalized_eigh(n):
-    # orders 1 and 2 are below what ARPACK takes with two eigenvalues and
-    # go through the dense path; order 3 is the smallest Lanczos case
+    # orders 1 and 2 have fewer than the two eigenvalues the solver
+    # keeps; order 3 is the smallest that has both
     rng = np.random.default_rng(10 + n)
     matrix = (np.diag(2.0 + rng.uniform(0.0, 1.0, n))
               - np.eye(n, k=1) - np.eye(n, k=-1))
@@ -155,7 +166,8 @@ def test_solver_deterministic(ball_form):
 def test_eigenvalue_is_quotient_below_start(ball_form, ball_pair):
     lam = ball_pair.eigenvalue
     assert abs(rayleigh_quotient(ball_form, ball_pair.vector) - lam) <= 1e-12 * lam
-    # the Lanczos start vector is drawn in mass-symmetrized coordinates
+    # the start vector the Lanczos path would draw, in mass-symmetrized
+    # coordinates
     start = (np.random.default_rng(0).standard_normal(ball_form.size)
              / np.sqrt(ball_form.node_weights))
     assert lam <= rayleigh_quotient(ball_form, start)
@@ -234,7 +246,7 @@ def test_residual_report_requires_convergence(ball_form, ball_pair):
         _residual_report(ball_form, stale)
 
 
-def test_unconverged_is_flagged_not_raised(ball_form, monkeypatch):
+def test_unconverged_is_flagged_not_raised(ball24_form, monkeypatch):
     # count the operator applications ARPACK makes, outside the solver
     applied = []
     real = regfrac.spectral.eigsh
@@ -248,7 +260,7 @@ def test_unconverged_is_flagged_not_raised(ball_form, monkeypatch):
                     k, **kwargs)
 
     monkeypatch.setattr(regfrac.spectral, "eigsh", counting)
-    res = smallest_eigenpair(ball_form, tol=1e-14, seed=0)
+    res = smallest_eigenpair(ball24_form, tol=1e-14, seed=0)
     assert not res.converged
     assert res.iterations == len(applied) > 0
     assert np.isfinite(res.residual)
@@ -274,7 +286,7 @@ def test_one_lanczos_cycle_on_near_double_second_eigenvalue(table2):
     assert abs(res.second_estimate - exact[1]) <= 1e-10 * exact[1]
 
 
-def test_no_converged_pair_returns_start_vector(ball_form, monkeypatch):
+def test_no_converged_pair_returns_start_vector(ball24_form, monkeypatch):
     def stalled(op, k, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0),
                                   np.empty((op.shape[0], 0)))
@@ -282,15 +294,16 @@ def test_no_converged_pair_returns_start_vector(ball_form, monkeypatch):
     monkeypatch.setattr(regfrac.spectral, "eigsh", stalled)
     # a random start vector is far from nonnegative
     with pytest.warns(RuntimeWarning, match="negativity"):
-        res = smallest_eigenpair(ball_form, tol=1e-8, seed=0)
+        res = smallest_eigenpair(ball24_form, tol=1e-8, seed=0)
     assert not res.converged
     assert res.iterations == 0
     assert np.isfinite(res.residual) and res.residual > 1e-8
-    m = ball_form.node_weights
-    start = np.random.default_rng(0).standard_normal(ball_form.size) / np.sqrt(m)
+    m = ball24_form.node_weights
+    start = (np.random.default_rng(0).standard_normal(ball24_form.size)
+             / np.sqrt(m))
     start = start * np.sign(np.sum(m * start)) / np.sqrt(np.sum(m * start ** 2))
     assert float(np.max(np.abs(res.vector - start))) <= 1e-12
-    assert abs(res.eigenvalue - rayleigh_quotient(ball_form, start)) \
+    assert abs(res.eigenvalue - rayleigh_quotient(ball24_form, start)) \
         <= 1e-12 * res.eigenvalue
 
 
@@ -366,7 +379,7 @@ def test_negativity_warning_names_the_caller(box_form):
     assert [w.filename for w in record] == [__file__]
 
 
-def test_failed_inner_solve_raises(ball_form, monkeypatch):
+def test_failed_inner_solve_raises(ball24_form, monkeypatch):
     # potrs flags an illegal argument with info < 0: its output is
     # never used as an operator application
     def failing(c, b, **kwargs):
@@ -374,11 +387,11 @@ def test_failed_inner_solve_raises(ball_form, monkeypatch):
 
     monkeypatch.setattr(regfrac.spectral, "get_lapack_funcs",
                         lambda names, arrays: (failing,))
-    before = ball_form.matrix().copy()
+    before = ball24_form.matrix().copy()
     with pytest.raises(ValueError, match="potrs failed with info -2"):
-        smallest_eigenpair(ball_form, tol=1e-8, seed=0)
+        smallest_eigenpair(ball24_form, tol=1e-8, seed=0)
     # the factor sat in the form's matrix: an error rebuilds it too
-    assert _same_bits(ball_form.matrix(), before)
+    assert _same_bits(ball24_form.matrix(), before)
 
 
 def _same_bits(x, y):
@@ -402,22 +415,22 @@ def factored(monkeypatch):
     return calls
 
 
-def test_solve_factors_the_form_matrix_in_place(ball_form, factored,
+def test_solve_factors_the_form_matrix_in_place(ball24_form, factored,
                                                 monkeypatch):
     # the factor is computed in the form's own storage (a SciPy that
     # copied the transposed view fails here), the matrix is bitwise the
     # same afterwards, and every result field is bitwise that of the
     # reference solve, which factors an F-ordered copy instead
-    matrix = ball_form.matrix()
+    matrix = ball24_form.matrix()
     before = matrix.copy()
-    res = smallest_eigenpair(ball_form, tol=1e-10, seed=3)
+    res = smallest_eigenpair(ball24_form, tol=1e-10, seed=3)
     assert np.shares_memory(factored[0]["factor"], matrix)
     assert _same_bits(matrix, before)
     in_place = regfrac.spectral.cho_factor
     monkeypatch.setattr(regfrac.spectral, "cho_factor",
                         lambda a, **kwargs: in_place(np.array(a, order="F"),
                                                      **kwargs))
-    ref = smallest_eigenpair(ball_form, tol=1e-10, seed=3)
+    ref = smallest_eigenpair(ball24_form, tol=1e-10, seed=3)
     assert not np.shares_memory(factored[1]["given"], matrix)
     assert _same_bits(matrix, before)
     for f in dataclasses.fields(EigenResult):
@@ -425,15 +438,15 @@ def test_solve_factors_the_form_matrix_in_place(ball_form, factored,
                           np.asarray(getattr(ref, f.name))), f.name
 
 
-def test_matrix_restored_when_factorization_fails(ball_form, factored):
+def test_matrix_restored_when_factorization_fails(ball24_form, factored):
     # a negative pivot halfway down: potrf has overwritten half of the
     # lower triangle and diagonal when it stops
-    matrix = ball_form.matrix().copy()
+    matrix = ball24_form.matrix().copy()
     k = len(matrix) // 2
     matrix[k, k] = -matrix[k, k]
     before = matrix.copy()
     with pytest.raises(ValueError, match=f"{k + 1}-th leading minor"):
-        _solve_pencil(matrix, ball_form.node_weights, 1e-8, 0)
+        _solve_pencil(matrix, ball24_form.node_weights, 1e-8, 0)
     assert np.shares_memory(factored[0]["given"], matrix)
     assert _same_bits(matrix, before)
 
@@ -480,6 +493,62 @@ def _read_only(matrix):
 def test_unfit_matrix_is_rejected_unwritten(make, match, box_form, factored):
     _rejected_unwritten(box_form, make(box_form.matrix().copy()), match,
                         factored)
+
+
+def _negative_pivot(matrix):
+    k = len(matrix) // 2
+    matrix[k, k] = -matrix[k, k]
+    return matrix
+
+
+@pytest.mark.parametrize("name", ["box_form", "ball24_form"],
+                         ids=["dense", "lanczos"])
+@pytest.mark.parametrize("make, match", [
+    (_negative_pivot, "not finite and positive definite"),
+    (lambda a: np.where(np.eye(len(a), dtype=bool), np.nan, a),
+     "not finite.*infs or NaNs"),
+    (lambda a: _mirrored(a) + np.eye(len(a), k=1) * 1e-3,
+     "not bitwise symmetric"),
+    (_read_only, "writeable C-ordered float64"),
+], ids=["indefinite", "non-finite", "asymmetric", "read-only"])
+def test_unfit_matrix_leaves_it_untouched_on_both_paths(name, make, match,
+                                                        request):
+    # every input check sits in front of both paths, so each rejects the
+    # same matrices with the same message and writes nothing; an
+    # indefinite matrix reaches the dense eigh or the Cholesky factor
+    form = request.getfixturevalue(name)
+    dense = form.size <= regfrac.spectral._DENSE_ORDER
+    assert dense == (name == "box_form")
+    matrix = make(form.matrix().copy())
+    before = matrix.copy()
+    with pytest.raises(ValueError, match=match):
+        smallest_eigenpair(dataclasses.replace(form, _matrix=matrix))
+    assert _same_bits(matrix, before)
+
+
+@pytest.mark.parametrize("name", ["box_form", "ball_form", "ball24_form"])
+def test_dense_and_lanczos_paths_agree(name, request, monkeypatch):
+    # N = 81 and 137 sit at or below the dense order, 245 above it: each
+    # form is solved by both paths, forced by moving the order, and the
+    # unforced solve is bitwise the forced one of its own side
+    form = request.getfixturevalue(name)
+    own = "dense" if form.size <= regfrac.spectral._DENSE_ORDER else "lanczos"
+    default = smallest_eigenpair(form, tol=1e-10, seed=4)
+    results = {}
+    for path, order in (("dense", form.size), ("lanczos", form.size - 1)):
+        monkeypatch.setattr(regfrac.spectral, "_DENSE_ORDER", order)
+        results[path] = smallest_eigenpair(form, tol=1e-10, seed=4)
+    dense, lanczos = results["dense"], results["lanczos"]
+    assert dense.converged and lanczos.converged
+    assert dense.iterations == 0 < lanczos.iterations
+    lam = dense.eigenvalue
+    assert abs(lanczos.eigenvalue - lam) <= 1e-12 * lam
+    assert abs(lanczos.second_estimate - dense.second_estimate) \
+        <= 1e-10 * dense.second_estimate
+    assert float(np.max(np.abs(lanczos.vector - dense.vector))) <= 1e-10
+    for f in dataclasses.fields(EigenResult):
+        assert _same_bits(np.asarray(getattr(default, f.name)),
+                          np.asarray(getattr(results[own], f.name))), f.name
 
 
 @pytest.fixture(scope="module")
