@@ -27,14 +27,16 @@ of their activity flags (81 node offsets and 376 cell pairs in 2-d).
 The far weights depend only on the node-index offset.  Assembly is
 therefore a few lattice operations and loops over no stencil, node pair
 or cell: gathers of activity flags and labels with one sparse product
-for the near and gap parts, a gather from one kernel array for the far
-block, and FFT convolutions for the far diagonal and the complement
-potential.  Whatever depends only on the grid and sigma (the kernels
-over node and cell offsets and their spectra, the refined complement
-stencil, the tail term per node, the table's gather offsets and its
-scaling to the spacing) is built once per grid into a plan kept in the
-table; each mask then pays only for its gathers, the sparse product and
-the FFTs of its own mass and inactive-cell fields.
+over the half of the table with offsets <= 0, mirrored, for the near
+and gap parts, a gather from one kernel array for the far block, and
+FFT convolutions for the far diagonal and the complement potential.
+Whatever depends only on the grid and sigma (the kernels over node and
+cell offsets and their spectra, the refined complement stencil, the
+tail term per node, the half-table's gather offsets and its scaling to
+the spacing) is built once per grid into a plan kept in the table; each
+mask then pays only for its gathers, the sparse product and the FFT of
+its mass field, and for the FFT of its inactive-cell field when its
+complement potential is first read.
 
 All three pieces are sums of squares, so the assembled form is
 symmetric positive semidefinite by construction, scales exactly as
@@ -45,12 +47,14 @@ the full-space energy is the regional energy plus its zero-order term.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.sparse import csr_matrix
 
 from .geometry import DomainMask, GridSpec
@@ -610,7 +614,6 @@ class RegionalForm:
     sigma: float
     table: NearTable
     node_weights: np.ndarray        # interior lumped masses m_i
-    complement_potential: np.ndarray  # kappa_i on interior nodes
     _matrix: np.ndarray = field(repr=False)
     # per-node pseudo-distances, NaN until marched, keyed by direction
     # rule; see hardy.hardy_check
@@ -623,6 +626,15 @@ class RegionalForm:
 
     def matrix(self) -> np.ndarray:
         return self._matrix
+
+    @functools.cached_property
+    def complement_potential(self) -> np.ndarray:
+        """kappa_i on interior nodes, read-only, built on first read:
+        forms that only feed the eigensolver never pay for it."""
+        kappa = _complement_potential(
+            self.mask, _grid_plan(self.table, self.mask.grid, self.sigma))
+        kappa.setflags(write=False)
+        return kappa
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -667,11 +679,13 @@ def _convolve(spectrum: np.ndarray, shape: tuple[int, ...],
               field: np.ndarray) -> np.ndarray:
     """Convolution of ``field`` with an offset kernel, by real FFTs.
 
-    ``spectrum`` is the ``rfftn`` of the kernel, an array of ``shape``.
+    ``spectrum`` is the ``rfftn`` of the kernel, zero-padded to ``shape``.
     Along an axis where the field has n entries, ``kernel[q]`` is the
-    kernel at offset q - (n - 1).  Entry i + n - 1 of the result is then
-    the sum over j of field[j] * kernel(i - j) for every
-    0 <= i <= shape - n: the circular wrap-around misses these.
+    kernel at offset q - (n - 1) for q <= 2n - 2, and zero beyond.  Entry
+    i + n - 1 of the result is then the sum over j of field[j] *
+    kernel(i - j) for every 0 <= i <= n - 1: the index q = i + n - 1 - j
+    stays in 0..2n - 2, so no term wraps around, and padding a length
+    up to a fast FFT size adds only zero terms.
     """
     axes = tuple(range(len(shape)))
     return np.fft.irfftn(spectrum * np.fft.rfftn(field, s=shape, axes=axes),
@@ -709,10 +723,12 @@ class _GridPlan:
     k_strides: np.ndarray       # of the kernel over node offsets
     a_strides: np.ndarray       # active cells padded by _REACH
     l_strides: np.ndarray       # node labels padded by _REACH
-    first: np.ndarray           # gather offsets of the table's cell pairs
+    cells: np.ndarray           # gather offsets of the neighbour cells
+    first: np.ndarray           # rows of those cells for the cell pairs
     second: np.ndarray
-    columns: np.ndarray         # gather offsets of its node offsets
-    weights: csr_matrix         # the table scaled by h^(n - 2 sigma)
+    columns: np.ndarray         # gather offsets of the half-table's
+                                # node offsets (negative, then zero)
+    weights: csr_matrix         # its rows scaled by h^(n - 2 sigma)
     comp_spectrum: np.ndarray   # rfftn of the complement far kernel
     comp_shape: tuple
     refined: np.ndarray         # complement near stencil values
@@ -734,6 +750,7 @@ def _build_plan(table: NearTable, grid: GridSpec, sigma: float) -> _GridPlan:
     far = np.abs(d).max(axis=-1) >= 3
     kernel = np.zeros(far.shape)
     kernel[far] = (h * h * np.sum(d[far] ** 2, axis=-1)) ** (-beta / 2.0)
+    far_shape = tuple(next_fast_len(n, real=True) for n in kernel.shape)
     # every interior node has all 2^n incident cells active, so all
     # interior masses equal and the interior far block is one array
     mass = 2 ** dim * (h ** dim / 2 ** dim)
@@ -745,6 +762,7 @@ def _build_plan(table: NearTable, grid: GridSpec, sigma: float) -> _GridPlan:
     r2 = np.sum(r * r, axis=-1)
     near = r2 <= 4.0
     comp = np.where(near, 0.0, h ** dim * (h * h * r2) ** (-beta / 2.0))
+    comp_shape = tuple(next_fast_len(n, real=True) for n in comp.shape)
     steps = (np.arange(4) - 1.5) / 4.0
     sub = _offset_grid([0] * dim, [3] * dim).reshape(-1, dim)
     diff = h * (r[near][:, None, :] - steps[sub][None, :, :])
@@ -761,18 +779,35 @@ def _build_plan(table: NearTable, grid: GridSpec, sigma: float) -> _GridPlan:
                                  ).min(axis=1), 0.5 * h)
     tail = tail_integral(dim, sigma, 1.0) * wall ** (-2.0 * sigma)
 
+    # the table's node offsets sort by a key linear in the offset, so -e
+    # sits at the mirrored rank, with its weights at the same ranks over
+    # the cell pairs moved by -e: the coefficient of -e at node i + e is
+    # bitwise that of e at node i, and rows 0..E//2 (the negative offsets,
+    # then zero) carry the whole near and gap part.  They read every cell
+    # pair in 1-3 d, so the half CSR is the prefix of the table's arrays.
+    half = len(table.node_offsets) // 2 + 1
+    w = table.weights
+    stop = w.indptr[half]
+    weights = csr_matrix((w.data[:stop] * h ** (dim - 2.0 * sigma),
+                          w.indices[:stop], w.indptr[:half + 1]),
+                         shape=(half, w.shape[1]))
     a_strides = _flat_strides(tuple(cells + 2 * _REACH))
     l_strides = _flat_strides(tuple(node_shape + 2 * _REACH))
+    # the distinct neighbour cells, and each pair's two rows among them
+    neighbours, pair_cells = np.unique(table.cell_pairs @ a_strides,
+                                       return_inverse=True)
+    pair_cells = pair_cells.reshape(-1, 2)
     return _GridPlan(
         far_weights=-(2.0 * mass * mass) * kernel,
-        far_spectrum=np.fft.rfftn(kernel, axes=axes), far_shape=kernel.shape,
+        far_spectrum=np.fft.rfftn(kernel, s=far_shape, axes=axes),
+        far_shape=far_shape,
         k_strides=_flat_strides(kernel.shape), a_strides=a_strides,
-        l_strides=l_strides,
-        first=(table.cell_pairs[:, 0] @ a_strides)[:, None],
-        second=(table.cell_pairs[:, 1] @ a_strides)[:, None],
-        columns=(table.node_offsets @ l_strides)[:, None],
-        weights=table.weights * h ** (dim - 2.0 * sigma),
-        comp_spectrum=np.fft.rfftn(comp, axes=axes), comp_shape=comp.shape,
+        l_strides=l_strides, cells=neighbours[:, None],
+        first=pair_cells[:, 0], second=pair_cells[:, 1],
+        columns=(table.node_offsets[:half] @ l_strides)[:, None],
+        weights=weights,
+        comp_spectrum=np.fft.rfftn(comp, s=comp_shape, axes=axes),
+        comp_shape=comp_shape,
         refined=refined,
         shifts=np.rint(-r[near] - 0.5).astype(np.int64) @ p_strides,
         p_strides=p_strides, tail=tail.reshape(grid.node_shape),
@@ -801,9 +836,11 @@ def _complement_potential(mask: DomainMask, plan: _GridPlan) -> np.ndarray:
     indicator with a fixed kernel; the cells within 2h are refined 4x
     per axis, and their values form a fixed stencil (12 cells in 2-d)
     applied by one gather.  The region beyond the grid box contributes
-    the radial tail at the node's distance to the box boundary (a
-    deliberate overcount at box corners — the full-space comparisons
-    only need an upper-consistent complement term).
+    the kernel integral outside the ball whose radius is the node's
+    distance to the nearest wall.  That region holds the box's
+    complement and more, so kappa is overcounted at every node except
+    the centre of a 1-d box, by 13-20% at the centre of a 2-d box
+    (sigma 0.6-0.9).
     """
     cells = np.asarray(mask.grid.cells)
     idx = mask.interior_idx
@@ -819,8 +856,9 @@ def _complement_potential(mask: DomainMask, plan: _GridPlan) -> np.ndarray:
     return kappa
 
 
-# Entries per row block of assembly and of the eigensolver's check of
-# the matrix.  At N = 245 / 1089 / 4477, against 2^20, 2^18 is as fast,
+# Entries per row block of assembly (rows times the larger of N and the
+# half-table's cell-pair count) and of the eigensolver's check of the
+# matrix.  At N = 245 / 1089 / 4477, against 2^20, 2^18 is as fast,
 # faster and within 3%, and cuts the 1089-node assembly's traced peak
 # from 20.8 to 12.4 MB; 2^17 is 6-9% slower at 4477.  The matrix does
 # not depend on it: each entry gets one far value, at most one near add
@@ -837,23 +875,30 @@ def assemble(mask: DomainMask, sigma: float, *,
     one kernel array over all node-index offsets, in row blocks of about
     ``_BLOCK_ENTRIES`` (2^18) entries, and the far diagonal is one FFT
     convolution of that kernel with the node-mass field.  The near and
-    gap parts are, per row block, two gathers of the active cells, one
-    sparse product with the table's regrouped weights, one gather of
-    column labels and one indexed add.  Deterministic at any BLAS thread
-    count: nodes are ordered lexicographically, no step calls BLAS, and
-    every accumulation order is fixed.  The matrix takes 8 N^2 bytes for
-    N interior nodes; the row blocks add a few MB at most.  It is a
-    writeable C-ordered float64 array bitwise equal to its transpose, as
-    ``spectral.smallest_eigenpair`` requires to factor it in place.
+    gap parts read only the half of the table whose node offsets are
+    negative or zero: per row block, one gather of the neighbour cells'
+    activity flags (64 cells in 2-d), row takes of it for the cell
+    pairs, one sparse product with the half-table's weights, one gather
+    of column labels and one indexed add at (i, i + e) and, for e != 0,
+    at the mirrored (i + e, i).  The mirrored coefficient is bitwise the
+    one the offset -e gives at row i + e, and that row comes first, so
+    its far values are already written.  Deterministic at any BLAS
+    thread count: nodes are ordered lexicographically, no step calls
+    BLAS, and every accumulation order is fixed.  The matrix takes
+    8 N^2 bytes for N interior nodes; the row blocks add a few MB at
+    most.  It is a writeable C-ordered float64 array bitwise equal to
+    its transpose, as ``spectral.smallest_eigenpair`` requires to factor
+    it in place.
 
     What does not depend on the mask is built once per grid and sigma
     and kept in the table: the far kernel, its spectrum and the far
     block weights, the complement kernel's spectrum and its refined near
-    stencil, the tail term per node, the gather offsets of the table
-    rows and the table scaled to the spacing.  Per mask there remain
-    the node masses, the gathers of active cells and labels, the sparse
-    product, the far gather, one FFT of the mass field and one of the
-    inactive-cell field, and the complement gathers.
+    stencil, the tail term per node, the gather offsets of the
+    half-table and its rows scaled to the spacing.  Per mask there
+    remain the node masses, the gathers of flags and labels, the sparse
+    product, the far gather and one FFT of the mass field.  The
+    complement potential (one FFT of the inactive-cell field and two
+    gathers) is built when ``complement_potential`` is first read.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
@@ -890,27 +935,24 @@ def assemble(mask: DomainMask, sigma: float, *,
 
     A = np.empty((n_int, n_int))
     flat = A.reshape(-1)
-    rows = min(n_int,
-               max(1, _BLOCK_ENTRIES // max(n_int, len(table.cell_pairs))))
+    rows = min(n_int, max(1, _BLOCK_ENTRIES // max(n_int, len(plan.first))))
     gather = np.empty((rows, n_int), dtype=np.intp)
     for s in range(0, n_int, rows):
         sl = slice(s, min(s + rows, n_int))
         m = sl.stop - s
         np.subtract(k_off[None, :] + k_center, k_off[sl, None], out=gather[:m])
         np.take(plan.far_weights, gather[:m], out=A[sl], mode="clip")
-        both = (active[plan.first + cell_base[sl]]
-                & active[plan.second + cell_base[sl]])
-        coef = plan.weights @ both
+        flags = active[plan.cells + cell_base[sl]]
+        coef = plan.weights @ (flags[plan.first] & flags[plan.second])
         col = labels[plan.columns + node_base[sl]]
+        row = np.arange(s, sl.stop)
         keep = col < n_int
-        flat[(col + np.arange(s, sl.stop) * n_int)[keep]] += coef[keep]
+        flat[(col + row * n_int)[keep]] += coef[keep]
+        keep[-1] = False        # the zero offset, added once
+        flat[(col * n_int + row)[keep]] += coef[keep]
 
     far_sums = _convolve(plan.far_spectrum, plan.far_shape, masses)[
         tuple((idx + node_shape - 1).T)]
     A[np.arange(n_int), np.arange(n_int)] += 2.0 * interior_m * far_sums
-    return RegionalForm(
-        mask=mask, sigma=float(sigma), table=table,
-        node_weights=interior_m,
-        complement_potential=_complement_potential(mask, plan),
-        _matrix=A,
-    )
+    return RegionalForm(mask=mask, sigma=float(sigma), table=table,
+                        node_weights=interior_m, _matrix=A)

@@ -149,6 +149,11 @@ class DomainMask:
         self.boundary_idx = np.argwhere(incident & ~interior)
         self.interior_coords = grid.node_coords(self.interior_idx)
         self.boundary_coords = grid.node_coords(self.boundary_idx)
+        # every form built on the mask reads these: a write through a
+        # view must fail, not corrupt them
+        for derived in (self.interior_idx, self.boundary_idx,
+                        self.interior_coords, self.boundary_coords):
+            derived.setflags(write=False)
 
     @property
     def cell_count(self) -> int:

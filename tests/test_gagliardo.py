@@ -16,9 +16,11 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 from regfrac import gagliardo as ga
@@ -26,8 +28,10 @@ from regfrac.gagliardo import NearFieldError, assemble, build_near_table
 from regfrac.geometry import (Annulus, Ball, Box, DomainMask, GridSpec,
                               make_mask)
 from regfrac.quadrature import tensor_rule
+from regfrac.shapeopt import optimize_fixed_measure
 from regfrac.special import (exit_scale_prefactor, hardy_constant,
                              tail_integral)
+from regfrac.spectral import smallest_eigenpair
 
 
 # ------------------------------------------------------------- table
@@ -805,9 +809,10 @@ def _per_call_assembly(mask, sigma, table):
     axes = tuple(range(dim))
 
     def convolve(kernel, field):
-        spectrum = (np.fft.rfftn(kernel, axes=axes)
-                    * np.fft.rfftn(field, s=kernel.shape, axes=axes))
-        return np.fft.irfftn(spectrum, s=kernel.shape, axes=axes)
+        shape = tuple(next_fast_len(n, real=True) for n in kernel.shape)
+        spectrum = (np.fft.rfftn(kernel, s=shape, axes=axes)
+                    * np.fft.rfftn(field, s=shape, axes=axes))
+        return np.fft.irfftn(spectrum, s=shape, axes=axes)
 
     padded = np.pad(mask.active, 1, constant_values=False)
     counts = np.zeros(grid.node_shape, dtype=np.int64)
@@ -974,6 +979,133 @@ def test_assembly_independent_of_row_blocks(case, table1, table2,
     monkeypatch.setattr(ga, "_BLOCK_ENTRIES", 2 ** 10)
     blocked = assemble(mask, sigma, table=table).matrix()
     assert blocked.tobytes() == whole.tobytes()
+
+
+def _all_offset_assembly(mask, sigma, table):
+    """Matrix by the near and gap loop of earlier versions, which reads
+    every node offset of the table and adds each entry in its own row,
+    on the far block and far diagonal of the grid's plan: the bitwise
+    reference for the half-table and its mirrored add."""
+    grid = mask.grid
+    plan = ga._grid_plan(table, grid, sigma)
+    masses = ga._node_masses(mask)
+    idx = mask.interior_idx
+    interior_m = masses[tuple(idx.T)]
+    n_int = len(idx)
+    node_shape = np.asarray(grid.node_shape)
+    reach = ga._REACH
+    k_off = idx @ plan.k_strides
+    k_center = (node_shape - 1) @ plan.k_strides
+    active = np.pad(mask.active, reach).ravel()
+    labels = np.full(tuple(node_shape + 2 * reach), n_int, dtype=np.int64)
+    labels[tuple((idx + reach).T)] = np.arange(n_int)
+    labels = labels.ravel()
+    cell_base = (idx + reach) @ plan.a_strides
+    node_base = (idx + reach) @ plan.l_strides
+    first = (table.cell_pairs[:, 0] @ plan.a_strides)[:, None] + cell_base
+    second = (table.cell_pairs[:, 1] @ plan.a_strides)[:, None] + cell_base
+    weights = table.weights * grid.spacing ** (grid.dim - 2.0 * sigma)
+    coef = weights @ (active[first] & active[second])
+    col = labels[(table.node_offsets @ plan.l_strides)[:, None] + node_base]
+    A = np.take(plan.far_weights, k_off[None, :] + k_center - k_off[:, None],
+                mode="clip")
+    keep = col < n_int
+    A.reshape(-1)[(col + np.arange(n_int) * n_int)[keep]] += coef[keep]
+    far_sums = ga._convolve(plan.far_spectrum, plan.far_shape, masses)[
+        tuple((idx + node_shape - 1).T)]
+    A[np.arange(n_int), np.arange(n_int)] += 2.0 * interior_m * far_sums
+    return A
+
+
+@pytest.mark.parametrize("case", ["1d", "ball-1d", "2d", "3d", "non-square",
+                                  "full-box"])
+def test_half_table_matches_all_offset_loop(case, table1, table2,
+                                            monkeypatch):
+    # The coefficient of offset -e at node i + e is bitwise that of e at
+    # node i, so the half-table with its mirrored add gives the matrix of
+    # the all-offset loop bit for bit, in one row block and in blocks of
+    # three rows, where a mirrored add lands in an earlier block.  The
+    # cases have holes or full rows on the grid edge.
+    mask = _plan_case_mask(case)
+    sigma, table = {1: (0.25, table1), 2: (0.75, table2),
+                    3: (0.5, build_near_table(3, 0.5))}[mask.grid.dim]
+    reference = _all_offset_assembly(mask, sigma, table).view(np.int64)
+    plan = ga._grid_plan(table, mask.grid, sigma)
+    kappa = ga._complement_potential(mask, plan)
+    n_int = len(reference)
+    assert n_int > 3
+    for entries in (n_int * len(table.cell_pairs),
+                    3 * max(n_int, len(plan.first))):
+        monkeypatch.setattr(ga, "_BLOCK_ENTRIES", entries)
+        form = assemble(mask, sigma, table=table)
+        assert np.array_equal(form.matrix().view(np.int64), reference)
+        assert np.array_equal(form.complement_potential, kappa)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "3d", "box-48"])
+def test_fast_fft_lengths_change_only_rounding(case, table1, table2,
+                                               monkeypatch):
+    # The far and complement kernels are zero-padded to fast FFT
+    # lengths.  No output reads a wrapped index, so against the unpadded
+    # lengths the far diagonal and kappa move by rounding alone and every
+    # other entry is bitwise the same.  The 48-cell grid pads 97 to 100.
+    if case == "box-48":
+        grid = GridSpec(cells=(48, 48), spacing=2.0 / 48, origin=(-1.0, -1.0))
+        mask = make_mask(grid, Box(lo=(-0.7, -0.7), hi=(0.7, 0.7)))
+    else:
+        mask = _random_mask(case)
+    sigma, table = {1: (0.25, table1), 2: (0.75, table2),
+                    3: (0.5, build_near_table(3, 0.5))}[mask.grid.dim]
+    forms, plans = [], []
+    for fast in (True, False):
+        if not fast:
+            monkeypatch.setattr(ga, "next_fast_len", lambda n, real: n)
+        fresh = dataclasses.replace(table)
+        forms.append(assemble(mask, sigma, table=fresh))
+        plans.append(fresh._plans[(mask.grid, sigma)])
+    assert plans[0].far_shape != plans[1].far_shape
+    assert plans[1].far_shape == tuple(2 * n - 1 for n in mask.grid.node_shape)
+    padded, plain = (form.matrix() for form in forms)
+    off = ~np.eye(len(plain), dtype=bool)
+    assert np.array_equal(padded[off], plain[off])
+    for got, want in ((np.diag(padded), np.diag(plain)),
+                      (forms[0].complement_potential,
+                       forms[1].complement_potential)):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_complement_potential_built_on_first_read(table2, monkeypatch):
+    # Forms that only feed the eigensolver or the descent never build
+    # kappa; reading it through zero_order, full_energy or the attribute
+    # builds it once per form, read-only, and returns the same bits.
+    calls = []
+
+    def counted(mask, plan):
+        calls.append(mask)
+        return real(mask, plan)
+
+    real = ga._complement_potential
+    monkeypatch.setattr(ga, "_complement_potential", counted)
+    grid = GridSpec(cells=(12, 12), spacing=2.0 / 12, origin=(-1.0, -1.0))
+    mask = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.8))
+    form = assemble(mask, 0.75, table=table2)
+    smallest_eigenpair(form, seed=0)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*negativity.*")
+        optimize_fixed_measure(mask, 0.75, max_iter=2, seed=0, table=table2)
+    assert calls == []
+    u = np.random.default_rng(41).standard_normal(form.size)
+    zero = form.zero_order(u)
+    assert len(calls) == 1
+    kappa = form.complement_potential
+    assert form.full_energy(u) == form.energy(u) + zero
+    assert form.zero_order(u) == zero
+    assert form.complement_potential is kappa and len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        kappa[0] = 0.0
+    again = assemble(mask, 0.75, table=table2)
+    assert again.complement_potential.tobytes() == kappa.tobytes()
+    assert len(calls) == 2
 
 
 def test_assembly_peak_memory(table2):

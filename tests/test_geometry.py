@@ -140,6 +140,19 @@ def test_node_activity_from_cells():
     assert len(mask2.boundary_idx) == 8
 
 
+def test_node_lists_are_read_only():
+    # every form built on a mask reads its node lists, so a write
+    # through a view must raise rather than corrupt them
+    mask = make_mask(grid_2d(8), Ball((0.0, 0.0), 0.9))
+    for name in ("interior_idx", "boundary_idx", "interior_coords",
+                 "boundary_coords"):
+        view = getattr(mask, name)[:2]
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mask, name)[...] += 1
+
+
 def test_node_activity_idempotent():
     g = grid_2d(8)
     mask = make_mask(g, Ball((0.0, 0.0), 0.9))
