@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Replays through the `regfrac` console script, run outside the checkout
+# so that it imports the installed package rather than src/; the
+# echoed config must replay the run byte for byte, the Hardy suite
+# too, whose checks share the pseudo-distances marched on one form,
+# the matrix dump, which writes the matrix from its own memory (at
+# 48^2, N 1089, the form spans several row blocks of the mirrored
+# half-table and takes the padded far FFT), and
+# a convex-mode optimize run, whose mode policy lives in shapeopt;
+# the 33-cell eigen run takes the dense eigh path and the 24^2 one
+# (245 interior nodes) the factor + Lanczos path, each replayed;
+# a volume that is not a whole number of cells, a one-cell volume
+# with no interior node and a mask too small for the Hardy corpus
+# must exit 2 before their out dir is made.
+#
+# Usage, after `python -m pip install .`: bash .github/entry_point.sh
+set -euo pipefail
+work="$(mktemp -d)"
+cd "$work"
+regfrac eigen --n 1 --sigma 0.25 --grid 33 --out-dir "$work/eigen"
+regfrac eigen --config "$work/eigen/config.echo" --out-dir "$work/replay"
+cmp "$work/eigen/eigen.json" "$work/replay/eigen.json"
+regfrac eigen --n 2 --sigma 0.75 --grid 24 --out-dir "$work/lanczos"
+regfrac eigen --config "$work/lanczos/config.echo" --out-dir "$work/lanczos-replay"
+cmp "$work/lanczos/eigen.json" "$work/lanczos-replay/eigen.json"
+regfrac hardy --n 2 --grid 24 --out-dir "$work/hardy"
+regfrac hardy --config "$work/hardy/config.echo" --out-dir "$work/hardy-replay"
+cmp "$work/hardy/hardy.json" "$work/hardy-replay/hardy.json"
+regfrac eigen --n 1 --sigma 0.75 --grid 33 --matrix --out-dir "$work/matrix"
+regfrac eigen --config "$work/matrix/config.echo" --out-dir "$work/matrix-replay"
+cmp "$work/matrix/matrix.rfrm" "$work/matrix-replay/matrix.rfrm"
+regfrac eigen --n 2 --sigma 0.75 --grid 48 --matrix --out-dir "$work/matrix48"
+regfrac eigen --config "$work/matrix48/config.echo" --out-dir "$work/matrix48-replay"
+cmp "$work/matrix48/matrix.rfrm" "$work/matrix48-replay/matrix.rfrm"
+regfrac optimize --mode convex --n 1 --sigma 0.75 --grid 24 --max-iter 2 --out-dir "$work/convex"
+regfrac optimize --config "$work/convex/config.echo" --out-dir "$work/convex-replay"
+cmp "$work/convex/state.json" "$work/convex-replay/state.json"
+cmp "$work/convex/iterations.csv" "$work/convex-replay/iterations.csv"
+code=0
+regfrac optimize --mode convex --n 1 --sigma 0.75 --grid 24 --volume 0.55 --out-dir "$work/badvol" || code=$?
+test "$code" -eq 2
+test ! -e "$work/badvol"
+code=0
+regfrac optimize --n 2 --sigma 0.75 --grid 8 --volume 0.0625 --out-dir "$work/onecell" || code=$?
+test "$code" -eq 2
+test ! -e "$work/onecell"
+code=0
+regfrac hardy --n 1 --grid 8 --radius 0.2 --dirs 8 --out-dir "$work/smallmask" || code=$?
+test "$code" -eq 2
+test ! -e "$work/smallmask"

@@ -274,8 +274,12 @@ def _patch_form(dim: int, sigma: float, delta: tuple[int, ...], depth: int,
                 points: int) -> tuple[list[tuple[int, ...]], np.ndarray, float]:
     """Graded quadrature of the cell-pair form on (cell 0, cell delta).
 
-    Returns (patch nodes, form matrix, relative change between the
-    extrapolants at depth and depth-1 — the convergence indicator).
+    Returns (patch nodes, form matrix, convergence indicator).  The form
+    adds a PSD-clamped geometric tail to the level increments.  The
+    indicator is how far families fitted (up to four, no clamp) on the
+    levels before the last miss the last level's increment, in Frobenius
+    norm relative to the form: 0.0 when the quadrature is complete or
+    zero, 1.0 when no family can be fitted.
     """
     nodes, increments, complete = _level_increments(dim, sigma, delta,
                                                     depth, points)
@@ -514,10 +518,11 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
                      convergence_tol: float = 1e-6) -> NearTable:
     """Build (or fetch from the in-process cache) the kernel table.
 
-    ``depth`` is the grading depth of the patch quadrature (minimum 4);
-    the geometric-tail extrapolants at depth and depth-1 must agree to
-    ``convergence_tol`` in relative Frobenius norm, else the build fails
-    with "near-field quadrature failed".
+    ``depth`` is the grading depth of the patch quadrature (minimum 4).
+    On every canonical cell pair, families fitted on the levels before
+    the deepest must predict its increment to ``convergence_tol``
+    relative to the form (``_patch_form``), else the build fails with
+    "near-field quadrature failed"; the worst miss is ``error_estimate``.
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2, or 3, got {dim}")

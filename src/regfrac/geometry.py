@@ -9,16 +9,15 @@ boundary of the cell union and is pinned to the value zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "GridSpec", "DomainMask", "DirectionSet",
-    "Ball", "Box", "Annulus", "CellList", "Bitmap",
-    "make_mask", "direction_set", "march_exit_distances",
-    "read_pbm", "write_pbm",
+    "Ball", "Box", "Annulus", "Bitmap",
+    "make_mask", "direction_set", "march_exit_distances", "read_pbm",
 ]
 
 
@@ -102,11 +101,6 @@ class Annulus:
 
 
 @dataclass(frozen=True)
-class CellList:
-    indices: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class Bitmap:
     path: str
 
@@ -116,10 +110,10 @@ class DomainMask:
 
     ``active`` is a boolean array of the grid's cell shape.  Derived
     (deterministically, on construction): ``incident_counts`` holds the
-    number of active cells around each node, ``interior`` marks nodes
-    whose every incident cell is active — the degrees of freedom — and
-    ``incident`` marks vertices of at least one active cell.  Incident
-    non-interior nodes are the boundary ring carrying the value 0.
+    number of active cells around each node; ``interior_idx`` lists, in
+    C order, the nodes whose 2^n incident cells are all active — the
+    degrees of freedom — and ``boundary_idx`` the other vertices of
+    active cells, the boundary ring carrying the value 0.
     """
 
     def __init__(self, grid: GridSpec, active: np.ndarray):
@@ -138,20 +132,15 @@ class DomainMask:
         grid = self.grid
         counts = _incident_counts(self.active)
         interior = counts == 2 ** grid.dim
-        incident = counts > 0
-        for derived in (counts, interior, incident):
-            derived.setflags(write=False)
         self.incident_counts = counts
-        self.interior = interior
-        self.incident = incident
         # lexicographic (C-order) index lists: the assembly ordering
         self.interior_idx = np.argwhere(interior)
-        self.boundary_idx = np.argwhere(incident & ~interior)
+        self.boundary_idx = np.argwhere((counts > 0) & ~interior)
         self.interior_coords = grid.node_coords(self.interior_idx)
         self.boundary_coords = grid.node_coords(self.boundary_idx)
         # every form built on the mask reads these: a write through a
         # view must fail, not corrupt them
-        for derived in (self.interior_idx, self.boundary_idx,
+        for derived in (counts, self.interior_idx, self.boundary_idx,
                         self.interior_coords, self.boundary_coords):
             derived.setflags(write=False)
 
@@ -195,8 +184,9 @@ def make_mask(grid: GridSpec, shape) -> DomainMask:
     """Build a DomainMask by testing each cell center against ``shape``.
 
     Shapes: Ball (strict ``|c - center| < radius``), Box (closed),
-    Annulus (r_inner <= |c - center| < r_outer), CellList, Bitmap (PBM
-    file path).  A shape extending beyond the grid raises "out of
+    Annulus (r_inner <= |c - center| < r_outer), Bitmap (PBM file
+    path); a mask from an explicit cell array is ``DomainMask(grid,
+    active)``.  A shape extending beyond the grid raises "out of
     bounds"; a shape capturing no center raises "empty domain".
     """
     centers = grid.cell_centers()
@@ -218,13 +208,6 @@ def make_mask(grid: GridSpec, shape) -> DomainMask:
         _bounds_check(grid, c - shape.r_outer, c + shape.r_outer)
         dist = np.linalg.norm(centers - c, axis=-1)
         active = (dist >= shape.r_inner) & (dist < shape.r_outer)
-    elif isinstance(shape, CellList):
-        active = np.zeros(grid.cells, dtype=bool)
-        for idx in shape.indices:
-            if len(idx) != grid.dim or any(
-                    i < 0 or i >= grid.cells[k] for k, i in enumerate(idx)):
-                raise ValueError(f"out of bounds: cell index {idx}")
-            active[tuple(idx)] = True
     elif isinstance(shape, Bitmap):
         active = read_pbm(Path(shape.path), grid)
     else:
@@ -280,21 +263,6 @@ def read_pbm(path: Path, grid: GridSpec) -> np.ndarray:
     # file row 0 = top = highest y; grid index order has y increasing
     cells = rows[::-1].T
     return np.ascontiguousarray(cells)
-
-
-def write_pbm(path: Path, mask: DomainMask) -> None:
-    """Inverse of read_pbm for 1-d and 2-d masks (P1, top row = high y)."""
-    grid = mask.grid
-    if grid.dim == 3:
-        raise ValueError("bitmap masks are 1-d or 2-d only")
-    if grid.dim == 1:
-        rows = mask.active[None, :]
-    else:
-        rows = mask.active.T[::-1]
-    lines = [f"P1", f"{rows.shape[1]} {rows.shape[0]}"]
-    for r in rows:
-        lines.append("".join("1" if v else "0" for v in r))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------------- directions

@@ -27,8 +27,9 @@ class RearrangeReport:
 
     ``violation`` flags regional_u < regional_star (the regional energy
     increased under rearrangement); ``ratio`` is their quotient.
-    ``l2_mismatch`` is the lumped-norm discrepancy introduced by nodes
-    whose weights differ (boundary-adjacent nodes).
+    ``l2_mismatch`` is the absolute |sum m u^2 - sum m u*^2| of the two
+    lumped squared norms: every unknown weighs h^n and u* permutes the
+    values of u, so it is the rounding of two sums of the same terms.
     """
 
     regional_u: float

@@ -2,12 +2,14 @@
 
 The lumped mass matrix is h^n I: every unknown is an interior node, all of
 whose 2^n incident cells are active, so A u = lambda M u reduces cleanly to
-a symmetric one.  Up to ``_DENSE_ORDER`` nodes one dense ``eigh`` solves
-it; larger forms are Cholesky-factored once and ARPACK's implicitly
-restarted Lanczos (Lehoucq, Sorensen & Yang 1998) runs on the symmetrized
-inverse from a seeded start, one ``potrs`` per operator application.  The
-pair must meet the caller's tolerance on the mass-weighted residual; reruns
-repeat it bit for bit at a fixed BLAS thread count.
+a symmetric one.  Only the ground pair is computed.  Up to
+``_DENSE_ORDER`` nodes one dense ``eigh`` finds it; larger forms are
+Cholesky-factored once and ARPACK's implicitly restarted Lanczos
+(Lehoucq, Sorensen & Yang 1998) finds the largest eigenvalue of the
+symmetrized inverse from a seeded start, one ``potrs`` per operator
+application.  The pair must meet the caller's tolerance on the
+mass-weighted residual; reruns repeat it bit for bit at a fixed BLAS
+thread count.
 """
 from __future__ import annotations
 
@@ -38,10 +40,8 @@ class EigenResult:
 
     ``vector`` is normalized to unit lumped-L2 norm and sign-fixed to
     nonnegative mean; ``residual`` is the mass-weighted defect
-    ||A u - lambda M u||_{M^-1}.  ``second_estimate`` is the second
-    eigenvalue (a Ritz value on the Lanczos path) for gap diagnostics,
-    equal to ``eigenvalue`` when there is none.  ``iterations`` counts
-    the inverse solves made, 0 when a dense ``eigh`` solved the order.
+    ||A u - lambda M u||_{M^-1}.  ``iterations`` counts the inverse
+    solves made, 0 when a dense ``eigh`` solved the order.
     ``min_entry`` is the most negative entry of the unit-norm vector
     before roundoff-size negatives are clamped (0.0 when there is none);
     well below zero, the discrete ground state changes sign and is not a
@@ -53,7 +53,6 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
-    second_estimate: float
     min_entry: float = 0.0
 
 
@@ -115,7 +114,7 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
     solves = 0
     if n <= _DENSE_ORDER:
         lams, vecs = eigh(a / np.outer(sqrt_m, sqrt_m), check_finite=False,
-                          subset_by_index=[0, min(1, n - 1)], overwrite_a=True)
+                          subset_by_index=[0, 0], overwrite_a=True)
         if not lams[0] > 0.0:
             raise ValueError("matrix is not finite and positive definite: "
                              f"its smallest eigenvalue is {lams[0]:.3e}")
@@ -139,12 +138,12 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
                     raise ValueError(f"LAPACK potrs failed with info {info}")
                 return sqrt_m * y
 
-            # ARPACK stops when both Ritz values meet ``tol`` relative to
-            # their size, most often after one Lanczos cycle; ``tol`` is
-            # then checked below on the mass-weighted residual
+            # ARPACK stops when the Ritz value meets ``tol`` relative to
+            # its size, after one Lanczos cycle on every form measured;
+            # ``tol`` is then checked below on the mass-weighted residual
             op = LinearOperator((n, n), matvec=inverse, dtype=float)
             try:
-                theta, vecs = eigsh(op, k=2, which="LA", v0=start, tol=tol,
+                theta, vecs = eigsh(op, k=1, which="LA", v0=start, tol=tol,
                                     maxiter=_MAX_RESTARTS)
             except ArpackNoConvergence as exc:
                 theta, vecs = exc.eigenvalues, exc.eigenvectors
@@ -158,14 +157,12 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
                 np.copyto(block, block.T.copy(),
                           where=np.tri(e - s, k=-1, dtype=bool))
             np.fill_diagonal(a, diagonal)
-        order = np.argsort(theta)[::-1]
-        lams, vecs = 1.0 / theta[order], vecs[:, order]
+        lams = 1.0 / theta
     if len(lams):
         lam, u = float(lams[0]), vecs[:, 0] / sqrt_m
     else:  # ARPACK stopped before any Ritz pair converged
         u = start / sqrt_m
         lam = float(u @ (a @ u)) / float(np.sum(m * u * u))
-    second = float(lams[1]) if len(lams) > 1 else lam
 
     # sign convention: nonnegative lumped mean, then clamp roundoff-size
     # negative entries to zero and renormalize
@@ -178,7 +175,7 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
     residual = float(np.sqrt(np.sum(defect * defect / m)))
     return EigenResult(eigenvalue=lam, vector=u, residual=residual,
                        iterations=solves, converged=residual <= tol,
-                       second_estimate=second, min_entry=min_entry)
+                       min_entry=min_entry)
 
 
 def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
@@ -187,20 +184,17 @@ def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
     matrix, M the diagonal of its lumped node masses.
 
     Up to ``_DENSE_ORDER`` nodes, one ``eigh`` of a scaled copy of A,
-    M^(-1/2) A M^(-1/2), gives its two smallest eigenpairs (``seed``
-    unused).  Above it, A is Cholesky-factored once; ARPACK's ``eigsh``,
-    started from a vector drawn from ``seed``, then finds the two largest
-    eigenvalues of M^(1/2) A^(-1) M^(1/2), 1/lambda_1 and 1/lambda_2, by
-    ``potrs`` on the factor.  ARPACK stops when both Ritz values meet
-    ``tol`` relative to their size, usually after one Lanczos cycle and
-    never near its restart cap.  Either way the result is converged when
-    the mass-weighted residual of the returned pair is at most ``tol``,
-    so an early or loose stop (an unattainable ``tol`` included) is
-    flagged, not raised.  A Ritz ``second_estimate`` is within 1e-13
-    relative of a dense eigensolve at ``tol`` 1e-8 on 1-3 d balls, boxes
-    and annuli, near-double second eigenvalues included.  A
-    ``RuntimeWarning`` names the calling line when the vector's
-    negativity exceeds the clamp tolerance.
+    M^(-1/2) A M^(-1/2), gives its smallest eigenpair (``seed`` unused).
+    Above it, A is Cholesky-factored once; ARPACK's ``eigsh``, started
+    from a vector drawn from ``seed``, then finds the largest eigenvalue
+    of M^(1/2) A^(-1) M^(1/2), 1/lambda_1, by ``potrs`` on the factor.
+    ARPACK stops when that Ritz value meets ``tol`` relative to its size,
+    after one Lanczos cycle on the 1-3 d forms measured and never near
+    its restart cap.  Either way the result is converged when the
+    mass-weighted residual of the returned pair is at most ``tol``, so
+    an early or loose stop (an unattainable ``tol`` included) is
+    flagged, not raised.  A ``RuntimeWarning`` names the calling line
+    when the vector's negativity exceeds the clamp tolerance.
 
     Above ``_DENSE_ORDER`` the matrix holds its own factor: its lower
     triangle and diagonal are overwritten, then rebuilt before the call

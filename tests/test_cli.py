@@ -23,7 +23,6 @@ import regfrac.spectral
 from regfrac import cli
 from regfrac.cli import (RunConfig, _grid, _init_mask, _pgm_text, echo_text,
                          load_config_file)
-from regfrac.geometry import write_pbm
 
 
 @pytest.fixture(scope="session")
@@ -275,11 +274,8 @@ def test_nonconvergence_exit3_partial(cli_env, tmp_path):
 
 def test_shape_file_round_trip(cli_env, tmp_path):
     # asymmetric 1-d support: active cells 3..20 on a 33-cell grid
-    grid = _grid(RunConfig(subcommand="eigen", dim=1, resolution=33))
-    active = np.zeros(33, dtype=bool)
-    active[3:21] = True
-    from regfrac.geometry import DomainMask
-    write_pbm(tmp_path / "mask.pbm", DomainMask(grid, active))
+    (tmp_path / "mask.pbm").write_text(
+        "P1\n33 1\n000111111111111111111000000000000\n")
     out = tmp_path / "run"
     proc = run_cli(["eigen", "--n", 1, "--sigma", 0.25, "--grid", 33,
                     "--shape", "file", "--shape-file", tmp_path / "mask.pbm",

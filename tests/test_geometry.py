@@ -19,7 +19,6 @@ from regfrac.geometry import (
     Ball,
     Bitmap,
     Box,
-    CellList,
     DirectionSet,
     DomainMask,
     GridSpec,
@@ -28,7 +27,6 @@ from regfrac.geometry import (
     make_mask,
     march_exit_distances,
     read_pbm,
-    write_pbm,
 )
 
 
@@ -109,14 +107,6 @@ def test_annulus_mask_matches_enumeration():
             assert mask.active[i, j] == (0.4 <= r < 0.9)
 
 
-def test_cell_list_mask_and_bounds():
-    g = grid_2d(8)
-    mask = make_mask(g, CellList(((0, 0), (3, 4))))
-    assert mask.cell_count == 2
-    with pytest.raises(ValueError, match="out of bounds"):
-        make_mask(g, CellList(((8, 0),)))
-
-
 def test_empty_and_out_of_bounds_masks():
     g = grid_2d(8)  # h = 0.25
     with pytest.raises(ValueError, match="empty domain"):
@@ -127,14 +117,20 @@ def test_empty_and_out_of_bounds_masks():
         make_mask(g, Box((-2.0, -1.0), (0.0, 0.0)))
 
 
+def _cells_mask(grid, cells):
+    active = np.zeros(grid.cells, dtype=bool)
+    active[tuple(np.transpose(cells))] = True
+    return DomainMask(grid, active)
+
+
 def test_node_activity_from_cells():
     # one active cell: its 4 vertices are all boundary, none interior
     g = grid_2d(8)
-    mask = make_mask(g, CellList(((3, 3),)))
+    mask = _cells_mask(g, [(3, 3)])
     assert len(mask.interior_idx) == 0
     assert len(mask.boundary_idx) == 4
     # 2x2 block: exactly the shared center node is interior
-    mask2 = make_mask(g, CellList(((3, 3), (3, 4), (4, 3), (4, 4))))
+    mask2 = _cells_mask(g, [(3, 3), (3, 4), (4, 3), (4, 4)])
     assert len(mask2.interior_idx) == 1
     assert tuple(mask2.interior_idx[0]) == (4, 4)
     assert len(mask2.boundary_idx) == 8
@@ -156,9 +152,10 @@ def test_node_lists_are_read_only():
 def test_node_activity_idempotent():
     g = grid_2d(8)
     mask = make_mask(g, Ball((0.0, 0.0), 0.9))
-    interior = mask.interior.copy()
+    before = (mask.interior_idx, mask.boundary_idx)
     mask._derive_nodes()
-    assert np.array_equal(interior, mask.interior)
+    assert np.array_equal(before[0], mask.interior_idx)
+    assert np.array_equal(before[1], mask.boundary_idx)
 
 
 @pytest.mark.parametrize("cells", [(9,), (7, 11), (5, 6, 4)])
@@ -174,8 +171,9 @@ def test_incident_counts_match_padded_windows(cells):
                               for o, n in zip(offset, cells))].astype(int)
                  for offset in np.ndindex(*([2] * len(cells))))
     assert np.array_equal(mask.incident_counts, expect)
-    assert np.array_equal(mask.interior, expect == 2 ** len(cells))
-    assert np.array_equal(mask.incident, expect > 0)
+    full = expect == 2 ** len(cells)
+    assert np.array_equal(mask.interior_idx, np.argwhere(full))
+    assert np.array_equal(mask.boundary_idx, np.argwhere((expect > 0) & ~full))
     assert not mask.incident_counts.flags.writeable
 
 
@@ -189,10 +187,12 @@ def test_mask_shape_mismatch_rejected():
 
 
 def test_pbm_round_trip(tmp_path):
+    # the 8^2 ball of radius 0.8 written out as plain PBM text
     g = grid_2d(8)
     mask = make_mask(g, Ball((0.0, 0.0), 0.8))
     path = tmp_path / "mask.pbm"
-    write_pbm(path, mask)
+    path.write_text("P1\n8 8\n00000000\n00111100\n01111110\n01111110\n"
+                    "01111110\n01111110\n00111100\n00000000\n")
     again = make_mask(g, Bitmap(str(path)))
     assert np.array_equal(mask.active, again.active)
 
@@ -561,7 +561,7 @@ def test_exact_exit_passes_through_shared_vertex(dim):
     # from one into the other (ties within rounding step together), as
     # the h/8 march does
     g = GridSpec((4,) * dim, 0.5, (0.0,) * dim)
-    mask = make_mask(g, CellList(((1,) * dim, (2,) * dim)))
+    mask = _cells_mask(g, [(1,) * dim, (2,) * dim])
     h = g.spacing
     root = math.sqrt(dim)
     unit = np.ones(dim) / root
@@ -579,7 +579,7 @@ def test_exact_exit_passes_through_shared_vertex(dim):
     assert abs(back - 1.6 * root * h) <= 1e-12
     if dim == 2:
         # the other diagonal: cells (1, 2) and (2, 1)
-        anti = make_mask(g, CellList(((1, 2), (2, 1))))
+        anti = _cells_mask(g, [(1, 2), (2, 1)])
         w = np.array([1.0, -1.0]) / math.sqrt(2.0)
         got = march_exit_distances(anti, [1.3 * h, 2.7 * h], w)[0, 0]
         assert abs(got - 1.7 * math.sqrt(2.0) * h) <= 1e-12

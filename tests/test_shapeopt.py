@@ -527,8 +527,7 @@ class TestGrowthDiagnostics:
         eig = growth_state.eigen
         eig_t = EigenResult(eigenvalue=eig.eigenvalue * t ** (-2 * SIGMA),
                             vector=eig.vector / t, residual=0.0,
-                            iterations=1, converged=True,
-                            second_estimate=eig.second_estimate)
+                            iterations=1, converged=True)
         scaled = growth_diagnostics(_state_from(mask_t, eig_t))
         assert scaled.ratio_sup_l2 == base.ratio_sup_l2 / t
 
@@ -543,8 +542,7 @@ class TestGrowthDiagnostics:
     def test_requires_convergence(self, growth_state):
         eig = growth_state.eigen
         broken = EigenResult(eigenvalue=eig.eigenvalue, vector=eig.vector,
-                             residual=1.0, iterations=1, converged=False,
-                             second_estimate=None)
+                             residual=1.0, iterations=1, converged=False)
         with pytest.raises(ValueError, match="converged eigen state"):
             growth_diagnostics(_state_from(growth_state.mask, broken))
 
