@@ -242,25 +242,22 @@ def _level_increments(dim: int, sigma: float, delta: tuple[int, ...],
 
 
 def _fit_families(increments: list[np.ndarray], sigma: float, end: int,
-                  k: int) -> tuple[np.ndarray, np.ndarray] | None:
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """Fit k geometric families on levels end-k+1..end.
 
     Per-level separated increments follow sum_j c_j r_j^level with the
     known ratios r_j = 2^-(2-2*sigma+j): the grading is dyadic and the
     interpolant is polynomial inside every subdivided box, so the level
     content has a clean expansion in powers of the box size.  Returns
-    (coefficients (k, width^2), ratios (k,)) or None if degenerate.
+    (coefficients (k, width^2), ratios (k,)).  The ratios are distinct
+    powers of two, so the level matrix is a Vandermonde matrix times a
+    nonsingular diagonal; a singular solve raises ``LinAlgError``.
     """
-    while k > 0:
-        levels = np.arange(end - k + 1, end + 1)
-        ratios = np.array([2.0 ** -(2.0 - 2.0 * sigma + j) for j in range(k)])
-        V = ratios[None, :] ** levels[:, None]
-        rhs = np.stack([increments[lv].ravel() for lv in levels])
-        try:
-            return np.linalg.solve(V, rhs), ratios
-        except np.linalg.LinAlgError:
-            k -= 1
-    return None
+    levels = np.arange(end - k + 1, end + 1)
+    ratios = np.array([2.0 ** -(2.0 - 2.0 * sigma + j) for j in range(k)])
+    V = ratios[None, :] ** levels[:, None]
+    rhs = np.stack([increments[lv].ravel() for lv in levels])
+    return np.linalg.solve(V, rhs), ratios
 
 
 def _clamp_psd(m: np.ndarray) -> np.ndarray:
@@ -279,7 +276,8 @@ def _patch_form(dim: int, sigma: float, delta: tuple[int, ...], depth: int,
     indicator is how far families fitted (up to four, no clamp) on the
     levels before the last miss the last level's increment, in Frobenius
     norm relative to the form: 0.0 when the quadrature is complete or
-    zero, 1.0 when no family can be fitted.
+    zero, 1.0 when fewer than two levels from the first nonzero one
+    precede the last.
     """
     nodes, increments, complete = _level_increments(dim, sigma, delta,
                                                     depth, points)
@@ -292,14 +290,10 @@ def _patch_form(dim: int, sigma: float, delta: tuple[int, ...], depth: int,
     last = len(increments) - 1
     # geometric tail beyond the max depth, fit on the last clean levels
     k_tail = max(1, min(4, last - first_nz))
-    fit = _fit_families(increments, sigma, last, k_tail)
-    if fit is not None:
-        coef, ratios = fit
-        tail = ((ratios ** (last + 1) / (1.0 - ratios))[:, None]
-                * coef).sum(axis=0).reshape(width, width)
-        est = partial + _clamp_psd(tail)
-    else:
-        est = partial
+    coef, ratios = _fit_families(increments, sigma, last, k_tail)
+    tail = ((ratios ** (last + 1) / (1.0 - ratios))[:, None]
+            * coef).sum(axis=0).reshape(width, width)
+    est = partial + _clamp_psd(tail)
     denom = max(float(np.linalg.norm(est)), 1e-300)
     # convergence indicator: the families fitted on the levels before
     # the last must predict the last measured increment
@@ -307,14 +301,10 @@ def _patch_form(dim: int, sigma: float, delta: tuple[int, ...], depth: int,
     if k_pred < 1:
         change = 1.0
     else:
-        fit_p = _fit_families(increments, sigma, last - 1, k_pred)
-        if fit_p is None:
-            change = 1.0
-        else:
-            coef_p, ratios_p = fit_p
-            pred = ((ratios_p ** last)[:, None]
-                    * coef_p).sum(axis=0).reshape(width, width)
-            change = float(np.linalg.norm(pred - increments[last])) / denom
+        coef_p, ratios_p = _fit_families(increments, sigma, last - 1, k_pred)
+        pred = ((ratios_p ** last)[:, None]
+                * coef_p).sum(axis=0).reshape(width, width)
+        change = float(np.linalg.norm(pred - increments[last])) / denom
     return nodes, 0.5 * (est + est.T), change
 
 
@@ -506,7 +496,7 @@ class NearTable:
     cell_pairs: np.ndarray
     weights: csr_matrix
     error_estimate: float
-    # per-grid assembly plans, keyed by (grid, sigma); see _grid_plan
+    # per-grid assembly plans, keyed by grid; see _grid_plan
     _plans: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
@@ -609,16 +599,17 @@ class RegionalForm:
     """Assembled quadratic form for one mask and order sigma.
 
     ``energy(u)`` is the regional double integral; ``full_energy(u)``
-    adds the complement term ``zero_order(u)`` = 2 * sum m_i u_i^2
-    kappa_i, which makes the full-space/regional decomposition an
-    identity of the discretization.
+    adds the complement term ``zero_order(u)`` = 2 m sum u_i^2 kappa_i,
+    which makes the full-space/regional decomposition an identity of the
+    discretization.  ``mass`` is the lumped mass m = h^n of every
+    unknown: each is an interior node, all of whose 2^n incident cells
+    are active.
     Vectors index the mask's interior nodes in lexicographic order.
     """
 
     mask: DomainMask
     sigma: float
     table: NearTable
-    node_weights: np.ndarray        # interior lumped masses m_i
     _matrix: np.ndarray = field(repr=False)
     # per-node pseudo-distances, NaN until marched, keyed by direction
     # rule; see hardy.hardy_check
@@ -627,7 +618,12 @@ class RegionalForm:
 
     @property
     def size(self) -> int:
-        return len(self.node_weights)
+        return len(self._matrix)
+
+    @property
+    def mass(self) -> float:
+        grid = self.mask.grid
+        return grid.spacing ** grid.dim
 
     def matrix(self) -> np.ndarray:
         return self._matrix
@@ -637,7 +633,7 @@ class RegionalForm:
         """kappa_i on interior nodes, read-only, built on first read:
         forms that only feed the eigensolver never pay for it."""
         kappa = _complement_potential(
-            self.mask, _grid_plan(self.table, self.mask.grid, self.sigma))
+            self.mask, _grid_plan(self.table, self.mask.grid))
         kappa.setflags(write=False)
         return kappa
 
@@ -657,7 +653,7 @@ class RegionalForm:
     def zero_order(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
         return 2.0 * float(
-            np.sum(self.node_weights * u * u * self.complement_potential))
+            np.sum(self.mass * u * u * self.complement_potential))
 
     def full_energy(self, u: np.ndarray) -> float:
         return self.energy(u) + self.zero_order(u)
@@ -719,8 +715,8 @@ def _embedded(values: np.ndarray, margin: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _GridPlan:
-    """Everything assembly needs that depends on the grid and sigma
-    but not on the mask (see ``_grid_plan``)."""
+    """Everything assembly needs that depends on the grid and the
+    table's sigma but not on the mask (see ``_grid_plan``)."""
 
     far_weights: np.ndarray     # -2 m^2 K[d] over node offsets d
     far_spectrum: np.ndarray    # rfftn of K[d]
@@ -742,9 +738,10 @@ class _GridPlan:
     tail: np.ndarray            # complement beyond the box, per node
 
 
-def _build_plan(table: NearTable, grid: GridSpec, sigma: float) -> _GridPlan:
+def _build_plan(table: NearTable, grid: GridSpec) -> _GridPlan:
     dim = grid.dim
     h = grid.spacing
+    sigma = table.sigma
     beta = dim + 2.0 * sigma
     axes = tuple(range(dim))
     node_shape = np.asarray(grid.node_shape)
@@ -756,9 +753,9 @@ def _build_plan(table: NearTable, grid: GridSpec, sigma: float) -> _GridPlan:
     kernel = np.zeros(far.shape)
     kernel[far] = (h * h * np.sum(d[far] ** 2, axis=-1)) ** (-beta / 2.0)
     far_shape = tuple(next_fast_len(n, real=True) for n in kernel.shape)
-    # every interior node has all 2^n incident cells active, so all
-    # interior masses equal and the interior far block is one array
-    mass = 2 ** dim * (h ** dim / 2 ** dim)
+    # every interior node has all 2^n incident cells active, so every
+    # interior mass is h^n and the interior far block is one array
+    mass = h ** dim
 
     # complement: node-to-centre offsets in units of h, for node minus
     # cell index 1 - cells .. cells; squared lengths are sums of squares
@@ -819,16 +816,16 @@ def _build_plan(table: NearTable, grid: GridSpec, sigma: float) -> _GridPlan:
     )
 
 
-def _grid_plan(table: NearTable, grid: GridSpec, sigma: float) -> _GridPlan:
-    """The table's plan for one grid and sigma, built on first use.
+def _grid_plan(table: NearTable, grid: GridSpec) -> _GridPlan:
+    """The table's plan for one grid, built on first use at the table's
+    sigma.
 
     Plans live in the table, so they are shared by every mask assembled
     on the grid with that table and dropped with it.
     """
-    key = (grid, sigma)
-    plan = table._plans.get(key)
+    plan = table._plans.get(grid)
     if plan is None:
-        plan = table._plans[key] = _build_plan(table, grid, sigma)
+        plan = table._plans[grid] = _build_plan(table, grid)
     return plan
 
 
@@ -895,8 +892,9 @@ def assemble(mask: DomainMask, sigma: float, *,
     its transpose, as ``spectral.smallest_eigenpair`` requires to factor
     it in place.
 
-    What does not depend on the mask is built once per grid and sigma
-    and kept in the table: the far kernel, its spectrum and the far
+    ``sigma`` must match the table's to 1e-12; the form, like the plan,
+    takes the table's.  What does not depend on the mask is built once
+    per grid and kept in the table: the far kernel, its spectrum and the far
     block weights, the complement kernel's spectrum and its refined near
     stencil, the tail term per node, the gather offsets of the
     half-table and its rows scaled to the spacing.  Per mask there
@@ -914,13 +912,11 @@ def assemble(mask: DomainMask, sigma: float, *,
     if table.dim != dim or abs(table.sigma - sigma) > 1e-12:
         raise ValueError("near table does not match mask dimension / sigma")
 
-    masses = _node_masses(mask)
     idx = mask.interior_idx
-    interior_m = masses[tuple(idx.T)]
-    n_int = len(interior_m)
+    n_int = len(idx)
     if n_int == 0:
         raise ValueError("no interior nodes")
-    plan = _grid_plan(table, grid, float(sigma))
+    plan = _grid_plan(table, grid)
 
     node_shape = np.asarray(grid.node_shape)
     k_off = idx @ plan.k_strides
@@ -956,8 +952,9 @@ def assemble(mask: DomainMask, sigma: float, *,
         keep[-1] = False        # the zero offset, added once
         flat[(col * n_int + row)[keep]] += coef[keep]
 
-    far_sums = _convolve(plan.far_spectrum, plan.far_shape, masses)[
-        tuple((idx + node_shape - 1).T)]
-    A[np.arange(n_int), np.arange(n_int)] += 2.0 * interior_m * far_sums
-    return RegionalForm(mask=mask, sigma=float(sigma), table=table,
-                        node_weights=interior_m, _matrix=A)
+    far_sums = _convolve(plan.far_spectrum, plan.far_shape,
+                         _node_masses(mask))[tuple((idx + node_shape - 1).T)]
+    form = RegionalForm(mask=mask, sigma=table.sigma, table=table, _matrix=A)
+    # the far diagonal 2 m_i sum_j m_j k(x_i - x_j), m_i the form's mass
+    A[np.arange(n_int), np.arange(n_int)] += 2.0 * form.mass * far_sums
+    return form

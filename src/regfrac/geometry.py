@@ -212,8 +212,6 @@ def make_mask(grid: GridSpec, shape) -> DomainMask:
         active = read_pbm(Path(shape.path), grid)
     else:
         raise TypeError(f"unknown shape descriptor: {shape!r}")
-    if not active.any():
-        raise ValueError("empty domain")
     return DomainMask(grid, active)
 
 

@@ -133,10 +133,9 @@ def hardy_check(form: RegionalForm, u: np.ndarray, dirs: DirectionSet,
         scales[missing] = pseudo_distance(
             form.mask, form.mask.interior_coords[missing], sigma, dirs)
     scale = scales[support]
-    weights = form.node_weights[support]
     lhs = form.energy(u)
     rhs = constant * float(
-        np.sum(weights * u[support] ** 2 * scale ** (-2.0 * sigma)))
+        np.sum(form.mass * u[support] ** 2 * scale ** (-2.0 * sigma)))
     ratio = lhs / rhs
     return HardyReport(dim=form.mask.grid.dim, sigma=sigma, constant=constant,
                        label=label, lhs=lhs, rhs=rhs, ratio=ratio,

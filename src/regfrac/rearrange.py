@@ -28,7 +28,7 @@ class RearrangeReport:
     ``violation`` flags regional_u < regional_star (the regional energy
     increased under rearrangement); ``ratio`` is their quotient.
     ``l2_mismatch`` is the absolute |sum m u^2 - sum m u*^2| of the two
-    lumped squared norms: every unknown weighs h^n and u* permutes the
+    lumped squared norms, m = h^n the form's mass: u* permutes the
     values of u, so it is the rounding of two sums of the same terms.
     """
 
@@ -95,7 +95,7 @@ def _build_report(form: RegionalForm, u: np.ndarray, star: np.ndarray,
                   descriptor: str) -> RearrangeReport:
     regional_u = form.energy(u)
     regional_star = form.energy(star)
-    m = form.node_weights
+    m = form.mass
     mismatch = abs(float(np.sum(m * u * u)) - float(np.sum(m * star * star)))
     ratio = _ratio(regional_u, regional_star)
     return RearrangeReport(

@@ -1,18 +1,19 @@
 """Smallest eigenpair of the regional form under the lumped mass matrix.
 
 The lumped mass matrix is h^n I: every unknown is an interior node, all of
-whose 2^n incident cells are active, so A u = lambda M u reduces cleanly to
-a symmetric one.  Only the ground pair is computed.  Up to
-``_DENSE_ORDER`` nodes one dense ``eigh`` finds it; larger forms are
-Cholesky-factored once and ARPACK's implicitly restarted Lanczos
-(Lehoucq, Sorensen & Yang 1998) finds the largest eigenvalue of the
-symmetrized inverse from a seeded start, one ``potrs`` per operator
-application.  The pair must meet the caller's tolerance on the
-mass-weighted residual; reruns repeat it bit for bit at a fixed BLAS
-thread count.
+whose 2^n incident cells are active, so the solver takes the mass as one
+number m and A u = lambda m u is a plain symmetric problem.  Only the
+ground pair is computed.  Up to ``_DENSE_ORDER`` nodes one dense ``eigh``
+finds it; larger forms are Cholesky-factored once and ARPACK's
+implicitly restarted Lanczos (Lehoucq, Sorensen & Yang 1998) finds the
+largest eigenvalue of the scaled inverse from a seeded start, one
+``potrs`` per operator application.  The pair must meet the caller's
+tolerance on the mass-weighted residual; reruns repeat it bit for bit at
+a fixed BLAS thread count.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ class EigenResult:
 
     ``vector`` is normalized to unit lumped-L2 norm and sign-fixed to
     nonnegative mean; ``residual`` is the mass-weighted defect
-    ||A u - lambda M u||_{M^-1}.  ``iterations`` counts the inverse
+    ||A u - lambda m u|| / sqrt(m).  ``iterations`` counts the inverse
     solves made, 0 when a dense ``eigh`` solved the order.
     ``min_entry`` is the most negative entry of the unit-norm vector
     before roundoff-size negatives are clamped (0.0 when there is none);
@@ -57,12 +58,12 @@ class EigenResult:
 
 
 def rayleigh_quotient(form: RegionalForm, u: np.ndarray) -> float:
-    """energy(u) / <M u, u>; rejects the zero vector."""
+    """energy(u) / (m <u, u>); rejects the zero vector."""
     u = np.asarray(u, dtype=float)
-    mass = float(np.dot(form.node_weights * u, u))
-    if not mass > 0.0:
+    norm = float(np.dot(form.mass * u, u))
+    if not norm > 0.0:
         raise ValueError("rayleigh quotient requires a nonzero vector")
-    return form.energy(u) / mass
+    return form.energy(u) / norm
 
 
 def _check_factorable(a: np.ndarray) -> None:
@@ -87,33 +88,31 @@ def _check_factorable(a: np.ndarray) -> None:
                              "would be read from the upper triangle alone")
 
 
-def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
+def _solve_pencil(matrix: np.ndarray, mass: float, tol: float,
                   seed: int) -> EigenResult:
-    """``smallest_eigenpair`` on the pencil (matrix, diag(mass_diag))."""
+    """``smallest_eigenpair`` on the pencil (matrix, mass I)."""
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if not mass > 0.0:
+        raise ValueError(f"mass must be positive, got {mass}")
     a = np.asarray(matrix)
-    m = np.asarray(mass_diag, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if m.shape != (a.shape[0],):
-        raise ValueError(f"mass diagonal shape {m.shape} does not match "
-                         f"matrix order {a.shape[0]}")
-    n = len(m)
+    n = len(a)
     if n == 0:
         raise ValueError("no interior nodes")
-    if not np.all(m > 0.0):
-        raise ValueError("mass diagonal must be positive")
     # both paths take only matrices potrf can factor in place: a symmetric
     # a's view a.T holds in its upper triangle what an F-ordered copy would
     _check_factorable(a)
-    # work in mass-symmetrized coordinates: the pencil (A, M) becomes the
-    # plain symmetric problem with operator M^(-1/2) A M^(-1/2), whose
-    # eigenvectors are those of A u = lambda M u scaled by M^(1/2)
-    sqrt_m = np.sqrt(m)
+    # work in scaled coordinates v = r u, r = sqrt(m): A u = lambda m u
+    # becomes (A / r^2) v = lambda v
+    root = math.sqrt(mass)
     solves = 0
     if n <= _DENSE_ORDER:
-        lams, vecs = eigh(a / np.outer(sqrt_m, sqrt_m), check_finite=False,
+        # root * root, not mass, which can differ in the last bit: the
+        # Lanczos path scales by root on either side of the inverse, so
+        # both paths scale A alike
+        lams, vecs = eigh(a / (root * root), check_finite=False,
                           subset_by_index=[0, 0], overwrite_a=True)
         if not lams[0] > 0.0:
             raise ValueError("matrix is not finite and positive definite: "
@@ -133,10 +132,10 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
             def inverse(x):
                 nonlocal solves
                 solves += 1
-                y, info = potrs(c, sqrt_m * x, lower=lower, overwrite_b=True)
+                y, info = potrs(c, root * x, lower=lower, overwrite_b=True)
                 if info != 0:
                     raise ValueError(f"LAPACK potrs failed with info {info}")
-                return sqrt_m * y
+                return root * y
 
             # ARPACK stops when the Ritz value meets ``tol`` relative to
             # its size, after one Lanczos cycle on every form measured;
@@ -159,20 +158,20 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
             np.fill_diagonal(a, diagonal)
         lams = 1.0 / theta
     if len(lams):
-        lam, u = float(lams[0]), vecs[:, 0] / sqrt_m
+        lam, u = float(lams[0]), vecs[:, 0] / root
     else:  # ARPACK stopped before any Ritz pair converged
-        u = start / sqrt_m
-        lam = float(u @ (a @ u)) / float(np.sum(m * u * u))
+        u = start / root
+        lam = float(u @ (a @ u)) / float(np.sum(mass * u * u))
 
     # sign convention: nonnegative lumped mean, then clamp roundoff-size
     # negative entries to zero and renormalize
-    if float(np.sum(u * m)) < 0.0:
+    if float(np.sum(u * mass)) < 0.0:
         u = -u
-    min_entry = min(0.0, float(u.min() / np.sqrt(np.sum(m * u * u))))
+    min_entry = min(0.0, float(u.min() / np.sqrt(np.sum(mass * u * u))))
     u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
-    u = u / np.sqrt(float(np.sum(m * u * u)))
-    defect = a @ u - lam * (m * u)
-    residual = float(np.sqrt(np.sum(defect * defect / m)))
+    u = u / np.sqrt(float(np.sum(mass * u * u)))
+    defect = a @ u - lam * (mass * u)
+    residual = float(np.sqrt(np.sum(defect * defect / mass)))
     return EigenResult(eigenvalue=lam, vector=u, residual=residual,
                        iterations=solves, converged=residual <= tol,
                        min_entry=min_entry)
@@ -180,14 +179,14 @@ def _solve_pencil(matrix: np.ndarray, mass_diag: np.ndarray, tol: float,
 
 def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
                        seed: int = 0) -> EigenResult:
-    """Ground eigenpair of A u = lambda M u for the assembled form: A its
-    matrix, M the diagonal of its lumped node masses.
+    """Ground eigenpair of A u = lambda m u for the assembled form: A its
+    matrix, m = h^n its lumped mass, the same at every node.
 
-    Up to ``_DENSE_ORDER`` nodes, one ``eigh`` of a scaled copy of A,
-    M^(-1/2) A M^(-1/2), gives its smallest eigenpair (``seed`` unused).
-    Above it, A is Cholesky-factored once; ARPACK's ``eigsh``, started
-    from a vector drawn from ``seed``, then finds the largest eigenvalue
-    of M^(1/2) A^(-1) M^(1/2), 1/lambda_1, by ``potrs`` on the factor.
+    Up to ``_DENSE_ORDER`` nodes, one ``eigh`` of the scaled copy A / m
+    gives its smallest eigenpair (``seed`` unused).  Above it, A is
+    Cholesky-factored once; ARPACK's ``eigsh``, started from a vector
+    drawn from ``seed``, then finds the largest eigenvalue of m A^(-1),
+    1/lambda_1, by ``potrs`` on the factor.
     ARPACK stops when that Ritz value meets ``tol`` relative to its size,
     after one Lanczos cycle on the 1-3 d forms measured and never near
     its restart cap.  Either way the result is converged when the
@@ -206,7 +205,7 @@ def smallest_eigenpair(form: RegionalForm, *, tol: float = 1e-8,
     form without interior nodes, a matrix that is not positive definite
     or a failed ``potrs``.
     """
-    result = _solve_pencil(form.matrix(), form.node_weights, tol, seed)
+    result = _solve_pencil(form.matrix(), form.mass, tol, seed)
     if result.min_entry < -1e-8:
         warnings.warn(f"eigenvector negativity {result.min_entry:.3e} "
                       "exceeds clamp tolerance", RuntimeWarning, stacklevel=2)

@@ -92,7 +92,7 @@ def test_criterion_02_decomposition_identity(ball_form, box_form, table2):
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for form in forms:
-        kappa_term = 2.0 * form.node_weights * form.complement_potential
+        kappa_term = 2.0 * form.mass * form.complement_potential
         for _ in range(50):
             u = rng.standard_normal(form.size)
             full = form.full_energy(u)

@@ -893,7 +893,7 @@ def _per_call_assembly(mask, sigma, table):
 def _assert_bitwise(form, reference):
     A, interior_m, kappa = reference
     assert np.array_equal(form.matrix(), A)
-    assert np.array_equal(form.node_weights, interior_m)
+    assert np.array_equal(np.full(form.size, form.mass), interior_m)
     assert np.array_equal(form.complement_potential, kappa)
 
 
@@ -940,7 +940,7 @@ def test_one_plan_per_grid(table2):
     masks = [make_mask(grid, Ball(center=(0.0, 0.0), radius=r))
              for r in (0.9, 0.6)]
     forms = [assemble(mask, 0.75, table=fresh) for mask in masks]
-    assert list(fresh._plans) == [(grid, 0.75)]
+    assert list(fresh._plans) == [grid]
     for mask, form in zip(masks, forms):
         _assert_bitwise(form, _per_call_assembly(mask, 0.75, table2))
         _assert_bitwise(assemble(mask, 0.75, table=table2),
@@ -961,10 +961,27 @@ def test_plans_keyed_by_spacing_and_origin(table2):
         mask = DomainMask(grid, active)
         _assert_bitwise(assemble(mask, 0.75, table=fresh),
                         _per_call_assembly(mask, 0.75, fresh))
-    assert set(fresh._plans) == {(grid, 0.75) for grid in grids}
+    assert set(fresh._plans) == set(grids)
     plans = list(fresh._plans.values())
     assert len({id(plan) for plan in plans}) == 3
     assert not np.array_equal(plans[0].tail, plans[2].tail)
+
+
+def test_one_plan_for_sigmas_the_table_accepts(table2):
+    # assemble accepts a sigma within 1e-12 of the table's; the plan and
+    # the form take the table's, so such a sigma reuses the grid's plan
+    # and gives the form bit for bit, with its far part and complement
+    # potential at the same sigma as its near part
+    fresh = dataclasses.replace(table2)
+    grid = GridSpec(cells=(16, 16), spacing=1 / 8, origin=(-1.0, -1.0))
+    mask = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.9))
+    forms = [assemble(mask, sigma, table=fresh)
+             for sigma in (0.75, 0.75 + 5e-13)]
+    assert list(fresh._plans) == [grid]
+    assert [form.sigma for form in forms] == [fresh.sigma] * 2
+    _assert_bitwise(forms[1], (forms[0].matrix(),
+                               np.full(forms[0].size, forms[0].mass),
+                               forms[0].complement_potential))
 
 
 @pytest.mark.parametrize("case", ["1d", "2d", "3d"])
@@ -987,7 +1004,7 @@ def _all_offset_assembly(mask, sigma, table):
     on the far block and far diagonal of the grid's plan: the bitwise
     reference for the half-table and its mirrored add."""
     grid = mask.grid
-    plan = ga._grid_plan(table, grid, sigma)
+    plan = ga._grid_plan(table, grid)
     masses = ga._node_masses(mask)
     idx = mask.interior_idx
     interior_m = masses[tuple(idx.T)]
@@ -1030,7 +1047,7 @@ def test_half_table_matches_all_offset_loop(case, table1, table2,
     sigma, table = {1: (0.25, table1), 2: (0.75, table2),
                     3: (0.5, build_near_table(3, 0.5))}[mask.grid.dim]
     reference = _all_offset_assembly(mask, sigma, table).view(np.int64)
-    plan = ga._grid_plan(table, mask.grid, sigma)
+    plan = ga._grid_plan(table, mask.grid)
     kappa = ga._complement_potential(mask, plan)
     n_int = len(reference)
     assert n_int > 3
@@ -1062,7 +1079,7 @@ def test_fast_fft_lengths_change_only_rounding(case, table1, table2,
             monkeypatch.setattr(ga, "next_fast_len", lambda n, real: n)
         fresh = dataclasses.replace(table)
         forms.append(assemble(mask, sigma, table=fresh))
-        plans.append(fresh._plans[(mask.grid, sigma)])
+        plans.append(fresh._plans[mask.grid])
     assert plans[0].far_shape != plans[1].far_shape
     assert plans[1].far_shape == tuple(2 * n - 1 for n in mask.grid.node_shape)
     padded, plain = (form.matrix() for form in forms)
@@ -1238,7 +1255,7 @@ def test_positive_semidefinite(ball_form):
 
 def test_grid_scaling_homogeneity(ball_form, table2):
     # Dilating the grid by t multiplies every matrix entry by
-    # t^(n - 2*sigma) and every node weight by t^n.
+    # t^(n - 2*sigma) and the lumped mass by t^n.
     mask = ball_form.mask
     t = 2.0
     dilated = DomainMask(mask.grid.scaled(t), mask.active)
@@ -1246,7 +1263,7 @@ def test_grid_scaling_homogeneity(ball_form, table2):
     factor = t ** (2.0 - 1.5)
     assert np.allclose(form_t.matrix(), factor * ball_form.matrix(),
                        rtol=1e-13, atol=0.0)
-    assert np.array_equal(form_t.node_weights, 4.0 * ball_form.node_weights)
+    assert form_t.mass == 4.0 * ball_form.mass
 
 
 def test_domain_monotonicity(ball_form, table2):
@@ -1283,7 +1300,7 @@ def test_complement_potential_positive(ball_form, box_form):
 
 def test_full_energy_decomposition(ball_form):
     assert ball_form.full_energy(np.zeros(ball_form.size)) == 0.0
-    m = ball_form.node_weights
+    m = ball_form.mass
     kappa = ball_form.complement_potential
     rng = np.random.default_rng(71)
     for _ in range(10):

@@ -368,7 +368,7 @@ def test_shared_march_reports_equal_fresh_forms(dim, ball_form):
             scale = pseudo_distance(form.mask, form.mask.interior_coords[on],
                                     0.75, dirs)
             assert fresh.rhs == fresh.constant * float(np.sum(
-                form.node_weights[on] * v[on] ** 2 * scale ** -1.5))
+                form.mass * v[on] ** 2 * scale ** -1.5))
     (scales,) = form._scales.values()
     assert np.array_equal(np.isnan(scales), ~deep_interior(form.mask))
 

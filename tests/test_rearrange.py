@@ -221,7 +221,7 @@ class TestAlmgrenLieb:
         rng = np.random.default_rng(12)
         u = rng.uniform(0.0, 1.0, len(mask.interior_idx))
         rep = almgren_lieb_check(padded_ball, u, "l2")
-        m = padded_ball.node_weights
+        m = padded_ball.mass
         star = symmetric_decreasing_rearrangement(u, mask)
         expect = abs(float(np.sum(m * u * u)) - float(np.sum(m * star * star)))
         assert rep.l2_mismatch == pytest.approx(expect, abs=1e-18)

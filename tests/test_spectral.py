@@ -48,20 +48,20 @@ def _residual_report(form, result, threshold=0.0):
     if not result.converged:
         raise ValueError("residual report requires a converged result")
     u = np.asarray(result.vector, dtype=float)
-    m = form.node_weights
+    m = form.mass
     defect = form.apply(u) - result.eigenvalue * (m * u)
     support = u > threshold
     inside, outside = defect[support], defect[~support]
     return SimpleNamespace(
         support_count=int(support.sum()),
-        support_residual=float(np.sqrt(np.sum(inside * inside / m[support]))),
+        support_residual=float(np.sqrt(np.sum(inside * inside / m))),
         complement_defect=float(outside.max()) if outside.size else 0.0)
 
 
 def test_injected_two_by_two():
     # Known eigensystem: eigenvalues 1 and 3, ground vector (1,1)/sqrt(2).
     matrix = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    res = _solve_pencil(matrix, np.ones(2), 1e-12, 1)
+    res = _solve_pencil(matrix, 1.0, 1e-12, 1)
     assert res.converged
     assert abs(res.eigenvalue - 1.0) < 1e-12
     assert np.allclose(res.vector, np.full(2, 1.0 / np.sqrt(2.0)), atol=1e-10)
@@ -73,37 +73,20 @@ def test_smallest_orders_match_generalized_eigh(n):
     rng = np.random.default_rng(10 + n)
     matrix = (np.diag(2.0 + rng.uniform(0.0, 1.0, n))
               - np.eye(n, k=1) - np.eye(n, k=-1))
-    mass = rng.uniform(0.5, 2.0, n)
+    mass = rng.uniform(0.5, 2.0)
     res = _solve_pencil(matrix, mass, 1e-12, 0)
-    exact, vecs = scipy.linalg.eigh(matrix, np.diag(mass))
+    exact, vecs = scipy.linalg.eigh(matrix, mass * np.eye(n))
     assert res.converged
     assert abs(res.eigenvalue - exact[0]) <= 1e-12 * exact[0]
-    ref = vecs[:, 0] * np.sign(np.sum(mass * vecs[:, 0]))
+    ref = vecs[:, 0] * np.sign(np.sum(vecs[:, 0]))
     assert float(np.max(np.abs(res.vector - ref))) <= 1e-10
-
-
-def test_nonuniform_mass_matches_generalized_eigh():
-    # forms carry a constant mass diagonal; a varying one checks that the
-    # inner solves work in the mass-symmetrized coordinates
-    rng = np.random.default_rng(4)
-    # a path Laplacian plus a positive potential: an irreducible
-    # M-matrix, so the ground vector is positive
-    matrix = (np.diag(2.0 + rng.uniform(0.0, 1.0, 30))
-              - np.eye(30, k=1) - np.eye(30, k=-1))
-    mass = rng.uniform(0.2, 5.0, 30)
-    res = _solve_pencil(matrix, mass, 1e-11, 2)
-    exact, vecs = scipy.linalg.eigh(matrix, np.diag(mass),
-                                    subset_by_index=[0, 0])
-    assert res.converged
-    assert abs(res.eigenvalue - exact[0]) <= 1e-12 * exact[0]
-    ref = vecs[:, 0] * np.sign(np.sum(mass * vecs[:, 0]))
-    assert float(np.max(np.abs(res.vector - ref))) <= 1e-8
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_lumped_mass_is_the_cell_volume(dim, table1, table2):
     """Every unknown is an interior node, all of whose 2^n incident
-    cells are active, so its lumped mass is exactly h^n."""
+    cells are active, so its lumped mass is exactly h^n: the form's one
+    mass is bitwise the dual-cell mass at every interior node."""
     cells = {1: 24, 2: 16, 3: 10}[dim]
     grid = GridSpec(cells=(cells,) * dim, spacing=2.0 / cells,
                     origin=(-1.0,) * dim)
@@ -118,8 +101,10 @@ def test_lumped_mass_is_the_cell_volume(dim, table1, table2):
                  DomainMask(grid, ell)):
         form = assemble(mask, sigma, table=table)
         assert form.size > 0
-        assert np.array_equal(form.node_weights,
-                              np.full(form.size, h ** dim))
+        assert form.mass == h ** dim
+        masses = _node_masses(mask)[tuple(mask.interior_idx.T)]
+        assert np.array_equal(masses.view(np.int64),
+                              np.full(form.size, form.mass).view(np.int64))
 
 
 def test_ground_state_contract(ball_form, ball_pair):
@@ -129,7 +114,7 @@ def test_ground_state_contract(ball_form, ball_pair):
     assert res.residual <= 1e-10
     assert res.vector.min() >= -1e-12
     assert -1e-12 <= res.min_entry <= 0.0
-    mass_norm = float(np.sum(ball_form.node_weights * res.vector ** 2))
+    mass_norm = float(np.sum(ball_form.mass * res.vector ** 2))
     assert abs(mass_norm - 1.0) <= 1e-12
 
 
@@ -165,7 +150,7 @@ def test_eigenvalue_is_quotient_below_start(ball_form, ball_pair):
     # the start vector the Lanczos path would draw, in mass-symmetrized
     # coordinates
     start = (np.random.default_rng(0).standard_normal(ball_form.size)
-             / np.sqrt(ball_form.node_weights))
+             / np.sqrt(ball_form.mass))
     assert lam <= rayleigh_quotient(ball_form, start)
 
 
@@ -269,9 +254,8 @@ def test_one_lanczos_cycle_on_near_double_second_eigenvalue(table2):
     grid = GridSpec(cells=(20, 20), spacing=0.1, origin=(-1.0, -1.0))
     mask = make_mask(grid, Ball(center=(0.02, 0.0), radius=0.87))
     form = assemble(mask, 0.75, table=table2)
-    inv_sqrt = 1.0 / np.sqrt(form.node_weights)
     exact = scipy.linalg.eigh(
-        inv_sqrt[:, None] * form.matrix() * inv_sqrt[None, :],
+        form.matrix() / form.mass,
         eigvals_only=True, subset_by_index=[0, 2])
     assert exact[2] / exact[1] - 1.0 < 1e-2
     res = smallest_eigenpair(form, tol=1e-8, seed=0)
@@ -289,9 +273,8 @@ def test_one_lanczos_cycle_on_off_centre_three_dimensional_ball():
     mask = make_mask(grid, Ball(center=(0.1, 0.0, 0.0), radius=0.75))
     form = assemble(mask, 0.5, table=build_near_table(3, 0.5))
     assert form.size == 220
-    inv_sqrt = 1.0 / np.sqrt(form.node_weights)
     exact = scipy.linalg.eigh(
-        inv_sqrt[:, None] * form.matrix() * inv_sqrt[None, :],
+        form.matrix() / form.mass,
         eigvals_only=True, subset_by_index=[0, 0])
     res = smallest_eigenpair(form, tol=1e-8, seed=0)
     assert res.converged
@@ -311,7 +294,7 @@ def test_no_converged_pair_returns_start_vector(ball24_form, monkeypatch):
     assert not res.converged
     assert res.iterations == 0
     assert np.isfinite(res.residual) and res.residual > 1e-8
-    m = ball24_form.node_weights
+    m = ball24_form.mass
     start = (np.random.default_rng(0).standard_normal(ball24_form.size)
              / np.sqrt(m))
     start = start * np.sign(np.sum(m * start)) / np.sqrt(np.sum(m * start ** 2))
@@ -322,25 +305,22 @@ def test_no_converged_pair_returns_start_vector(ball24_form, monkeypatch):
 
 def test_empty_and_invalid_inputs():
     with pytest.raises(ValueError, match="no interior nodes"):
-        _solve_pencil(np.zeros((0, 0)), np.zeros(0), 1e-8, 0)
+        _solve_pencil(np.zeros((0, 0)), 1.0, 1e-8, 0)
     with pytest.raises(ValueError, match="tolerance"):
-        _solve_pencil(np.eye(2), np.ones(2), 0.0, 0)
+        _solve_pencil(np.eye(2), 1.0, 0.0, 0)
     with pytest.raises(ValueError, match="square"):
-        _solve_pencil(np.ones((2, 3)), np.ones(2), 1e-8, 0)
+        _solve_pencil(np.ones((2, 3)), 1.0, 1e-8, 0)
     with pytest.raises(ValueError, match="square"):
-        _solve_pencil(np.ones(4), np.ones(4), 1e-8, 0)
-    with pytest.raises(ValueError, match="does not match"):
-        _solve_pencil(np.eye(3), np.ones(2), 1e-8, 0)
-    with pytest.raises(ValueError, match="mass diagonal must be positive"):
-        _solve_pencil(np.eye(2), np.array([1.0, 0.0]), 1e-8, 0)
-    with pytest.raises(ValueError, match="mass diagonal must be positive"):
-        _solve_pencil(np.eye(2), np.array([1.0, np.nan]), 1e-8, 0)
+        _solve_pencil(np.ones(4), 1.0, 1e-8, 0)
+    for mass in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            _solve_pencil(np.eye(2), mass, 1e-8, 0)
 
 
 def test_indefinite_matrix_rejected():
     # eigenvalues -1 and 3: the Cholesky factorization fails at pivot 2
     with pytest.raises(ValueError, match="positive definite"):
-        _solve_pencil(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), 1e-8, 0)
+        _solve_pencil(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0, 1e-8, 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -356,7 +336,7 @@ def test_nonfinite_matrix_rejected(bad):
             matrix[0, 2] = bad
         before = matrix.copy()
         with pytest.raises(ValueError, match="not finite.*infs or NaNs"):
-            _solve_pencil(matrix, np.ones(3), 1e-8, 0)
+            _solve_pencil(matrix, 1.0, 1e-8, 0)
         assert _same_bits(matrix, before)
 
 
@@ -384,8 +364,8 @@ def test_negativity_warning_names_the_caller(box_form):
     # the warning points at the line that called the solver, not at a
     # line inside spectral.py.  The pencil (M^1/2 B M^1/2, M) has the
     # vectors M^-1/2 v of B's
-    root = np.sqrt(box_form.node_weights)
-    matrix = _mirrored(root[:, None] * _rounded_product(box_form.size) * root)
+    root = np.sqrt(box_form.mass)
+    matrix = _mirrored(root * _rounded_product(box_form.size) * root)
     form = dataclasses.replace(box_form, _matrix=matrix)
     with pytest.warns(RuntimeWarning, match="negativity") as record:
         assert smallest_eigenpair(form).min_entry < -1e-8
@@ -459,7 +439,7 @@ def test_matrix_restored_when_factorization_fails(ball24_form, factored):
     matrix[k, k] = -matrix[k, k]
     before = matrix.copy()
     with pytest.raises(ValueError, match=f"{k + 1}-th leading minor"):
-        _solve_pencil(matrix, ball24_form.node_weights, 1e-8, 0)
+        _solve_pencil(matrix, ball24_form.mass, 1e-8, 0)
     assert np.shares_memory(factored[0]["given"], matrix)
     assert _same_bits(matrix, before)
 
@@ -583,10 +563,10 @@ def test_solve_allocates_no_matrix_beside_the_form(box48_form):
 
 
 def test_mass_diagonal_bookkeeping(box_form):
-    m = box_form.node_weights
-    assert np.all(m > 0.0)
+    m = box_form.mass
+    assert m > 0.0
     boundary = _node_masses(box_form.mask)[tuple(box_form.mask.boundary_idx.T)]
-    total = float(np.sum(m) + np.sum(boundary))
+    total = float(m * box_form.size + np.sum(boundary))
     assert abs(total - box_form.mask.volume) <= 1e-12 * box_form.mask.volume
 
 
@@ -626,7 +606,7 @@ def _reference_orthonormalize(block):
 def _reference_pencil(matrix, m, tol, seed):
     """Block-2 inverse iteration with PCG inner solves at a tenth of
     ``tol``: (eigenvalue, mass-normalized vector, outer steps)."""
-    n = len(m)
+    n = len(matrix)
     sqrt_m = np.sqrt(m)
 
     def apply_sym(v):
@@ -664,15 +644,14 @@ def annulus_form(table2):
 @pytest.mark.parametrize("name", ["ball_form", "box_form", "annulus_form"])
 def test_factored_solves_match_reference_and_dense_oracle(name, request):
     form = request.getfixturevalue(name)
-    matrix, m = form.matrix(), form.node_weights
+    matrix, m = form.matrix(), form.mass
     res = smallest_eigenpair(form, tol=1e-10, seed=5)
     assert res.converged
     lam_ref, u_ref, iters_ref = _reference_pencil(matrix, m, 1e-10, seed=5)
     assert abs(res.eigenvalue - lam_ref) <= 1e-12 * lam_ref
     assert float(np.max(np.abs(res.vector - u_ref))) <= 1e-8
     assert res.iterations <= 2 * iters_ref
-    # dense oracle on the mass-symmetrized matrix
-    inv_sqrt = 1.0 / np.sqrt(m)
-    exact = scipy.linalg.eigh(inv_sqrt[:, None] * matrix * inv_sqrt[None, :],
-                              eigvals_only=True, subset_by_index=[0, 0])
+    # dense oracle on the matrix scaled by the mass
+    exact = scipy.linalg.eigh(matrix / m, eigvals_only=True,
+                              subset_by_index=[0, 0])
     assert abs(res.eigenvalue - exact[0]) <= 1e-10 * exact[0]
