@@ -6,12 +6,15 @@
 # the matrix dump, which writes the matrix from its own memory (at
 # 48^2, N 1089, the form spans several row blocks of the mirrored
 # half-table and takes the padded far FFT), and
-# a convex-mode optimize run, whose mode policy lives in shapeopt;
+# a convex-mode optimize run, whose mode policy lives in shapeopt,
+# and a rearrange run, whose full-space energies are the only CLI
+# output that reads the complement potential;
 # the 33-cell eigen run takes the dense eigh path and the 24^2 one
 # (245 interior nodes) the factor + Lanczos path, each replayed;
 # a volume that is not a whole number of cells, a one-cell volume
-# with no interior node and a mask too small for the Hardy corpus
-# must exit 2 before their out dir is made.
+# with no interior node, a mask too small for the Hardy corpus, a NaN
+# radius and an infinite extent must exit 2 before their out dir is
+# made.
 #
 # Usage, after `python -m pip install .`: bash .github/entry_point.sh
 set -euo pipefail
@@ -36,6 +39,9 @@ regfrac optimize --mode convex --n 1 --sigma 0.75 --grid 24 --max-iter 2 --out-d
 regfrac optimize --config "$work/convex/config.echo" --out-dir "$work/convex-replay"
 cmp "$work/convex/state.json" "$work/convex-replay/state.json"
 cmp "$work/convex/iterations.csv" "$work/convex-replay/iterations.csv"
+regfrac rearrange --n 2 --grid 24 --trials 20 --pgm --out-dir "$work/rearrange"
+regfrac rearrange --config "$work/rearrange/config.echo" --out-dir "$work/rearrange-replay"
+cmp "$work/rearrange/rearrange.json" "$work/rearrange-replay/rearrange.json"
 code=0
 regfrac optimize --mode convex --n 1 --sigma 0.75 --grid 24 --volume 0.55 --out-dir "$work/badvol" || code=$?
 test "$code" -eq 2
@@ -48,3 +54,11 @@ code=0
 regfrac hardy --n 1 --grid 8 --radius 0.2 --dirs 8 --out-dir "$work/smallmask" || code=$?
 test "$code" -eq 2
 test ! -e "$work/smallmask"
+code=0
+regfrac eigen --n 1 --grid 16 --radius nan --out-dir "$work/nanradius" || code=$?
+test "$code" -eq 2
+test ! -e "$work/nanradius"
+code=0
+regfrac rearrange --n 2 --grid 8 --extent inf --out-dir "$work/infextent" || code=$?
+test "$code" -eq 2
+test ! -e "$work/infextent"

@@ -180,12 +180,12 @@ def validate(config: RunConfig) -> None:
             + _ABOVE_ONE_HALF[c.subcommand])
     if not c.p > 0.0:
         raise CliError(f"p must be positive, got {c.p}")
-    if not c.extent > 0.0:
-        raise CliError(f"extent must be positive, got {c.extent}")
+    if not (c.extent > 0.0 and math.isfinite(c.extent)):
+        raise CliError(f"extent must be positive and finite, got {c.extent}")
     if c.resolution < 8:
         raise CliError(
             f"resolution must be at least 8 per axis, got {c.resolution}")
-    if c.radius < 0.0:
+    if not c.radius >= 0.0:
         raise CliError(f"radius must be nonnegative, got {c.radius}")
     if c.shape not in ("ball", "square", "file"):
         raise CliError(

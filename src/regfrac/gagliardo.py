@@ -31,12 +31,12 @@ over the half of the table with offsets <= 0, mirrored, for the near
 and gap parts, a gather from one kernel array for the far block, and
 FFT convolutions for the far diagonal and the complement potential.
 Whatever depends only on the grid and sigma (the kernels over node and
-cell offsets and their spectra, the refined complement stencil, the
-tail term per node, the half-table's gather offsets and its scaling to
-the spacing) is built once per grid into a plan kept in the table; each
-mask then pays only for its gathers, the sparse product and the FFT of
-its mass field, and for the FFT of its inactive-cell field when its
-complement potential is first read.
+cell offsets and their spectra, the tail term per node, the
+half-table's gather offsets and its scaling to the spacing) is built
+once per grid into a plan kept in the table; each mask then pays only
+for its gathers, the sparse product and the FFT of its mass field, and
+for the FFT of its inactive-cell field when its complement potential
+is first read.
 
 All three pieces are sums of squares, so the assembled form is
 symmetric positive semidefinite by construction, scales exactly as
@@ -200,7 +200,7 @@ def _level_increments(dim: int, sigma: float, delta: tuple[int, ...],
     corners = _corner_nodes(size)
     offsets = np.array([delta])
     weights = np.ones((1, 1))
-    shifts = np.array(_cell_vertices(dim))
+    verts = np.array(_cell_vertices(dim))
     increments: list[np.ndarray] = []
     for level in range(depth + 1):
         # two forced subdivision levels give every accepted box pair a
@@ -228,14 +228,14 @@ def _level_increments(dim: int, sigma: float, delta: tuple[int, ...],
                         * per_axis[None, :, None, :, None, :]).reshape(
                 2 * len(transfer), 3 * transfer.shape[1], -1)
         moved = np.array([[t @ w for t in transfer] for w in weights[~sep]])
-        child = (2 * offsets[~sep, None, None] - shifts[:, None]
-                 + shifts).reshape(-1, dim)
+        child = (2 * offsets[~sep, None, None] - verts[:, None]
+                 + verts).reshape(-1, dim)
         _, first, inverse = np.unique(_offset_keys(child, np.abs(child).max()),
                                       return_index=True, return_inverse=True)
         offsets = child[first]
         weights = np.zeros((len(offsets), moved.shape[2]))
         # equal children are summed in (o, c, c') order
-        np.add.at(weights, inverse, np.repeat(moved, len(shifts), axis=1)
+        np.add.at(weights, inverse, np.repeat(moved, len(verts), axis=1)
                   .reshape(-1, moved.shape[2]))
         corners, size = finer, half
     return nodes, increments, False
@@ -705,18 +705,13 @@ def _flat_strides(shape) -> np.ndarray:
     return np.cumprod((1,) + tuple(shape[:0:-1]))[::-1]
 
 
-def _embedded(values: np.ndarray, margin: int) -> np.ndarray:
-    """``values`` inside a zero (False) margin of ``margin`` entries on
-    every side, flattened."""
-    out = np.zeros(tuple(n + 2 * margin for n in values.shape), values.dtype)
-    out[tuple(slice(margin, margin + n) for n in values.shape)] = values
-    return out.ravel()
-
-
 @dataclass(frozen=True)
 class _GridPlan:
     """Everything assembly needs that depends on the grid and the
-    table's sigma but not on the mask (see ``_grid_plan``)."""
+    table's sigma but not on the mask (see ``_grid_plan``).  The
+    complement kernel over node-to-cell offsets is the midpoint value
+    beyond 2h, the 4x refined value within 2h and zero on the node's
+    own 2^n cells."""
 
     far_weights: np.ndarray     # -2 m^2 K[d] over node offsets d
     far_spectrum: np.ndarray    # rfftn of K[d]
@@ -730,11 +725,8 @@ class _GridPlan:
     columns: np.ndarray         # gather offsets of the half-table's
                                 # node offsets (negative, then zero)
     weights: csr_matrix         # its rows scaled by h^(n - 2 sigma)
-    comp_spectrum: np.ndarray   # rfftn of the complement far kernel
+    comp_spectrum: np.ndarray   # rfftn of the complement kernel
     comp_shape: tuple
-    refined: np.ndarray         # complement near stencil values
-    shifts: np.ndarray          # and its offsets in the padded indicator
-    p_strides: np.ndarray       # inactive cells padded by 2
     tail: np.ndarray            # complement beyond the box, per node
 
 
@@ -759,19 +751,22 @@ def _build_plan(table: NearTable, grid: GridSpec) -> _GridPlan:
 
     # complement: node-to-centre offsets in units of h, for node minus
     # cell index 1 - cells .. cells; squared lengths are sums of squares
-    # of half-integers, which never equal 4, so the split at 2h is exact
+    # of half-integers, which never equal 4, so the split at 2h is exact.
+    # Cells beyond 2h take the midpoint value, cells within 2h the sum
+    # over 4^n sub-cells; the node's own 2^n cells (offsets +-1/2 on
+    # every axis) are active at every interior node, so their entries
+    # are zero, which keeps the largest values out of the FFT's rounding
     r = _offset_grid(1 - cells, cells) - 0.5
     r2 = np.sum(r * r, axis=-1)
+    comp = h ** dim * (h * h * r2) ** (-beta / 2.0)
     near = r2 <= 4.0
-    comp = np.where(near, 0.0, h ** dim * (h * h * r2) ** (-beta / 2.0))
-    comp_shape = tuple(next_fast_len(n, real=True) for n in comp.shape)
     steps = (np.arange(4) - 1.5) / 4.0
     sub = _offset_grid([0] * dim, [3] * dim).reshape(-1, dim)
     diff = h * (r[near][:, None, :] - steps[sub][None, :, :])
-    refined = (h / 4.0) ** dim * np.sum(
+    comp[near] = (h / 4.0) ** dim * np.sum(
         np.sum(diff * diff, axis=-1) ** (-beta / 2.0), axis=1)
-    # cell j = i - r - 1/2 of the indicator padded by 2, for all nodes i
-    p_strides = _flat_strides(tuple(cells + 4))
+    comp[np.abs(r).max(axis=-1) == 0.5] = 0.0
+    comp_shape = tuple(next_fast_len(n, real=True) for n in comp.shape)
 
     # beyond the grid box: radial tail at the distance to the box wall,
     # by the closed form's scaling r^(-2 sigma)
@@ -809,10 +804,7 @@ def _build_plan(table: NearTable, grid: GridSpec) -> _GridPlan:
         columns=(table.node_offsets[:half] @ l_strides)[:, None],
         weights=weights,
         comp_spectrum=np.fft.rfftn(comp, s=comp_shape, axes=axes),
-        comp_shape=comp_shape,
-        refined=refined,
-        shifts=np.rint(-r[near] - 0.5).astype(np.int64) @ p_strides,
-        p_strides=p_strides, tail=tail.reshape(grid.node_shape),
+        comp_shape=comp_shape, tail=tail.reshape(grid.node_shape),
     )
 
 
@@ -832,30 +824,24 @@ def _grid_plan(table: NearTable, grid: GridSpec) -> _GridPlan:
 def _complement_potential(mask: DomainMask, plan: _GridPlan) -> np.ndarray:
     """Kernel integral over the domain complement, per interior node.
 
-    Inactive in-box cells contribute midpoint terms h^n k(x_i - c_j).
-    Node i and cell j sit h (i - j - 1/2) apart, so the sum over cells
-    farther than 2h is one FFT convolution of the inactive-cell
-    indicator with a fixed kernel; the cells within 2h are refined 4x
-    per axis, and their values form a fixed stencil (12 cells in 2-d)
-    applied by one gather.  The region beyond the grid box contributes
-    the kernel integral outside the ball whose radius is the node's
-    distance to the nearest wall.  That region holds the box's
-    complement and more, so kappa is overcounted at every node except
-    the centre of a 1-d box, by 13-20% at the centre of a 2-d box
-    (sigma 0.6-0.9).
+    Inactive in-box cells contribute midpoint terms h^n k(x_i - c_j),
+    refined 4x per axis for the cells within 2h (12 cells in 2-d).
+    Node i and cell j sit h (i - j - 1/2) apart, so both kinds of term
+    are one fixed kernel over cell offsets, and the in-box sum is one
+    FFT convolution of the inactive-cell indicator with it.  The kernel
+    is zero on the node's own 2^n cells, which are active at every
+    interior node; a mask with no inactive cell convolves to exact
+    zeros.  The region beyond the grid box contributes the kernel
+    integral outside the ball whose radius is the node's distance to
+    the nearest wall.  That region holds the box's complement and more,
+    so kappa is overcounted at every node except the centre of a 1-d
+    box, by 13-20% at the centre of a 2-d box (sigma 0.6-0.9).
     """
-    cells = np.asarray(mask.grid.cells)
     idx = mask.interior_idx
-    kappa = np.zeros(len(idx))
-    inactive = ~mask.active
-    if inactive.any():
-        kappa += _convolve(plan.comp_spectrum, plan.comp_shape,
-                           inactive.astype(float))[tuple((idx + cells - 1).T)]
-        hit = _embedded(inactive, 2)[
-            plan.shifts[:, None] + ((idx + 2) @ plan.p_strides)[None, :]]
-        kappa += np.sum(plan.refined[:, None] * hit, axis=0)
-    kappa += plan.tail[tuple(idx.T)]
-    return kappa
+    in_box = _convolve(plan.comp_spectrum, plan.comp_shape,
+                       (~mask.active).astype(float))
+    return (in_box[tuple((idx + np.asarray(mask.grid.cells) - 1).T)]
+            + plan.tail[tuple(idx.T)])
 
 
 # Entries per row block of assembly (rows times the larger of N and the
@@ -894,14 +880,14 @@ def assemble(mask: DomainMask, sigma: float, *,
 
     ``sigma`` must match the table's to 1e-12; the form, like the plan,
     takes the table's.  What does not depend on the mask is built once
-    per grid and kept in the table: the far kernel, its spectrum and the far
-    block weights, the complement kernel's spectrum and its refined near
-    stencil, the tail term per node, the gather offsets of the
-    half-table and its rows scaled to the spacing.  Per mask there
-    remain the node masses, the gathers of flags and labels, the sparse
-    product, the far gather and one FFT of the mass field.  The
-    complement potential (one FFT of the inactive-cell field and two
-    gathers) is built when ``complement_potential`` is first read.
+    per grid and kept in the table: the far kernel, its spectrum and the
+    far block weights, the complement kernel's spectrum, the tail term
+    per node, the gather offsets of the half-table and its rows scaled
+    to the spacing.  Per mask there remain the node masses, the gathers
+    of flags and labels, the sparse product, the far gather and one FFT
+    of the mass field.  The complement potential (one FFT of the
+    inactive-cell field plus the tail) is built when
+    ``complement_potential`` is first read.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
@@ -926,8 +912,11 @@ def assemble(mask: DomainMask, sigma: float, *,
     # of the near and gap data; entries touching the boundary ring vanish
     # against u=0, so only entries between two interior nodes are kept
     # (of a pair weight joining an interior and a boundary node, that is
-    # its interior diagonal term)
-    active = _embedded(mask.active, _REACH)
+    # its interior diagonal term); np.pad would add about 30 us, near a
+    # tenth of a 16^2 form's assembly
+    active = np.zeros(tuple(n + 2 * _REACH for n in grid.cells), dtype=bool)
+    active[tuple(slice(_REACH, _REACH + n) for n in grid.cells)] = mask.active
+    active = active.ravel()
     labels = np.full(tuple(node_shape + 2 * _REACH), n_int, dtype=np.int64)
     labels[tuple((idx + _REACH).T)] = np.arange(n_int)
     labels = labels.ravel()

@@ -38,10 +38,13 @@ class GridSpec:
             raise ValueError(f"dimension must be 1, 2, or 3, got {len(self.cells)}")
         if any(c < 1 for c in self.cells):
             raise ValueError(f"cells per axis must be positive, got {self.cells}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not (self.spacing > 0 and math.isfinite(self.spacing)):
+            raise ValueError(
+                f"spacing must be positive and finite, got {self.spacing}")
         if len(self.origin) != len(self.cells):
             raise ValueError("origin dimension does not match cell dimension")
+        if not all(math.isfinite(o) for o in self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     @property
     def dim(self) -> int:

@@ -499,6 +499,21 @@ def test_volume_without_interior_node_rejected_before_writing(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["eigen", "--n", "1", "--grid", "16", "--radius", "nan"], "radius"),
+    (["rearrange", "--n", "2", "--grid", "8", "--extent", "inf"], "extent"),
+], ids=["radius-nan", "extent-inf"])
+def test_non_finite_grid_inputs_rejected_before_writing(argv, field, tmp_path,
+                                                        capsys):
+    # a NaN radius would fall back to the default one while the echo
+    # records nan, and an infinite extent leaves no finite cell centre
+    out = tmp_path / "bad"
+    code = cli.main(argv + ["--out-dir", str(out)])
+    assert code == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convex_projection_row_may_be_worse(tmp_path, capsys):
     # the re-solved convex projection of the best mask is appended as the
     # last row even when its energy is higher, and state.json reports it

@@ -46,6 +46,13 @@ def test_grid_validation():
         GridSpec((4, 4), 0.0, (0, 0))
     with pytest.raises(ValueError, match="origin"):
         GridSpec((4, 4), 0.1, (0, 0, 0))
+    # an infinite spacing or a non-finite origin puts every node at a
+    # non-finite coordinate
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        GridSpec((4, 4), math.inf, (0, 0))
+    for origin in ((math.nan, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            GridSpec((4, 4), 0.1, origin)
 
 
 def test_grid_derived_quantities():

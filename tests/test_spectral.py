@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -429,6 +430,47 @@ def test_solve_factors_the_form_matrix_in_place(ball24_form, factored,
     for f in dataclasses.fields(EigenResult):
         assert _same_bits(np.asarray(getattr(res, f.name)),
                           np.asarray(getattr(ref, f.name))), f.name
+
+
+def test_lanczos_post_processing_replayed(ball24_form, monkeypatch):
+    # ARPACK's Ritz pair, recorded, and the solver's steps after it
+    # replayed by hand: lambda = 1/theta, u = v / sqrt(m), the sign, the
+    # most negative entry, the clamp, the renormalization and the
+    # residual.  Every result field is bitwise the replay's, so a slip
+    # of one bit in the scaling fails here.
+    recorded = []
+    real = regfrac.spectral.eigsh
+
+    def recording(op, **kwargs):
+        def counted(x):
+            recorded.append(None)
+            return op.matvec(x)
+
+        out = real(LinearOperator(op.shape, matvec=counted, dtype=float),
+                   **kwargs)
+        recorded.append(tuple(np.array(a) for a in out))
+        return out
+
+    monkeypatch.setattr(regfrac.spectral, "eigsh", recording)
+    tol = 1e-10
+    res = smallest_eigenpair(ball24_form, tol=tol, seed=3)
+    *calls, (theta, vecs) = recorded
+    mass = ball24_form.mass
+    lam, u = float((1.0 / theta)[0]), vecs[:, 0] / math.sqrt(mass)
+    if float(np.sum(u * mass)) < 0.0:
+        u = -u
+    min_entry = min(0.0, float(u.min() / np.sqrt(np.sum(mass * u * u))))
+    u = np.where((u < 0.0) & (u > -1e-12), 0.0, u)
+    u = u / np.sqrt(float(np.sum(mass * u * u)))
+    defect = ball24_form.matrix() @ u - lam * (mass * u)
+    residual = float(np.sqrt(np.sum(defect * defect / mass)))
+    replay = EigenResult(eigenvalue=lam, vector=u, residual=residual,
+                         iterations=len(calls), converged=residual <= tol,
+                         min_entry=min_entry)
+    assert len(calls) > 0
+    for f in dataclasses.fields(EigenResult):
+        assert _same_bits(np.asarray(getattr(res, f.name)),
+                          np.asarray(getattr(replay, f.name))), f.name
 
 
 def test_matrix_restored_when_factorization_fails(ball24_form, factored):
