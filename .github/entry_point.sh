@@ -13,8 +13,10 @@
 # (245 interior nodes) the factor + Lanczos path, each replayed;
 # a volume that is not a whole number of cells, a one-cell volume
 # with no interior node, a mask too small for the Hardy corpus, a NaN
-# radius and an infinite extent must exit 2 before their out dir is
-# made.
+# radius, an infinite extent and a negative seed (on the rearrange
+# search and on the Lanczos path, which read it) must exit 2 before
+# their out dir is made; report must list a hardy.json of the wrong
+# shape as unreadable and still report the finished run beside it.
 #
 # Usage, after `python -m pip install .`: bash .github/entry_point.sh
 set -euo pipefail
@@ -62,3 +64,17 @@ code=0
 regfrac rearrange --n 2 --grid 8 --extent inf --out-dir "$work/infextent" || code=$?
 test "$code" -eq 2
 test ! -e "$work/infextent"
+code=0
+regfrac rearrange --n 2 --grid 8 --seed -1 --out-dir "$work/negseed" || code=$?
+test "$code" -eq 2
+test ! -e "$work/negseed"
+code=0
+regfrac eigen --n 2 --grid 24 --seed -1 --out-dir "$work/negseed-lanczos" || code=$?
+test "$code" -eq 2
+test ! -e "$work/negseed-lanczos"
+mkdir -p "$work/runs/shapeless"
+regfrac eigen --n 1 --sigma 0.25 --grid 16 --out-dir "$work/runs/finished"
+echo '[]' > "$work/runs/shapeless/hardy.json"
+regfrac report "$work/runs"
+grep -q "shapeless/hardy.json: unreadable" "$work/runs/report.md"
+grep -q "^finished,eigen," "$work/runs/report.csv"

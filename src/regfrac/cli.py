@@ -219,6 +219,8 @@ def validate(config: RunConfig) -> None:
         raise CliError(f"trials must be at least 1, got {c.trials}")
     if c.dirs < 4:
         raise CliError(f"dirs must be at least 4, got {c.dirs}")
+    if c.seed < 0:
+        raise CliError(f"seed must be nonnegative, got {c.seed}")
     if c.subcommand in _GRIDDED and not c.out_dir:
         raise CliError(
             "out-dir is required (flag --out-dir or config key out_dir)")
@@ -532,8 +534,8 @@ def run_report(directory: Path, force: bool = False) -> int:
                 data = json.loads(path.read_text())
                 rows.append((label, subcommand, extract(data)))
                 found = True
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ZeroDivisionError) as exc:
+            # malformed JSON, or the wrong shape, e.g. [] or a list row
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 problems.append(f"{path}: unreadable ({exc})")
         if not found and (cand / "config.echo").exists():
             problems.append(f"{cand}: config.echo but no result files")

@@ -467,8 +467,9 @@ class NearTable:
     """Unit-spacing kernel data for the near and gap regions.
 
     ``hat_energies[d]`` is the patch energy of the nodal hat centered at
-    the contact vertex of the ordered cell pair (K, K+d), for Chebyshev
-    offsets one and two — nonnegative, exactly symmetric under axis
+    a vertex shared by the ordered cell pair (K, K+d), averaged over the
+    shared vertices, for Chebyshev offset one only (2 / 8 / 26 entries
+    in 1 / 2 / 3-d) — nonnegative, exactly symmetric under axis
     permutations and reflections, and pinned by an independent quadrature
     oracle in the tests.  ``pair_weights[D]`` is the exact expansion of
     the cell-pair form at cell offset D (Chebyshev <= 1) into nodal pair
@@ -509,8 +510,8 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
     """Build (or fetch from the in-process cache) the kernel table.
 
     ``depth`` is the grading depth of the patch quadrature (minimum 4).
-    On every canonical cell pair, families fitted on the levels before
-    the deepest must predict its increment to ``convergence_tol``
+    On every canonical touching cell pair, families fitted on the levels
+    before the deepest must predict its increment to ``convergence_tol``
     relative to the form (``_patch_form``), else the build fails with
     "near-field quadrature failed"; the worst miss is ``error_estimate``.
     """
@@ -527,11 +528,11 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
 
-    # canonical cell-pair forms: adjacency classes (for the assembly
-    # expansion) plus the Chebyshev-2 classes (for stored hat energies)
+    # canonical forms of the adjacency classes (2 / 3 / 4 in 1 / 2 / 3-d):
+    # only touching cell pairs carry the singularity the quadrature grades
     canon_forms: dict[tuple[int, ...], tuple[list, np.ndarray]] = {}
     worst_change = 0.0
-    for cls in sorted({_canonical(off) for off in _offsets_within(dim, 2)}
+    for cls in sorted({_canonical(off) for off in _offsets_within(dim, 1)}
                       | {(0,) * dim}):
         nodes, Q, change = _patch_form(dim, sigma, cls, depth, points)
         canon_forms[cls] = (nodes, _symmetrize(cls, nodes, Q))
@@ -553,17 +554,15 @@ def build_near_table(dim: int, sigma: float, depth: int | None = None,
         keep = w != 0.0
         pair_weights[off] = (mapped[i[keep]], mapped[j[keep]], w[keep])
 
-    # stored hat energies: diagonal entries at the contact vertices
+    # stored hat energies: mean diagonal over the vertices the pair shares
     hat_energies: dict[tuple[int, ...], float] = {}
-    for off in _offsets_within(dim, 2):
+    for off in _offsets_within(dim, 1):
         cls = _canonical(off)
         nodes, Q = canon_forms[cls]
-        gap2 = {v: sum(max(0, c - vk, vk - (c + 1)) ** 2
-                       for c, vk in zip(cls, v)) for v in _cell_vertices(dim)}
         idx = {a: i for i, a in enumerate(nodes)}
-        hat_energies[off] = float(np.mean([Q[idx[v], idx[v]] for v, d2
-                                           in gap2.items()
-                                           if d2 == min(gap2.values())]))
+        hat_energies[off] = float(np.mean([
+            Q[idx[v], idx[v]] for v in _cell_vertices(dim)
+            if all(vk >= c for vk, c in zip(v, cls))]))
 
     # the pair-weight expansions for adjacent cells, and the gap classes
     # weighted by the block volume product and the kernel at the midpoint

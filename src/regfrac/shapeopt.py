@@ -9,6 +9,7 @@ threshold the squared eigenfunction: the top cells by vertex-mean of
 u^2 form the next candidate, accepted only on strict energy decrease,
 so a descent's history strictly decreases; convex mode then appends the
 re-solved convex projection of the best mask, which may be higher.
+Every form is assembled on the near table cached per (dim, sigma).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
-from .gagliardo import NearTable, assemble, build_near_table
+from .gagliardo import assemble
 from .geometry import DomainMask, GridSpec
 from .spectral import EigenResult, smallest_eigenpair
 
@@ -137,7 +138,7 @@ def _swap_candidates(grid: GridSpec, score: np.ndarray, base: DomainMask,
 
 
 def optimize_fixed_measure(init: DomainMask, sigma: float, max_iter: int = 20,
-                           seed: int = 0, *, table: NearTable | None = None,
+                           seed: int = 0, *,
                            eigen_tol: float = 1e-8) -> ShapeState:
     """Descend the principal eigenvalue at the cell count of ``init``.
 
@@ -147,14 +148,13 @@ def optimize_fixed_measure(init: DomainMask, sigma: float, max_iter: int = 20,
     tried before stopping.  Candidates without interior nodes are
     skipped; a solver error on any other candidate propagates.  A
     non-converged eigensolve aborts the run, returning the best state
-    with its partial history.
+    with its partial history.  Every candidate is assembled on the
+    cached near table.
     """
     grid = init.grid
-    if table is None:
-        table = build_near_table(grid.dim, sigma)
 
     def _solve(mask):
-        form = assemble(mask, sigma, table=table)
+        form = assemble(mask, sigma)
         return smallest_eigenpair(form, tol=eigen_tol, seed=seed)
 
     eigen = _solve(init)
@@ -233,19 +233,17 @@ def resize_mask(mask: DomainMask, count: int) -> DomainMask:
 
 def optimize_penalized(init: DomainMask, sigma: float, c_penalty: float,
                        max_iter: int = 10, seed: int = 0, *,
-                       table: NearTable | None = None,
                        eigen_tol: float = 1e-8) -> ShapeState:
     """Minimize eigenvalue + c_penalty * volume over a volume ladder.
 
     Nine geometric volume steps spanning +-20% of the initial volume
     each run the fixed-measure descent; the state with the smallest
     penalized objective wins (ties keep the smaller volume).  Its energy
-    and history energies are eigenvalue + c_penalty * volume.
+    and history energies are eigenvalue + c_penalty * volume.  All nine
+    descents share the cached near table.
     """
     if not c_penalty > 0.0:
         raise ValueError(f"penalty must be positive, got {c_penalty}")
-    if table is None:
-        table = build_near_table(init.grid.dim, sigma)
     counts = dict.fromkeys(max(1, int(round(f * init.cell_count)))
                            for f in np.geomspace(0.8, 1.2, 9))
     best = None
@@ -253,7 +251,7 @@ def optimize_penalized(init: DomainMask, sigma: float, c_penalty: float,
     for k in counts:
         state = optimize_fixed_measure(
             resize_mask(init, k), sigma, max_iter=max_iter, seed=seed,
-            table=table, eigen_tol=eigen_tol)
+            eigen_tol=eigen_tol)
         objective = state.eigen.eigenvalue + c_penalty * state.volume
         if objective < best_objective:
             best, best_objective = state, objective
@@ -354,8 +352,7 @@ def convexify(mask: DomainMask) -> DomainMask:
     return DomainMask(grid, new.reshape(grid.cells))
 
 
-def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float, *,
-                        table: NearTable | None = None
+def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float
                         ) -> tuple[ShapeState, ReductionReport]:
     """Keep the connected component with the best rescaled energy.
 
@@ -364,7 +361,8 @@ def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float, *,
     eigenvalue by ratio^(2 sigma).  The winning component (ties to the
     lowest label) is dilated about its centroid by the inverse ratio
     with nearest-cell resampling and re-solved.  Every eigensolve uses
-    ``smallest_eigenpair``'s defaults (tol 1e-8, seed 0).
+    ``smallest_eigenpair``'s defaults (tol 1e-8, seed 0) on a form
+    assembled on the cached near table.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (len(mask.interior_idx),):
@@ -373,8 +371,6 @@ def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float, *,
         raise ValueError("component reduction requires nonnegative u")
     grid = mask.grid
     dim = grid.dim
-    if table is None:
-        table = build_near_table(dim, sigma)
     labels, ncomp = ndimage.label(mask.active,
                                   structure=_face_structure(dim))
     # an interior node's incident cells all lie in one component
@@ -398,7 +394,7 @@ def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float, *,
                 rescaled_energy=float("nan")))
             continue
         sub = DomainMask(grid, comp_cells)
-        eig = smallest_eigenpair(assemble(sub, sigma, table=table))
+        eig = smallest_eigenpair(assemble(sub, sigma))
         ratio = (support / support_total) ** (1.0 / dim)
         rescaled = eig.eigenvalue * ratio ** (2.0 * sigma)
         rows.append(ComponentRow(
@@ -423,7 +419,7 @@ def component_reduction(mask: DomainMask, u: np.ndarray, sigma: float, *,
         idx = np.clip(idx, 0, np.asarray(grid.cells) - 1)
         new_active = flat_comp[np.ravel_multi_index(idx.T, grid.cells)]
         out_mask = DomainMask(grid, new_active.reshape(grid.cells))
-    eig_out = smallest_eigenpair(assemble(out_mask, sigma, table=table))
+    eig_out = smallest_eigenpair(assemble(out_mask, sigma))
     history = [(eig_out.eigenvalue, out_mask.volume,
                 eig_out.eigenvalue + out_mask.volume)]
     return _make_state(out_mask, eig_out, sigma, 0, history), report

@@ -231,8 +231,7 @@ def test_criterion_07_optimizer_contracts(table2):
     ball = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.8))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        state = optimize_fixed_measure(ball, 0.75, max_iter=2, seed=0,
-                                       table=table2)
+        state = optimize_fixed_measure(ball, 0.75, max_iter=2, seed=0)
     assert state.eigen.converged
     assert state.volume == ball.volume                      # exact volume
     assert state.mask.same_cells(ball)                      # fixed point
@@ -250,14 +249,13 @@ def test_criterion_07_optimizer_contracts(table2):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         reduced, report = component_reduction(
-            twins, np.abs(joint.vector), 0.75, table=table2)
+            twins, np.abs(joint.vector), 0.75)
     before = joint.eigenvalue + twins.volume
     after = reduced.eigen.eigenvalue + reduced.volume
     assert after <= before + 1e-8 * before
     assert len(report.rows) == 2
 
-    single, _ = component_reduction(ball, np.abs(state.eigen.vector), 0.75,
-                                    table=table2)
+    single, _ = component_reduction(ball, np.abs(state.eigen.vector), 0.75)
     assert single.mask.same_cells(ball)
     print(f"criterion 7 PASS: exact volume, monotone history, ball fixed "
           f"point; reduction {before:.4f} -> {after:.4f} (non-increasing), "

@@ -514,6 +514,24 @@ def test_non_finite_grid_inputs_rejected_before_writing(argv, field, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--n", "2", "--grid", "12"],
+    ["eigen", "--n", "2", "--grid", "24"],
+    ["hardy", "--n", "2", "--grid", "16"],
+    ["rearrange", "--n", "2", "--grid", "8"],
+    ["optimize", "--n", "1", "--sigma", "0.75", "--grid", "16"],
+], ids=["eigen-dense", "eigen-lanczos", "hardy", "rearrange", "optimize"])
+def test_negative_seed_rejected_before_writing(argv, tmp_path, capsys):
+    # the dense eigen path never reads the seed, the others fail only
+    # after writing config.echo or assembling: validity must not depend
+    # on which path a grid takes
+    out = tmp_path / "bad"
+    code = cli.main(argv + ["--seed", "-1", "--out-dir", str(out)])
+    assert code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convex_projection_row_may_be_worse(tmp_path, capsys):
     # the re-solved convex projection of the best mask is appended as the
     # last row even when its energy is higher, and state.json reports it
@@ -609,6 +627,27 @@ def test_report_mixed_runs_and_missing(cli_env, tmp_path):
     again = run_cli(["report", root], cli_env)
     assert again.returncode == 2
     assert run_cli(["report", root, "--force"], cli_env).returncode == 0
+
+
+def test_report_lists_wrong_shape_json_as_unreadable(tmp_path, capsys):
+    # valid JSON of the wrong shape is unreadable like malformed JSON:
+    # listed with a note, while the finished run is still reported
+    root = tmp_path / "runs"
+    assert cli.main(["eigen", "--n", "1", "--sigma", "0.25", "--grid", "16",
+                     "--out-dir", str(root / "good")]) == 0
+    for name, fname, text in (("empty", "hardy.json", "[]"),
+                              ("listed", "eigen.json", "[1, 2]")):
+        (root / name).mkdir()
+        (root / name / fname).write_text(text)
+    capsys.readouterr()
+    assert cli.run_report(root) == 0
+    err = capsys.readouterr().err
+    lines = (root / "report.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in lines[1:]] == [["good", "eigen"]]
+    md = (root / "report.md").read_text()
+    for path in (root / "empty" / "hardy.json", root / "listed" / "eigen.json"):
+        assert f"- {path}: unreadable" in md
+        assert f"note: {path}: unreadable" in err
 
 
 def test_report_empty_dir_exit2(cli_env, tmp_path):

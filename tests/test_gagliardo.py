@@ -62,7 +62,7 @@ def test_same_cell_weight_closed_form(table1):
 
 
 def test_hat_energies_positive_finite(table2):
-    assert len(table2.hat_energies) == 24
+    assert len(table2.hat_energies) == 8
     for off, val in table2.hat_energies.items():
         assert math.isfinite(val)
         assert val > 0.0, off
@@ -71,8 +71,7 @@ def test_hat_energies_positive_finite(table2):
 def test_offset_symmetry_exact(table2):
     g = table2.hat_energies
     assert g[(1, 0)] == g[(0, 1)] == g[(-1, 0)] == g[(0, -1)]
-    orbit = [(2, 1), (1, 2), (-2, 1), (2, -1), (-2, -1), (-1, -2), (1, -2),
-             (-1, 2)]
+    orbit = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
     vals = {g[off] for off in orbit}
     assert len(vals) == 1
 
@@ -311,10 +310,11 @@ def _reference_level_increments(dim, sigma, delta, depth, points):
 
 def _reference_expansions(dim, sigma, depth):
     """Pair weights and hat energies by the table builder's per-entry
-    loops, from the canonical forms of whatever recursion is in place."""
+    loops, from the canonical forms of the adjacency classes of whatever
+    recursion is in place; a hat sits at the vertices of least gap."""
     points = ga._DEFAULT_POINTS[dim]
     canon = {}
-    for cls in sorted({ga._canonical(o) for o in ga._offsets_within(dim, 2)}
+    for cls in sorted({ga._canonical(o) for o in ga._offsets_within(dim, 1)}
                       | {(0,) * dim}):
         nodes, Q, _ = ga._patch_form(dim, sigma, cls, depth, points)
         canon[cls] = (nodes, ga._symmetrize(cls, nodes, Q))
@@ -335,7 +335,7 @@ def _reference_expansions(dim, sigma, depth):
                              np.asarray(b_list, dtype=np.int64),
                              np.asarray(w_list))
     hat_energies = {}
-    for off in ga._offsets_within(dim, 2):
+    for off in ga._offsets_within(dim, 1):
         cls = ga._canonical(off)
         nodes, Q = canon[cls]
         best = None
@@ -425,6 +425,29 @@ def test_cold_builds_repeat_the_same_work(monkeypatch):
     assert tables[0] is not tables[1]
     assert counts[0] == counts[1]
     assert min(counts[0].values()) > 0
+
+
+@pytest.mark.parametrize("dim, depth, tol, classes", [
+    (1, None, 1e-6, [(0,), (1,)]),
+    (2, 5, 2e-2, [(0, 0), (1, 0), (1, 1)]),
+    (3, 4, 1.0, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)])])
+def test_cold_build_integrates_adjacency_classes_only(dim, depth, tol,
+                                                      classes, monkeypatch):
+    # only touching cell pairs carry the kernel's singularity, so a cold
+    # build runs the graded quadrature once per canonical adjacency
+    # class (the same cell, then faces, edges and corners): 2 / 3 / 4
+    # calls in 1 / 2 / 3-d, and hat energies at Chebyshev offset one
+    calls = []
+
+    def counted(*args, _real=ga._patch_form):
+        calls.append(args[2])
+        return _real(*args)
+
+    monkeypatch.setattr(ga, "_patch_form", counted)
+    table = _fresh_table(monkeypatch, dim, 0.75, depth, tol)
+    assert calls == classes
+    assert len(table.hat_energies) == 3 ** dim - 1
+    assert all(max(map(abs, off)) == 1 for off in table.hat_energies)
 
 
 def _table_entries(table):
@@ -1117,7 +1140,7 @@ def test_complement_potential_built_on_first_read(table2, monkeypatch):
     smallest_eigenpair(form, seed=0)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*negativity.*")
-        optimize_fixed_measure(mask, 0.75, max_iter=2, seed=0, table=table2)
+        optimize_fixed_measure(mask, 0.75, max_iter=2, seed=0)
     assert calls == []
     u = np.random.default_rng(41).standard_normal(form.size)
     zero = form.zero_order(u)

@@ -42,7 +42,7 @@ def _quiet_optimize(*args, **kwargs):
 def ball33_run(table2):
     grid = GridSpec(cells=(33, 33), spacing=2.0 / 33, origin=(-1.0, -1.0))
     init = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.803))
-    state = _quiet_optimize(init, SIGMA, max_iter=2, seed=0, table=table2)
+    state = _quiet_optimize(init, SIGMA, max_iter=2, seed=0)
     return init, state
 
 
@@ -55,9 +55,8 @@ def dueling48(table2):
     side = 0.5 * math.sqrt(math.pi)
     square = resize_mask(make_mask(
         grid, Box(lo=(-side / 2, -side / 2), hi=(side / 2, side / 2))), count)
-    st_ball = _quiet_optimize(ball, SIGMA, max_iter=3, seed=0, table=table2)
-    st_square = _quiet_optimize(square, SIGMA, max_iter=3,
-                                seed=0, table=table2)
+    st_ball = _quiet_optimize(ball, SIGMA, max_iter=3, seed=0)
+    st_square = _quiet_optimize(square, SIGMA, max_iter=3, seed=0)
     return {"ball": (ball, st_ball), "square": (square, st_square)}
 
 
@@ -86,7 +85,7 @@ def twin_balls(table2):
     merged = dict(lookups["a"])
     merged.update(lookups["b"])
     u = np.array([merged.get(tuple(ix), 0.0) for ix in both.interior_idx])
-    state, report = component_reduction(both, u, SIGMA, table=table2)
+    state, report = component_reduction(both, u, SIGMA)
     return {"grid": grid, "a": mask_a, "b": mask_b, "both": both,
             "u": u, "eigs": eigs, "lookup_a": lookups["a"],
             "state": state, "report": report}
@@ -164,8 +163,8 @@ class TestFixedMeasure:
 
     def test_deterministic_rerun(self, small_ball, table2):
         _, mask = small_ball
-        first = _quiet_optimize(mask, SIGMA, max_iter=1, seed=3, table=table2)
-        second = _quiet_optimize(mask, SIGMA, max_iter=1, seed=3, table=table2)
+        first = _quiet_optimize(mask, SIGMA, max_iter=1, seed=3)
+        second = _quiet_optimize(mask, SIGMA, max_iter=1, seed=3)
         assert first.mask.same_cells(second.mask)
         assert first.eigen.eigenvalue == second.eigen.eigenvalue
         assert first.history == second.history
@@ -173,7 +172,7 @@ class TestFixedMeasure:
     def test_unconverged_init_aborts(self, small_ball, table2):
         _, mask = small_ball
         state = _quiet_optimize(mask, SIGMA, max_iter=5,
-                                seed=0, table=table2, eigen_tol=1e-20)
+                                seed=0, eigen_tol=1e-20)
         assert not state.eigen.converged
         assert state.history == ()
         assert state.iteration == 0
@@ -196,7 +195,7 @@ class TestFixedMeasure:
             return real(form, **kwargs)
 
         monkeypatch.setattr(regfrac.shapeopt, "smallest_eigenpair", counting)
-        state = _quiet_optimize(init, SIGMA, max_iter=3, seed=0, table=table2)
+        state = _quiet_optimize(init, SIGMA, max_iter=3, seed=0)
         assert solved == [1]
         assert state.eigen.converged
         assert state.mask.same_cells(init)
@@ -217,7 +216,7 @@ class TestFixedMeasure:
         monkeypatch.setattr(regfrac.shapeopt, "smallest_eigenpair",
                             failing_after_init)
         with pytest.raises(ValueError, match="positive definite"):
-            _quiet_optimize(mask, SIGMA, max_iter=1, seed=0, table=table2)
+            _quiet_optimize(mask, SIGMA, max_iter=1, seed=0)
         assert len(calls) == 2
 
     def test_target_volume_validation(self, small_ball):
@@ -274,7 +273,7 @@ class TestPenalized:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*negativity.*")
             state = optimize_penalized(mask, SIGMA, 1.0, max_iter=2,
-                                       seed=0, table=table2)
+                                       seed=0)
         init_eig = smallest_eigenpair(assemble(mask, SIGMA, table=table2),
                                       tol=1e-8)
         obj = state.eigen.eigenvalue + state.volume
@@ -290,7 +289,7 @@ class TestPenalized:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*negativity.*")
             state = optimize_penalized(mask, SIGMA, 1e4, max_iter=1,
-                                       seed=0, table=table2)
+                                       seed=0)
         assert state.volume == floor * cell_vol
 
     def test_energy_uses_the_penalty(self, small_ball, table2):
@@ -300,7 +299,7 @@ class TestPenalized:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*negativity.*")
             state = optimize_penalized(mask, SIGMA, 2.0, max_iter=1,
-                                       seed=0, table=table2)
+                                       seed=0)
         assert state.energy_penalized == (state.eigen.eigenvalue
                                           + 2.0 * state.volume)
         assert state.history
@@ -314,7 +313,7 @@ class TestPenalized:
         for bad in (0.0, -2.0):
             with pytest.raises(ValueError,
                                match="penalty must be positive"):
-                optimize_penalized(mask, SIGMA, bad, table=table2)
+                optimize_penalized(mask, SIGMA, bad)
 
     def test_rescaling_output_consistent(self, small_ball, table2):
         """Dilating the returned support to a reference volume and
@@ -324,7 +323,7 @@ class TestPenalized:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*negativity.*")
             state = optimize_penalized(mask, SIGMA, 1.0, max_iter=1,
-                                       seed=0, table=table2)
+                                       seed=0)
         reference = mask.volume
         t = math.sqrt(reference / state.volume)
         grid_t = grid.scaled(t)
@@ -444,7 +443,7 @@ class TestComponentReduction:
     def test_single_component_unchanged(self, twin_balls, table2):
         data = twin_balls
         u = np.clip(data["eigs"]["a"].vector, 0.0, None)
-        state, report = component_reduction(data["a"], u, SIGMA, table=table2)
+        state, report = component_reduction(data["a"], u, SIGMA)
         assert state.mask.same_cells(data["a"])
         assert len(report.rows) == 1
         assert report.selected == 0
@@ -457,7 +456,7 @@ class TestComponentReduction:
         both = data["both"]
         u = np.array([data["lookup_a"].get(tuple(ix), 0.0)
                       for ix in both.interior_idx])
-        state, report = component_reduction(both, u, SIGMA, table=table2)
+        state, report = component_reduction(both, u, SIGMA)
         assert len(report.rows) == 2
         assert report.selected == 0
         dead = report.rows[1]
@@ -472,14 +471,11 @@ class TestComponentReduction:
         data = twin_balls
         n = len(data["both"].interior_idx)
         with pytest.raises(ValueError, match="nonnegative"):
-            component_reduction(data["both"], -np.ones(n), SIGMA,
-                                table=table2)
+            component_reduction(data["both"], -np.ones(n), SIGMA)
         with pytest.raises(ValueError, match="nonzero"):
-            component_reduction(data["both"], np.zeros(n), SIGMA,
-                                table=table2)
+            component_reduction(data["both"], np.zeros(n), SIGMA)
         with pytest.raises(ValueError, match="vector length"):
-            component_reduction(data["both"], np.ones(n - 1), SIGMA,
-                                table=table2)
+            component_reduction(data["both"], np.ones(n - 1), SIGMA)
 
 
 class TestGrowthDiagnostics:
@@ -553,7 +549,7 @@ def test_optimize_convex_mode_projects_and_resolves(table2):
     grid = GridSpec(cells=(12, 12), spacing=2.0 / 12, origin=(-1.0, -1.0))
     init = make_mask(grid, Ball(center=(0.0, 0.0), radius=0.6))
     start = convexify(init)
-    descent = _quiet_optimize(start, SIGMA, max_iter=4, table=table2)
+    descent = _quiet_optimize(start, SIGMA, max_iter=4)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*negativity.*")
         state = optimize("convex", init, SIGMA, max_iter=4)
