@@ -15,8 +15,10 @@
 # with no interior node, a mask too small for the Hardy corpus, a NaN
 # radius, an infinite extent and a negative seed (on the rearrange
 # search and on the Lanczos path, which read it) must exit 2 before
-# their out dir is made; report must list a hardy.json of the wrong
-# shape as unreadable and still report the finished run beside it.
+# their out dir is made; a penalized run at an unattainable tolerance
+# must exit 3 and keep its results as .partial files; report must list
+# a hardy.json of the wrong shape and an eigen.json without its lambda
+# as unreadable and still report the finished run beside them.
 #
 # Usage, after `python -m pip install .`: bash .github/entry_point.sh
 set -euo pipefail
@@ -72,9 +74,17 @@ code=0
 regfrac eigen --n 2 --grid 24 --seed -1 --out-dir "$work/negseed-lanczos" || code=$?
 test "$code" -eq 2
 test ! -e "$work/negseed-lanczos"
-mkdir -p "$work/runs/shapeless"
+code=0
+regfrac optimize --mode penalized --n 2 --grid 16 --tol 1e-30 --out-dir "$work/unconverged" || code=$?
+test "$code" -eq 3
+test -e "$work/unconverged/state.json.partial"
+test -e "$work/unconverged/iterations.csv.partial"
+test ! -e "$work/unconverged/state.json"
+mkdir -p "$work/runs/shapeless" "$work/runs/headless"
 regfrac eigen --n 1 --sigma 0.25 --grid 16 --out-dir "$work/runs/finished"
 echo '[]' > "$work/runs/shapeless/hardy.json"
+echo '{}' > "$work/runs/headless/eigen.json"
 regfrac report "$work/runs"
 grep -q "shapeless/hardy.json: unreadable" "$work/runs/report.md"
+grep -q "headless/eigen.json: unreadable" "$work/runs/report.md"
 grep -q "^finished,eigen," "$work/runs/report.csv"

@@ -506,11 +506,11 @@ def _row_hardy(data) -> dict:
 
 
 _REPORT_SOURCES = (
-    ("constants.json", "constants", _row_scalars),
-    ("eigen.json", "eigen", _row_scalars),
-    ("hardy.json", "hardy", _row_hardy),
-    ("rearrange.json", "rearrange", _row_scalars),
-    ("state.json", "optimize", _row_scalars),
+    ("constants.json", "constants", _row_scalars, "C_hardy"),
+    ("eigen.json", "eigen", _row_scalars, "lambda"),
+    ("hardy.json", "hardy", _row_hardy, "min_ratio"),
+    ("rearrange.json", "rearrange", _row_scalars, "ratio"),
+    ("state.json", "optimize", _row_scalars, "lambda"),
 )
 
 
@@ -526,15 +526,18 @@ def run_report(directory: Path, force: bool = False) -> int:
     for cand in candidates:
         label = "." if cand == directory else cand.name
         found = False
-        for fname, subcommand, extract in _REPORT_SOURCES:
+        for fname, subcommand, extract, headline in _REPORT_SOURCES:
             path = cand / fname
             if not path.exists():
                 continue
             try:
-                data = json.loads(path.read_text())
-                rows.append((label, subcommand, extract(data)))
+                row = extract(json.loads(path.read_text()))
+                if headline not in row:
+                    raise ValueError(f"no {headline!r} value")
+                rows.append((label, subcommand, row))
                 found = True
-            # malformed JSON, or the wrong shape, e.g. [] or a list row
+            # malformed JSON, or the wrong shape, e.g. [], a list row or
+            # an object without the headline key, which holds no result
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 problems.append(f"{path}: unreadable ({exc})")
         if not found and (cand / "config.echo").exists():

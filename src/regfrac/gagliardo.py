@@ -179,20 +179,23 @@ def _lagrange(nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 def _level_increments(dim: int, sigma: float, delta: tuple[int, ...],
                       depth: int, points: int
-                      ) -> tuple[list[tuple[int, ...]], list[np.ndarray], bool]:
+                      ) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
     """Per-level separated contributions of the graded cell-pair recursion.
 
     Level L splits both cells of (cell 0, cell delta) into boxes of size
-    2^-L; box pairs at Chebyshev offset >= 2 in box units are integrated,
-    touching ones are split again.  Separation and kernel depend only on
-    the integer offset o = (loy - lox)/size, and each integrand term is a
-    polynomial of degree <= 2 per axis in the box corner lox.  So a class
-    o keeps, in place of its pairs, the summed tensor Lagrange weights of
-    their lox on the corner nodes, which reproduces the pair sum exactly.
-    Child pair (lox + size/2 c, loy + size/2 c') lands in class
-    2o + c' - c with weights T_c w, the 2^dim matrices T_c built once per
-    level.  Returns (patch nodes, increments, complete), complete when no
-    touching pair is left.
+    2^-L; box pairs at Chebyshev offset >= 2 in box units are integrated
+    from level 2 on, touching ones are split again.  The two cells must
+    touch (delta of Chebyshev norm at most one), so touching box pairs
+    remain at every level and the recursion runs to ``depth``.
+
+    Separation and kernel depend only on the integer offset
+    o = (loy - lox)/size, and each integrand term is a polynomial of
+    degree <= 2 per axis in the box corner lox.  So a class o keeps, in
+    place of its pairs, the summed tensor Lagrange weights of their lox
+    on the corner nodes, which reproduces the pair sum exactly.  Child
+    pair (lox + size/2 c, loy + size/2 c') lands in class 2o + c' - c
+    with weights T_c w, the 2^dim matrices T_c built once per level.
+    Returns (patch nodes, depth + 1 increments); levels 0 and 1 are zero.
     """
     beta = dim + 2.0 * sigma
     nodes = _patch_nodes(dim, delta)
@@ -212,8 +215,6 @@ def _level_increments(dim: int, sigma: float, delta: tuple[int, ...],
                 delta, beta, nodes, points))
         else:
             increments.append(np.zeros((len(nodes), len(nodes))))
-        if sep.all():
-            return nodes, increments, True
         if level == depth:
             break
         half = 0.5 * size
@@ -238,7 +239,7 @@ def _level_increments(dim: int, sigma: float, delta: tuple[int, ...],
         np.add.at(weights, inverse, np.repeat(moved, len(verts), axis=1)
                   .reshape(-1, moved.shape[2]))
         corners, size = finer, half
-    return nodes, increments, False
+    return nodes, increments
 
 
 def _fit_families(increments: list[np.ndarray], sigma: float, end: int,
@@ -271,40 +272,31 @@ def _patch_form(dim: int, sigma: float, delta: tuple[int, ...], depth: int,
                 points: int) -> tuple[list[tuple[int, ...]], np.ndarray, float]:
     """Graded quadrature of the cell-pair form on (cell 0, cell delta).
 
-    Returns (patch nodes, form matrix, convergence indicator).  The form
-    adds a PSD-clamped geometric tail to the level increments.  The
-    indicator is how far families fitted (up to four, no clamp) on the
-    levels before the last miss the last level's increment, in Frobenius
-    norm relative to the form: 0.0 when the quadrature is complete or
-    zero, 1.0 when fewer than two levels from the first nonzero one
-    precede the last.
+    The two cells must touch and ``depth`` be at least 4, so the level
+    increments are zero before level 2 and nonzero from it.  Returns
+    (patch nodes, form matrix, convergence indicator).  The form adds a
+    PSD-clamped geometric tail to the level increments.  The indicator
+    is how far families fitted (up to four, no clamp) on the levels
+    before the last miss the last level's increment, in Frobenius norm
+    relative to the form.
     """
-    nodes, increments, complete = _level_increments(dim, sigma, delta,
-                                                    depth, points)
+    nodes, increments = _level_increments(dim, sigma, delta, depth, points)
     partial = np.add.reduce(increments)
     width = len(nodes)
-    nz = [i for i, inc in enumerate(increments) if np.any(inc != 0.0)]
-    if complete or not nz:
-        return nodes, 0.5 * (partial + partial.T), 0.0
-    first_nz = min(nz)
-    last = len(increments) - 1
-    # geometric tail beyond the max depth, fit on the last clean levels
-    k_tail = max(1, min(4, last - first_nz))
-    coef, ratios = _fit_families(increments, sigma, last, k_tail)
-    tail = ((ratios ** (last + 1) / (1.0 - ratios))[:, None]
+    # geometric tail beyond the max depth, fit on the last clean levels;
+    # depth >= 4 leaves at least one family for the indicator's fit
+    coef, ratios = _fit_families(increments, sigma, depth, min(4, depth - 2))
+    tail = ((ratios ** (depth + 1) / (1.0 - ratios))[:, None]
             * coef).sum(axis=0).reshape(width, width)
     est = partial + _clamp_psd(tail)
-    denom = max(float(np.linalg.norm(est)), 1e-300)
     # convergence indicator: the families fitted on the levels before
     # the last must predict the last measured increment
-    k_pred = min(4, last - 1 - first_nz)
-    if k_pred < 1:
-        change = 1.0
-    else:
-        coef_p, ratios_p = _fit_families(increments, sigma, last - 1, k_pred)
-        pred = ((ratios_p ** last)[:, None]
-                * coef_p).sum(axis=0).reshape(width, width)
-        change = float(np.linalg.norm(pred - increments[last])) / denom
+    coef_p, ratios_p = _fit_families(increments, sigma, depth - 1,
+                                     min(4, depth - 3))
+    pred = ((ratios_p ** depth)[:, None]
+            * coef_p).sum(axis=0).reshape(width, width)
+    change = (float(np.linalg.norm(pred - increments[depth]))
+              / float(np.linalg.norm(est)))
     return nodes, 0.5 * (est + est.T), change
 
 

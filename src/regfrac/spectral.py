@@ -29,9 +29,9 @@ from .gagliardo import _BLOCK_ENTRIES, RegionalForm
 _MAX_RESTARTS = 200
 
 # Largest order solved by one dense eigh.  Median solve, Lanczos -> dense,
-# on 2-d balls at sigma 0.75, tol 1e-8, one BLAS thread: N 101 1.41 ->
-# 0.78 ms, 137 1.51 -> 1.15, 177 2.10 -> 1.83, 213 2.52 -> 2.44, 245
-# 3.03 -> 3.21, 293 3.97 -> 4.41; the bound sits where dense clearly wins
+# 2-d balls, sigma 0.75, tol 1e-8, one BLAS thread: N 137 1.18 -> 0.79 ms,
+# 177 1.48 -> 1.20, 245 2.46 -> 2.31, 293 2.89 -> 3.23; the bound stays
+# where dense clearly wins, as moving it changes the bits of moved forms
 _DENSE_ORDER = 160
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import regfrac.gagliardo
 import regfrac.spectral
 from regfrac import cli
 from regfrac.cli import (RunConfig, _grid, _init_mask, _pgm_text, echo_text,
@@ -532,6 +533,84 @@ def test_negative_seed_rejected_before_writing(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+_PBM_1D = "P1\n33 1\n" + "0" * 3 + "1" * 18 + "0" * 12 + "\n"
+
+
+@pytest.mark.parametrize("argv, files, field", [
+    (["eigen", "--n", "4"], {}, "n must be 1, 2, or 3"),
+    (["constants", "--p", "0"], {}, "p must be positive"),
+    (["optimize", "--mode", "penalized", "--n", "1", "--grid", "16",
+      "--penalty", "0"], {}, "penalty must be positive"),
+    (["eigen", "--n", "1", "--grid", "16", "--tol", "0"], {},
+     "tol must be positive"),
+    (["optimize", "--n", "1", "--grid", "16", "--max-iter", "0"], {},
+     "max_iter must be at least 1"),
+    (["rearrange", "--n", "1", "--grid", "16", "--trials", "0"], {},
+     "trials must be at least 1"),
+    (["hardy", "--n", "1", "--grid", "16", "--dirs", "3"], {},
+     "dirs must be at least 4"),
+    (["eigen", "--n", "3", "--grid", "8", "--pgm"], {},
+     "pgm output requires"),
+    (["eigen", "--n", "1", "--config", "@run.cfg"],
+     {"run.cfg": "shape=hexagon\n"}, "shape must be ball, square, or file"),
+    (["optimize", "--n", "1", "--config", "@run.cfg"],
+     {"run.cfg": "mode=greedy\n"}, "mode must be fixed, penalized"),
+    (["eigen", "--n", "1", "--config", "@run.cfg"],
+     {"run.cfg": "shape=file\n"}, "shape_file is required"),
+    (["eigen", "--n", "1", "--config", "@run.cfg"],
+     {"run.cfg": "sigma=0.25\nforce=maybe\n"}, "run.cfg:2: invalid value for "
+     "force"),
+    (["eigen", "--n", "1", "--config", "@run.cfg"],
+     {"run.cfg": "# a run\nsigma 0.25\n"}, "run.cfg:2: expected key=value"),
+    (["eigen", "--n", "1", "--config", "@absent.cfg"], {},
+     "config file not found"),
+    (["eigen", "--n", "1", "--grid", "33", "--shape", "file", "--shape-file",
+      "@m.pbm"], {"m.pbm": "P1\n33\n"}, "malformed PBM header"),
+    (["eigen", "--n", "1", "--grid", "33", "--shape", "file", "--shape-file",
+      "@m.pbm"], {"m.pbm": "P1\n33 1\n" + "2" * 33 + "\n"},
+     "malformed PBM raster"),
+    (["eigen", "--n", "1", "--grid", "32", "--shape", "file", "--shape-file",
+      "@m.pbm"], {"m.pbm": _PBM_1D}, "bitmap 33x1 does not match"),
+    (["eigen", "--n", "3", "--grid", "8", "--shape", "file", "--shape-file",
+      "@m.pbm"], {"m.pbm": _PBM_1D}, "bitmap masks are 1-d or 2-d only"),
+], ids=["n", "p", "penalty", "tol", "max-iter", "trials", "dirs", "pgm-3d",
+        "cfg-shape", "cfg-mode", "cfg-shape-file", "cfg-force", "cfg-no-equals",
+        "cfg-missing", "pbm-header", "pbm-raster", "pbm-width", "pbm-3d"])
+def test_invalid_run_rejected_before_writing(argv, files, field, tmp_path,
+                                             capsys):
+    # "@name" names a file written into tmp_path first
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    out = tmp_path / "bad"
+    assert cli.main(argv + ["--out-dir", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_penalized_nonconvergence_exit3_partial(tmp_path, capsys):
+    out = tmp_path / "pen"
+    code = cli.main(["optimize", "--mode", "penalized", "--n", "2", "--grid",
+                     "16", "--tol", "1e-30", "--out-dir", str(out)])
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert (out / "state.json.partial").exists()
+    assert (out / "iterations.csv.partial").exists()
+    assert not (out / "state.json").exists()
+
+
+def test_near_field_failure_exit3(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise regfrac.gagliardo.NearFieldError(
+            "near-field quadrature failed: relative change 1.0e+00")
+
+    monkeypatch.setattr(regfrac.gagliardo, "build_near_table", failing)
+    config = RunConfig(subcommand="eigen", dim=1, resolution=16,
+                       out_dir=str(tmp_path / "nf"))
+    assert cli.run(config) == 3
+    assert "near-field quadrature failed" in capsys.readouterr().err
+
+
 def test_convex_projection_row_may_be_worse(tmp_path, capsys):
     # the re-solved convex projection of the best mask is appended as the
     # last row even when its energy is higher, and state.json reports it
@@ -648,6 +727,34 @@ def test_report_lists_wrong_shape_json_as_unreadable(tmp_path, capsys):
     for path in (root / "empty" / "hardy.json", root / "listed" / "eigen.json"):
         assert f"- {path}: unreadable" in md
         assert f"note: {path}: unreadable" in err
+
+
+def test_report_lists_object_without_headline_as_unreadable(tmp_path,
+                                                            capsys):
+    # an object lacking its subcommand's headline value holds no result
+    # of its run: it is listed with a note, not reported as a blank row
+    root = tmp_path / "runs"
+    assert cli.main(["eigen", "--n", "1", "--sigma", "0.25", "--grid", "16",
+                     "--out-dir", str(root / "good")]) == 0
+    (root / "a").mkdir()
+    (root / "a" / "eigen.json").write_text("{}")
+    (root / "a" / "state.json").write_text('{"mode": "fixed"}')
+    capsys.readouterr()
+    assert cli.run_report(root) == 0
+    err = capsys.readouterr().err
+    lines = (root / "report.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in lines[1:]] == [["good", "eigen"]]
+    md = (root / "report.md").read_text()
+    for path in (root / "a" / "eigen.json", root / "a" / "state.json"):
+        assert f"- {path}: unreadable" in md
+        assert f"note: {path}: unreadable" in err
+
+
+def test_report_on_plain_file_exit2(tmp_path, capsys):
+    plain = tmp_path / "eigen.json"
+    plain.write_text("{}")
+    assert cli.main(["report", str(plain)]) == 2
+    assert "not a directory" in capsys.readouterr().err
 
 
 def test_report_empty_dir_exit2(cli_env, tmp_path):

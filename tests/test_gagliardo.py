@@ -187,12 +187,11 @@ def test_offset_classes_match_pairwise_sum(dim, sigma):
     # position weights is exact for the degree <= 2 integrands, so every
     # level sum matches the explicit pair-by-pair sum to rounding.
     points = ga._DEFAULT_POINTS[dim]
-    classes = {ga._canonical(o) for o in ga._offsets_within(dim, 2)}
+    classes = {ga._canonical(o) for o in ga._offsets_within(dim, 1)}
     for delta in sorted(classes | {(0,) * dim}):
-        ref_nodes, ref, ref_done = _pairwise_increments(dim, sigma, delta,
-                                                        5, points)
-        nodes, got, done = ga._level_increments(dim, sigma, delta, 5, points)
-        assert nodes == ref_nodes and done == ref_done
+        ref_nodes, ref, _ = _pairwise_increments(dim, sigma, delta, 5, points)
+        nodes, got = ga._level_increments(dim, sigma, delta, 5, points)
+        assert nodes == ref_nodes
         assert len(got) == len(ref)
         for level, (g, r) in enumerate(zip(got, ref)):
             err = np.abs(g - r).max()
@@ -203,7 +202,7 @@ def test_level_sums_independent_of_blas_threads():
     # Reruns must be bitwise identical whatever the BLAS thread count;
     # at 3-d level 2 a single large BLAS reduction would not be.
     code = ("import sys; from regfrac import gagliardo as ga; "
-            "_, inc, _ = ga._level_increments(3, 0.75, (1, 1, 0), 2, 3); "
+            "_, inc = ga._level_increments(3, 0.75, (1, 1, 0), 2, 3); "
             "sys.stdout.write(b''.join(i.tobytes() for i in inc).hex())")
     outs = []
     for threads in ("1", "2"):
@@ -363,16 +362,29 @@ def test_level_increments_match_reference(dim, sigma, depth):
     # do the same scalar operations in the same order as the reference:
     # every level increment is bitwise equal, for every canonical class.
     points = ga._DEFAULT_POINTS[dim]
-    classes = {ga._canonical(o) for o in ga._offsets_within(dim, 2)}
+    classes = {ga._canonical(o) for o in ga._offsets_within(dim, 1)}
     for delta in sorted(classes | {(0,) * dim}):
-        ref_nodes, ref, ref_done = _reference_level_increments(
-            dim, sigma, delta, depth, points)
-        nodes, got, done = ga._level_increments(dim, sigma, delta, depth,
-                                                points)
-        assert nodes == ref_nodes and done == ref_done
+        ref_nodes, ref, _ = _reference_level_increments(dim, sigma, delta,
+                                                        depth, points)
+        nodes, got = ga._level_increments(dim, sigma, delta, depth, points)
+        assert nodes == ref_nodes
         assert len(got) == len(ref)
         for level, (g, r) in enumerate(zip(got, ref)):
             assert np.array_equal(g, r), (delta, level)
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 5), (2, 5), (3, 4)])
+def test_adjacency_classes_first_integrate_at_level_two(dim, depth):
+    # _patch_form fits its tail from level 2 on: for touching cells the
+    # two forced subdivisions leave levels 0 and 1 exactly zero, level 2
+    # integrates the first separated box pairs, and touching box pairs
+    # keep the recursion going to the full depth
+    points = ga._DEFAULT_POINTS[dim]
+    for off in ga._offsets_within(dim, 1) + [(0,) * dim]:
+        _, inc = ga._level_increments(dim, 0.75, off, depth, points)
+        assert len(inc) == depth + 1, off
+        assert not inc[0].any() and not inc[1].any(), off
+        assert inc[2].any(), off
 
 
 def _fresh_table(monkeypatch, dim, sigma, depth, tol):
@@ -386,7 +398,8 @@ def test_table_matches_reference_build(depth, tol, monkeypatch):
     # one, is bitwise equal to the one built on the reference recursion,
     # and its pair weights and hat energies equal the per-entry loops.
     table = _fresh_table(monkeypatch, 2, 0.75, depth, tol)
-    monkeypatch.setattr(ga, "_level_increments", _reference_level_increments)
+    monkeypatch.setattr(ga, "_level_increments",
+                        lambda *args: _reference_level_increments(*args)[:2])
     ref = _fresh_table(monkeypatch, 2, 0.75, depth, tol)
     pair_weights, hat_energies = _reference_expansions(2, 0.75, ref.depth)
     for name in ("data", "indices", "indptr"):

@@ -73,6 +73,8 @@ def test_grid_scaling_scales_all_lengths():
     assert s.spacing == pytest.approx(3.0 * g.spacing)
     assert s.origin == pytest.approx((-3.0, -3.0))
     assert s.cells == g.cells
+    with pytest.raises(ValueError, match="scale factor must be positive"):
+        g.scaled(0)
 
 
 # ------------------------------------------------------------------ masks
@@ -122,6 +124,15 @@ def test_empty_and_out_of_bounds_masks():
         make_mask(g, Ball((0.9, 0.0), 0.5))
     with pytest.raises(ValueError, match="out of bounds"):
         make_mask(g, Box((-2.0, -1.0), (0.0, 0.0)))
+
+
+def test_bad_shape_descriptors_rejected():
+    g = grid_2d(8)
+    for inner, outer in ((0.5, 0.5), (0.6, 0.4)):
+        with pytest.raises(ValueError, match="annulus radii out of order"):
+            make_mask(g, Annulus((0.0, 0.0), inner, outer))
+    with pytest.raises(TypeError, match="unknown shape descriptor"):
+        make_mask(g, (0.0, 0.0))
 
 
 def _cells_mask(grid, cells):
@@ -287,6 +298,8 @@ def test_direction_set_unit_norms_and_count_floor():
     assert np.allclose(np.linalg.norm(ds.directions, axis=1), 1.0, atol=1e-12)
     with pytest.raises(ValueError, match="at least 4"):
         direction_set(2, 3)
+    with pytest.raises(ValueError, match="dimension must be 1, 2, or 3"):
+        direction_set(4, 8)
 
 
 def test_direction_set_validation():

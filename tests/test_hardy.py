@@ -410,6 +410,11 @@ def test_equivalence_rejects_negative(box16_form):
         equivalence_check(box16_form, u)
 
 
+def test_equivalence_rejects_wrong_length(box16_form):
+    with pytest.raises(ValueError, match="vector length"):
+        equivalence_check(box16_form, np.ones(box16_form.size + 1))
+
+
 def test_corpus_contract(box16_form):
     corpus = standard_test_functions(box16_form, seed=0)
     labels = [label for label, _ in corpus]

@@ -201,6 +201,30 @@ class TestFixedMeasure:
         assert state.mask.same_cells(init)
         assert state.iteration == 0
 
+    def test_unconverged_candidate_returns_best(self, small_ball, table2,
+                                                monkeypatch):
+        # a candidate whose solve does not converge ends the run with the
+        # best converged state so far: here the start mask
+        _, mask = small_ball
+        real = regfrac.shapeopt.smallest_eigenpair
+        calls = []
+
+        def unconverged_after_init(form, **kwargs):
+            calls.append(form.size)
+            eig = real(form, **kwargs)
+            if len(calls) > 1:
+                eig = dataclasses.replace(eig, converged=False)
+            return eig
+
+        monkeypatch.setattr(regfrac.shapeopt, "smallest_eigenpair",
+                            unconverged_after_init)
+        state = _quiet_optimize(mask, SIGMA, max_iter=3, seed=0)
+        assert len(calls) == 2
+        assert state.eigen.converged
+        assert state.mask.same_cells(mask)
+        assert state.iteration == 0
+        assert len(state.history) == 1
+
     def test_solver_error_on_candidate_raises(self, small_ball, table2,
                                               monkeypatch):
         _, mask = small_ball

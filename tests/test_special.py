@@ -94,6 +94,21 @@ def test_sphere_area_small_dimensions():
     assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_dimension_below_one_rejected(n):
+    with pytest.raises(ValueError, match="positive integer"):
+        sphere_area(n)
+    with pytest.raises(ValueError, match="positive integer"):
+        exit_scale_prefactor(n, 1.5)
+    with pytest.raises(ValueError, match="positive integer"):
+        hardy_constant(n, 2.0, 0.75)
+
+
+def test_hardy_constant_rejects_p_below_one():
+    with pytest.raises(ValueError, match="p must be at least 1"):
+        hardy_constant(2, 0.9, 0.75)
+
+
 def test_tail_integral_closed_form_and_scaling():
     assert tail_integral(2, 0.75, 1.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
     for n in (1, 2, 3):
