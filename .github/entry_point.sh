@@ -13,9 +13,12 @@
 # (245 interior nodes) the factor + Lanczos path, each replayed;
 # a volume that is not a whole number of cells, a one-cell volume
 # with no interior node, a mask too small for the Hardy corpus, a NaN
-# radius, an infinite extent and a negative seed (on the rearrange
-# search and on the Lanczos path, which read it) must exit 2 before
-# their out dir is made; a penalized run at an unattainable tolerance
+# radius, an infinite extent, a negative seed (on the rearrange
+# search and on the Lanczos path, which read it) and a 3-cell start
+# mask with no interior node (on eigen and on convex optimize) must
+# exit 2 before their out dir is made; a penalized run from the full
+# 8^2 grid, whose top volume rungs exceed the grid, must finish; a
+# penalized run at an unattainable tolerance
 # must exit 3 and keep its results as .partial files; report must list
 # a hardy.json of the wrong shape and an eigen.json without its lambda
 # as unreadable and still report the finished run beside them.
@@ -74,6 +77,20 @@ code=0
 regfrac eigen --n 2 --grid 24 --seed -1 --out-dir "$work/negseed-lanczos" || code=$?
 test "$code" -eq 2
 test ! -e "$work/negseed-lanczos"
+printf 'P1\n8 8\n' > "$work/full.pbm"
+printf '11111111\n%.0s' 1 2 3 4 5 6 7 8 >> "$work/full.pbm"
+regfrac optimize --mode penalized --n 2 --grid 8 --shape file --shape-file "$work/full.pbm" --out-dir "$work/fullgrid"
+test -e "$work/fullgrid/state.json"
+printf 'P1\n8 8\n' > "$work/ell.pbm"
+printf '00000000\n%.0s' 1 2 3 >> "$work/ell.pbm"
+printf '00011000\n00010000\n' >> "$work/ell.pbm"
+printf '00000000\n%.0s' 1 2 3 >> "$work/ell.pbm"
+for sub in "eigen" "optimize --mode convex"; do
+  code=0
+  regfrac $sub --n 2 --grid 8 --shape file --shape-file "$work/ell.pbm" --out-dir "$work/ell" || code=$?
+  test "$code" -eq 2
+  test ! -e "$work/ell"
+done
 code=0
 regfrac optimize --mode penalized --n 2 --grid 16 --tol 1e-30 --out-dir "$work/unconverged" || code=$?
 test "$code" -eq 3

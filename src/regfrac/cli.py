@@ -206,11 +206,14 @@ def validate(config: RunConfig) -> None:
     if penalized and c.volume > 0.0:
         raise CliError(f"volume applies to fixed and convex modes only, "
                        f"got {c.volume} in penalized mode")
-    if c.subcommand == "optimize" and c.volume > 0.0:
+    if c.subcommand in ("eigen", "optimize"):
         grid = _grid(c)
-        start = resize_mask(_init_mask(c, grid), cell_count(grid, c.volume))
+        start = _init_mask(c, grid)
+        if c.subcommand == "optimize" and c.volume > 0.0:
+            start = resize_mask(start, cell_count(grid, c.volume))
         if not len(start.interior_idx):
-            raise CliError(f"volume {c.volume!r} leaves no interior node")
+            raise CliError(f"start mask of volume {start.volume!r} has no "
+                           "interior node")
     if not c.tol > 0.0:
         raise CliError(f"tol must be positive, got {c.tol}")
     if c.max_iter < 1:

@@ -25,6 +25,8 @@ from .gagliardo import assemble
 from .geometry import DomainMask, GridSpec
 from .spectral import EigenResult, smallest_eigenpair
 
+_SWAPS = 5  # single-cell swaps a stalled descent tries before it stops
+
 
 @dataclass(frozen=True)
 class ShapeState:
@@ -117,10 +119,9 @@ def _top_cells(grid: GridSpec, score: np.ndarray, count: int) -> DomainMask:
     return DomainMask(grid, active.reshape(grid.cells))
 
 
-def _swap_candidates(grid: GridSpec, score: np.ndarray, base: DomainMask,
-                     limit: int):
-    """Single-cell swaps: drop a low-score active cell, add a high-score
-    inactive cell adjacent to the support."""
+def _swap_candidates(score: np.ndarray, base: DomainMask):
+    """Up to ``_SWAPS`` single-cell swaps: drop a low-score active cell,
+    add a high-score inactive cell adjacent to the support."""
     act = base.active
     flat = score.ravel()
     aflat = act.ravel()
@@ -130,11 +131,11 @@ def _swap_candidates(grid: GridSpec, score: np.ndarray, base: DomainMask,
     drop = act_idx[np.argsort(flat[act_idx], kind="stable")]
     add_idx = np.flatnonzero(fringe)
     add = add_idx[np.argsort(-flat[add_idx], kind="stable")]
-    for j in range(min(limit, len(drop), len(add))):
+    for j in range(min(_SWAPS, len(drop), len(add))):
         new = aflat.copy()
         new[drop[j]] = False
         new[add[j]] = True
-        yield DomainMask(grid, new.reshape(grid.cells))
+        yield DomainMask(base.grid, new.reshape(act.shape))
 
 
 def optimize_fixed_measure(init: DomainMask, sigma: float, max_iter: int = 20,
@@ -144,7 +145,7 @@ def optimize_fixed_measure(init: DomainMask, sigma: float, max_iter: int = 20,
 
     Candidates keep the top cells by eigenfunction score; a candidate is
     accepted only if its eigenvalue beats the best seen by more than
-    1e-12, otherwise up to five single-cell swap perturbations are
+    1e-12, otherwise up to ``_SWAPS`` single-cell swap perturbations are
     tried before stopping.  Candidates without interior nodes are
     skipped; a solver error on any other candidate propagates.  A
     non-converged eigensolve aborts the run, returning the best state
@@ -172,7 +173,7 @@ def optimize_fixed_measure(init: DomainMask, sigma: float, max_iter: int = 20,
         threshold = _top_cells(grid, score, init.cell_count)
         candidates = itertools.chain(
             [] if threshold.same_cells(current_mask) else [threshold],
-            _swap_candidates(grid, score, current_mask, limit=5))
+            _swap_candidates(score, current_mask))
         accepted = False
         for cand in candidates:
             if len(cand.interior_idx) == 0:
@@ -237,21 +238,27 @@ def optimize_penalized(init: DomainMask, sigma: float, c_penalty: float,
     """Minimize eigenvalue + c_penalty * volume over a volume ladder.
 
     Nine geometric volume steps spanning +-20% of the initial volume
-    each run the fixed-measure descent; the state with the smallest
+    each run the fixed-measure descent from ``init`` resized to that
+    count, skipping a count past the grid or a start without interior
+    nodes (ValueError if none is left); the state with the smallest
     penalized objective wins (ties keep the smaller volume).  Its energy
-    and history energies are eigenvalue + c_penalty * volume.  All nine
-    descents share the cached near table.
+    and history energies are eigenvalue + c_penalty * volume.
     """
     if not c_penalty > 0.0:
         raise ValueError(f"penalty must be positive, got {c_penalty}")
-    counts = dict.fromkeys(max(1, int(round(f * init.cell_count)))
+    total = math.prod(init.grid.cells)
+    counts = dict.fromkeys(int(round(f * init.cell_count))
                            for f in np.geomspace(0.8, 1.2, 9))
+    starts = [m for m in (resize_mask(init, k) for k in counts if k <= total)
+              if len(m.interior_idx)]
+    if not starts:
+        raise ValueError(f"no rung of the volume ladder around "
+                         f"{init.cell_count} cells has an interior node")
     best = None
     best_objective = np.inf
-    for k in counts:
+    for start in starts:
         state = optimize_fixed_measure(
-            resize_mask(init, k), sigma, max_iter=max_iter, seed=seed,
-            eigen_tol=eigen_tol)
+            start, sigma, max_iter=max_iter, seed=seed, eigen_tol=eigen_tol)
         objective = state.eigen.eigenvalue + c_penalty * state.volume
         if objective < best_objective:
             best, best_objective = state, objective
@@ -301,54 +308,44 @@ def optimize(mode: str, init: DomainMask, sigma: float, *,
 def _hull_rank(query: np.ndarray, pts: np.ndarray,
                centroid: np.ndarray) -> np.ndarray:
     """Smallest homothety factor t (about the centroid) whose shrunk
-    hull contains each query point; <= 1 means inside the hull."""
-    if query.shape[1] >= 2:
-        try:
-            hull = ConvexHull(pts)
-            normals = hull.equations[:, :-1]
-            offsets = hull.equations[:, -1]
-            fc = normals @ centroid + offsets  # strictly negative inside
-            num = query @ normals.T + offsets
-            return np.max((num - fc) / (-fc), axis=1)
-        except QhullError:
-            pass  # degenerate (collinear) support: use its bounding box
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span_lo = centroid - lo
-    span_hi = hi - centroid
-    d = query - centroid
-    rank = np.zeros(len(query))
-    for axis in range(query.shape[1]):
-        pos = d[:, axis] >= 0.0
-        span = np.where(pos, span_hi[axis], span_lo[axis])
-        mag = np.abs(d[:, axis])
-        axis_rank = np.where(span > 0.0, mag / np.where(span > 0.0, span, 1.0),
-                             np.where(mag < 1e-12, 0.0, np.inf))
-        rank = np.maximum(rank, axis_rank)
-    return rank
+    hull of ``pts`` contains each query point; <= 1 means inside it.
+    The 1-d hull is the points' interval; in 2-d and 3-d it is Qhull's,
+    and points that do not span the space raise ValueError."""
+    if query.shape[1] == 1:
+        d = query[:, 0] - centroid[0]
+        mag = np.abs(d)
+        span = np.where(d >= 0.0, pts.max() - centroid[0],
+                        centroid[0] - pts.min())
+        return np.where(span > 0.0, mag / np.where(span > 0.0, span, 1.0),
+                        np.where(mag < 1e-12, 0.0, np.inf))
+    try:
+        hull = ConvexHull(pts)
+    except QhullError as exc:
+        raise ValueError(f"support of {len(pts)} cells does not span "
+                         f"{query.shape[1]}-d space") from exc
+    normals = hull.equations[:, :-1]
+    offsets = hull.equations[:, -1]
+    fc = normals @ centroid + offsets  # strictly negative inside
+    num = query @ normals.T + offsets
+    return np.max((num - fc) / (-fc), axis=1)
 
 
 def convexify(mask: DomainMask) -> DomainMask:
     """Project a mask onto a convex one of the same cell count.
 
-    Activates the cells whose centers lie in the convex hull of the
-    active centers; overshoot is corrected by shrinking the hull
-    homothetically about the support centroid and refilling with the
-    cells closest to the shrunk hull until the count matches exactly.
+    Keeps the cells of smallest ``_hull_rank`` (ties by raster order):
+    the hull of the active centers, which holds them all, shrunk about
+    their centroid until it holds exactly the cell count.  ValueError
+    on a 2-d or 3-d support that does not span the space, which has no
+    interior node.
     """
     grid = mask.grid
     centers = grid.cell_centers().reshape(-1, grid.dim)
     act = mask.active.ravel()
-    count = int(act.sum())
     pts = centers[act]
     rank = _hull_rank(centers, pts, pts.mean(axis=0))
-    inside = rank <= 1.0 + 1e-9
-    if int(inside.sum()) <= count:
-        new = inside
-    else:
-        order = np.argsort(rank, kind="stable")
-        new = np.zeros(act.size, dtype=bool)
-        new[order[:count]] = True
+    new = np.zeros(act.size, dtype=bool)
+    new[np.argsort(rank, kind="stable")[:len(pts)]] = True
     return DomainMask(grid, new.reshape(grid.cells))
 
 

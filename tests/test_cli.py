@@ -534,6 +534,11 @@ def test_negative_seed_rejected_before_writing(argv, tmp_path, capsys):
 
 
 _PBM_1D = "P1\n33 1\n" + "0" * 3 + "1" * 18 + "0" * 12 + "\n"
+# three cells in an L on 8^2: no node has all four of its cells active
+_PBM_L = ("P1\n8 8\n" + "00000000\n" * 3 + "00011000\n00010000\n"
+          + "00000000\n" * 3)
+_L_START = ["--n", "2", "--grid", "8", "--shape", "file", "--shape-file",
+            "@l.pbm"]
 
 
 @pytest.mark.parametrize("argv, files, field", [
@@ -573,9 +578,18 @@ _PBM_1D = "P1\n33 1\n" + "0" * 3 + "1" * 18 + "0" * 12 + "\n"
       "@m.pbm"], {"m.pbm": _PBM_1D}, "bitmap 33x1 does not match"),
     (["eigen", "--n", "3", "--grid", "8", "--shape", "file", "--shape-file",
       "@m.pbm"], {"m.pbm": _PBM_1D}, "bitmap masks are 1-d or 2-d only"),
+    (["eigen"] + _L_START, {"l.pbm": _PBM_L},
+     "start mask of volume 0.1875 has no"),
+    (["optimize", "--mode", "fixed"] + _L_START, {"l.pbm": _PBM_L},
+     "start mask of volume 0.1875 has no"),
+    (["optimize", "--mode", "convex"] + _L_START, {"l.pbm": _PBM_L},
+     "start mask of volume 0.1875 has no"),
+    (["optimize", "--mode", "penalized"] + _L_START, {"l.pbm": _PBM_L},
+     "start mask of volume 0.1875 has no"),
 ], ids=["n", "p", "penalty", "tol", "max-iter", "trials", "dirs", "pgm-3d",
         "cfg-shape", "cfg-mode", "cfg-shape-file", "cfg-force", "cfg-no-equals",
-        "cfg-missing", "pbm-header", "pbm-raster", "pbm-width", "pbm-3d"])
+        "cfg-missing", "pbm-header", "pbm-raster", "pbm-width", "pbm-3d",
+        "pbm-l-eigen", "pbm-l-fixed", "pbm-l-convex", "pbm-l-penalized"])
 def test_invalid_run_rejected_before_writing(argv, files, field, tmp_path,
                                              capsys):
     # "@name" names a file written into tmp_path first

@@ -339,6 +339,29 @@ class TestPenalized:
                                match="penalty must be positive"):
                 optimize_penalized(mask, SIGMA, bad)
 
+    @pytest.mark.parametrize("radius, counts", [(None, range(51, 64)),
+                                                (0.3, (4, 5))],
+                             ids=["full", "four-cell"])
+    def test_unsolvable_rungs_skipped(self, radius, counts, table2):
+        """On the 8^2 grid the full mask's top rungs (66 to 77 cells)
+        exceed the grid, and the 4-cell ball's 3-cell rung has no
+        interior node; the ladder runs on the rungs that remain."""
+        grid = GridSpec(cells=(8, 8), spacing=0.25, origin=(-1.0, -1.0))
+        init = (DomainMask(grid, np.ones((8, 8), dtype=bool)) if radius is None
+                else make_mask(grid, Ball(center=(0.0, 0.0), radius=radius)))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*negativity.*")
+            state = optimize("penalized", init, SIGMA, max_iter=2)
+        assert state.eigen.converged
+        assert state.mask.cell_count in counts
+
+    def test_no_solvable_rung_rejected(self):
+        grid = GridSpec(cells=(8, 8), spacing=0.25, origin=(-1.0, -1.0))
+        active = np.zeros((8, 8), dtype=bool)
+        active[3, 3:5] = True  # every rung has 2 cells
+        with pytest.raises(ValueError, match="no rung"):
+            optimize_penalized(DomainMask(grid, active), SIGMA, 1.0)
+
     def test_rescaling_output_consistent(self, small_ball, table2):
         """Dilating the returned support to a reference volume and
         re-solving reproduces the 2-sigma-homogeneous eigenvalue within
@@ -365,6 +388,69 @@ def lshape():
     active = np.ones((8, 8), dtype=bool)
     active[4:, 4:] = False
     return DomainMask(grid, active)
+
+
+def _first_convexify(mask: DomainMask) -> DomainMask:
+    """The projection as first written, kept as an oracle: activate every
+    cell whose hull rank is at most 1 + 1e-9, and only when that
+    overshoots the cell count keep the count of smallest rank.  Ranks
+    come from Qhull in 2-d and 3-d and from one interval per axis in
+    1-d; the oracle's masks all span the space."""
+    grid = mask.grid
+    centers = grid.cell_centers().reshape(-1, grid.dim)
+    act = mask.active.ravel()
+    count = int(act.sum())
+    pts = centers[act]
+    centroid = pts.mean(axis=0)
+    if grid.dim >= 2:
+        hull = ConvexHull(pts)
+        normals = hull.equations[:, :-1]
+        offsets = hull.equations[:, -1]
+        fc = normals @ centroid + offsets
+        rank = np.max((centers @ normals.T + offsets - fc) / (-fc), axis=1)
+    else:
+        rank = np.zeros(len(centers))
+        span_lo = centroid - pts.min(axis=0)
+        span_hi = pts.max(axis=0) - centroid
+        d = centers - centroid
+        for axis in range(grid.dim):
+            span = np.where(d[:, axis] >= 0.0, span_hi[axis], span_lo[axis])
+            mag = np.abs(d[:, axis])
+            rank = np.maximum(rank, np.where(
+                span > 0.0, mag / np.where(span > 0.0, span, 1.0),
+                np.where(mag < 1e-12, 0.0, np.inf)))
+    inside = rank <= 1.0 + 1e-9
+    if int(inside.sum()) <= count:
+        new = inside
+    else:
+        new = np.zeros(act.size, dtype=bool)
+        new[np.argsort(rank, kind="stable")[:count]] = True
+    return DomainMask(grid, new.reshape(grid.cells))
+
+
+def _random_masks(count: int, seed: int):
+    """Seeded random masks in 1-3 d with at least one interior node:
+    scattered cells, and unions of boxes (often convex already)."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        dim = int(rng.integers(1, 4))
+        side = int(rng.integers(*{1: (6, 20), 2: (5, 12), 3: (4, 7)}[dim]))
+        grid = GridSpec(cells=(side,) * dim, spacing=1.0 / side,
+                        origin=(0.0,) * dim)
+        if rng.random() < 0.5:
+            active = rng.random(grid.cells) < rng.uniform(0.3, 0.9)
+        else:
+            active = np.zeros(grid.cells, dtype=bool)
+            for _ in range(int(rng.integers(1, 4))):
+                lo = rng.integers(0, side - 1, size=dim)
+                hi = [int(rng.integers(a + 1, side + 1)) for a in lo]
+                active[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+        if active.any():
+            mask = DomainMask(grid, active)
+            if len(mask.interior_idx):
+                made += 1
+                yield mask
 
 
 class TestConvexify:
@@ -424,6 +510,34 @@ class TestConvexify:
         expect = np.zeros(9, dtype=bool)
         expect[2:7] = True
         assert np.array_equal(out.active, expect)
+
+
+    def test_support_not_spanning_the_space_rejected(self):
+        # the 8^2 diagonal (1,1), (2,2), (3,3) is collinear and a single
+        # z-layer is coplanar: neither has an interior node
+        grid = GridSpec(cells=(8, 8), spacing=1.0 / 8, origin=(0.0, 0.0))
+        active = np.zeros((8, 8), dtype=bool)
+        active[[1, 2, 3], [1, 2, 3]] = True
+        with pytest.raises(ValueError, match="does not span"):
+            convexify(DomainMask(grid, active))
+        grid3 = GridSpec(cells=(6, 6, 6), spacing=1.0 / 6,
+                         origin=(0.0, 0.0, 0.0))
+        layer = np.zeros((6, 6, 6), dtype=bool)
+        layer[1:5, 1:4, 2] = True
+        with pytest.raises(ValueError, match="does not span"):
+            convexify(DomainMask(grid3, layer))
+
+    def test_matches_inside_or_overshoot_rule(self):
+        """Keeping the count of smallest hull rank selects the same cells
+        as the first rule, which kept the hull members outright when
+        they fit: they always hold at least the count, and when they
+        hold exactly the count they are its smallest ranks."""
+        convex = 0
+        for mask in _random_masks(240, seed=20):
+            expect = _first_convexify(mask)
+            assert convexify(mask).same_cells(expect)
+            convex += expect.same_cells(mask)
+        assert 20 <= convex <= 220  # convex and non-convex masks both ran
 
 
 class TestComponentReduction:
