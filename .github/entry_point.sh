@@ -9,8 +9,12 @@
 # a convex-mode optimize run, whose mode policy lives in shapeopt,
 # and a rearrange run, whose full-space energies are the only CLI
 # output that reads the complement potential;
-# the 33-cell eigen run takes the dense eigh path and the 24^2 one
-# (245 interior nodes) the factor + Lanczos path, each replayed;
+# the eigen runs are replayed on each solver path: the 33-cell one
+# takes the dense eigh, the centred 24^2 ball (245 interior nodes in 39
+# orbits of its symmetries) the dense eigh of its folded form, the
+# centred 56^2 ball (1481 nodes in 204 orbits) factor + Lanczos on its
+# folded form, and a 16^2 square less a 3 x 2 corner, which has no
+# symmetry (219 nodes), factor + Lanczos on the form itself;
 # a volume that is not a whole number of cells, a one-cell volume
 # with no interior node, a mask too small for the Hardy corpus, a NaN
 # radius, an infinite extent, a negative seed (on the rearrange
@@ -26,13 +30,24 @@
 # Usage, after `python -m pip install .`: bash .github/entry_point.sh
 set -euo pipefail
 work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
 cd "$work"
 regfrac eigen --n 1 --sigma 0.25 --grid 33 --out-dir "$work/eigen"
 regfrac eigen --config "$work/eigen/config.echo" --out-dir "$work/replay"
 cmp "$work/eigen/eigen.json" "$work/replay/eigen.json"
-regfrac eigen --n 2 --sigma 0.75 --grid 24 --out-dir "$work/lanczos"
+regfrac eigen --n 2 --sigma 0.75 --grid 24 --out-dir "$work/fold"
+regfrac eigen --config "$work/fold/config.echo" --out-dir "$work/fold-replay"
+cmp "$work/fold/eigen.json" "$work/fold-replay/eigen.json"
+regfrac eigen --n 2 --sigma 0.75 --grid 56 --out-dir "$work/fold-lanczos"
+regfrac eigen --config "$work/fold-lanczos/config.echo" --out-dir "$work/fold-lanczos-replay"
+cmp "$work/fold-lanczos/eigen.json" "$work/fold-lanczos-replay/eigen.json"
+printf 'P1\n16 16\n' > "$work/notched.pbm"
+printf '1111111111111111\n%.0s' $(seq 13) >> "$work/notched.pbm"
+printf '1111111111111100\n%.0s' 1 2 3 >> "$work/notched.pbm"
+regfrac eigen --n 2 --sigma 0.75 --grid 16 --shape file --shape-file "$work/notched.pbm" --out-dir "$work/lanczos"
 regfrac eigen --config "$work/lanczos/config.echo" --out-dir "$work/lanczos-replay"
 cmp "$work/lanczos/eigen.json" "$work/lanczos-replay/eigen.json"
+grep -q '"iterations": [1-9]' "$work/lanczos/eigen.json"
 regfrac hardy --n 2 --grid 24 --out-dir "$work/hardy"
 regfrac hardy --config "$work/hardy/config.echo" --out-dir "$work/hardy-replay"
 cmp "$work/hardy/hardy.json" "$work/hardy-replay/hardy.json"

@@ -24,6 +24,7 @@ import regfrac.spectral
 from regfrac import cli
 from regfrac.cli import (RunConfig, _grid, _init_mask, _pgm_text, echo_text,
                          load_config_file)
+from regfrac.spectral import _orbits
 
 
 @pytest.fixture(scope="session")
@@ -135,13 +136,14 @@ def test_eigen_json_fields_exact(eigen_run):
 
 
 def test_eigen_lanczos_side_counts_inverse_solves(tmp_path, capsys):
-    # the 24^2 ball has 245 interior nodes, above the dense order: it is
-    # factored and solved by Lanczos, whose inverse solves eigen.json
-    # counts and whose non-convergence message names them
-    config = RunConfig(subcommand="eigen", dim=2, resolution=24)
+    # the 56^2 ball has 1481 interior nodes in 204 orbits of its
+    # symmetries, above the dense order: the folded form is factored and
+    # solved by Lanczos, whose inverse solves eigen.json counts and whose
+    # non-convergence message names them
+    config = RunConfig(subcommand="eigen", dim=2, resolution=56)
     mask = _init_mask(config, _grid(config))
-    assert len(mask.interior_idx) > regfrac.spectral._DENSE_ORDER
-    args = ["eigen", "--n", "2", "--sigma", "0.75", "--grid", "24"]
+    assert len(_orbits(mask)[1]) > regfrac.spectral._DENSE_ORDER
+    args = ["eigen", "--n", "2", "--sigma", "0.75", "--grid", "56"]
     assert cli.main(args + ["--out-dir", str(tmp_path / "e")]) == 0
     payload = json.loads((tmp_path / "e" / "eigen.json").read_text())
     assert payload["iterations"] >= 1

@@ -16,6 +16,7 @@ from regfrac.gagliardo import _node_masses, assemble, build_near_table
 from regfrac.geometry import Annulus, Ball, Box, DomainMask, GridSpec, make_mask
 from regfrac.spectral import (
     EigenResult,
+    _orbits,
     _solve_pencil,
     rayleigh_quotient,
     smallest_eigenpair,
@@ -29,13 +30,24 @@ def ball_pair(ball_form):
 
 @pytest.fixture(scope="module")
 def ball24_form(table2):
-    # the eigen-ladder's 24^2 ball, N = 245: above the dense order, so
+    # a 24^2 ball off the grid's centre on both axes and off the diagonal,
+    # N = 253: above the dense order, and with no symmetry to fold on, so
     # solved by factor + Lanczos
     grid = GridSpec(cells=(24, 24), spacing=2.0 / 24, origin=(-1.0, -1.0))
-    form = assemble(make_mask(grid, Ball(center=(0.0, 0.0), radius=0.8)),
+    form = assemble(make_mask(grid, Ball(center=(0.03, 0.05), radius=0.8)),
                     0.75, table=table2)
     assert form.size > regfrac.spectral._DENSE_ORDER
+    assert _orbits(form.mask) is None
     return form
+
+
+@pytest.fixture(scope="module")
+def centred_ball24_form(table2):
+    # the eigen-ladder's 24^2 ball, N = 245 in 39 orbits of the eight
+    # symmetries of the square: solved on its orbit basis
+    grid = GridSpec(cells=(24, 24), spacing=2.0 / 24, origin=(-1.0, -1.0))
+    return assemble(make_mask(grid, Ball(center=(0.0, 0.0), radius=0.8)),
+                    0.75, table=table2)
 
 
 def _residual_report(form, result, threshold=0.0):
@@ -536,8 +548,9 @@ def _negative_pivot(matrix):
     return matrix
 
 
-@pytest.mark.parametrize("name", ["box_form", "ball24_form"],
-                         ids=["dense", "lanczos"])
+@pytest.mark.parametrize("name", ["box_form", "ball24_form",
+                                  "centred_ball24_form"],
+                         ids=["dense", "lanczos", "fold"])
 @pytest.mark.parametrize("make, match", [
     (_negative_pivot, "not finite and positive definite"),
     (lambda a: np.where(np.eye(len(a), dtype=bool), np.nan, a),
@@ -548,9 +561,11 @@ def _negative_pivot(matrix):
 ], ids=["indefinite", "non-finite", "asymmetric", "read-only"])
 def test_unfit_matrix_leaves_it_untouched_on_both_paths(name, make, match,
                                                         request):
-    # every input check sits in front of both paths, so each rejects the
-    # same matrices with the same message and writes nothing; an
-    # indefinite matrix reaches the dense eigh or the Cholesky factor
+    # every input check sits in front of both paths and of the fold, so
+    # each rejects the same matrices with the same message and writes
+    # nothing; an indefinite matrix reaches the dense eigh, the Cholesky
+    # factor or, its negated pivot being the centre node's own orbit,
+    # the dense eigh of the folded form
     form = request.getfixturevalue(name)
     dense = form.size <= regfrac.spectral._DENSE_ORDER
     assert dense == (name == "box_form")
@@ -563,16 +578,17 @@ def test_unfit_matrix_leaves_it_untouched_on_both_paths(name, make, match,
 
 @pytest.mark.parametrize("name", ["box_form", "ball_form", "ball24_form"])
 def test_dense_and_lanczos_paths_agree(name, request, monkeypatch):
-    # N = 81 and 137 sit at or below the dense order, 245 above it: each
-    # form is solved by both paths, forced by moving the order, and the
-    # unforced solve is bitwise the forced one of its own side
+    # N = 81 and 137 sit at or below the dense order, 253 above it: each
+    # form is solved unfolded by both paths, forced by moving the order,
+    # and the unforced solve, which does not fold at these forms, is
+    # bitwise the forced one of its own side
     form = request.getfixturevalue(name)
     own = "dense" if form.size <= regfrac.spectral._DENSE_ORDER else "lanczos"
     default = smallest_eigenpair(form, tol=1e-10, seed=4)
     results = {}
     for path, order in (("dense", form.size), ("lanczos", form.size - 1)):
         monkeypatch.setattr(regfrac.spectral, "_DENSE_ORDER", order)
-        results[path] = smallest_eigenpair(form, tol=1e-10, seed=4)
+        results[path] = _solve_pencil(form.matrix(), form.mass, 1e-10, 4)
     dense, lanczos = results["dense"], results["lanczos"]
     assert dense.converged and lanczos.converged
     assert dense.iterations == 0 < lanczos.iterations
@@ -697,3 +713,191 @@ def test_factored_solves_match_reference_and_dense_oracle(name, request):
     exact = scipy.linalg.eigh(matrix / m, eigvals_only=True,
                               subset_by_index=[0, 0])
     assert abs(res.eigenvalue - exact[0]) <= 1e-10 * exact[0]
+
+
+@pytest.fixture
+def solved_orders(monkeypatch):
+    """The order of every matrix the solver hands to its dense or
+    factor + Lanczos step, in call order."""
+    orders = []
+    real = regfrac.spectral._ground_pair
+
+    def recording(a, *args):
+        orders.append(len(a))
+        return real(a, *args)
+
+    monkeypatch.setattr(regfrac.spectral, "_ground_pair", recording)
+    return orders
+
+
+def _symmetric_form(name, table1, table2):
+    if name == "interval400":
+        # 399 nodes in 200 orbits: the folded form, above the dense
+        # order too, is factored and solved by Lanczos
+        grid = GridSpec(cells=(400,), spacing=2.0 / 400, origin=(-1.0,))
+        return assemble(make_mask(grid, Box(lo=(-1.0,), hi=(1.0,))), 0.25,
+                        table=table1)
+    if name == "ball56":
+        # 1481 nodes in 204 orbits: fold + Lanczos in 2-d
+        grid = GridSpec(cells=(56, 56), spacing=2.0 / 56, origin=(-1.0, -1.0))
+        return assemble(make_mask(grid, Ball(center=(0.0, 0.0), radius=0.8)),
+                        0.75, table=table2)
+    # 24 x 32 cells: flips apply, the axis swap does not
+    grid = GridSpec(cells=(24, 32), spacing=1.0 / 16, origin=(-0.75, -1.0))
+    return assemble(make_mask(grid, Box(lo=(-0.6, -0.8), hi=(0.6, 0.8))),
+                    0.75, table=table2)
+
+
+@pytest.mark.parametrize("name", ["interval400", "centred_ball24_form",
+                                  "annulus_form", "box48_form", "box24x32",
+                                  "ball56"])
+def test_folded_and_unfolded_solves_agree(name, request, table1, table2,
+                                          solved_orders):
+    form = (request.getfixturevalue(name) if name.endswith("_form")
+            else _symmetric_form(name, table1, table2))
+    orbit, sizes = _orbits(form.mask)
+    assert form.size > regfrac.spectral._DENSE_ORDER
+    assert len(sizes) < form.size == len(orbit) == sizes.sum()
+    if name == "box24x32":
+        assert sizes.max() == 4
+    matrix = form.matrix()
+    before = matrix.copy()
+    folded = smallest_eigenpair(form, tol=1e-10, seed=2)
+    # the folded pair was accepted: no unfolded solve followed it
+    assert solved_orders == [len(sizes)]
+    assert _same_bits(matrix, before)
+    unfolded = _solve_pencil(matrix, form.mass, 1e-10, 2)
+    assert folded.converged and unfolded.converged
+    assert folded.min_entry == 0.0 and folded.vector.min() > 0.0
+    assert (folded.iterations > 0) == (len(sizes)
+                                       > regfrac.spectral._DENSE_ORDER)
+    lam = unfolded.eigenvalue
+    assert abs(folded.eigenvalue - lam) <= 1e-12 * lam
+    assert float(np.max(np.abs(folded.vector - unfolded.vector))) <= 1e-10
+
+
+def test_orbits_of_symmetric_masks(centred_ball24_form):
+    # the centred 24^2 ball has the eight symmetries of the square: its
+    # 245 nodes fall into 39 orbits, of 1 (the centre), 4 or 8 nodes, and
+    # the image of a node under any of them lies in the node's orbit
+    mask = centred_ball24_form.mask
+    orbit, sizes = _orbits(mask)
+    assert len(sizes) == 39
+    assert sorted(set(sizes.tolist())) == [1, 4, 8]
+    labels = np.full(mask.grid.node_shape, -1)
+    labels[tuple(mask.interior_idx.T)] = orbit
+    for image in (labels[::-1], labels[:, ::-1], labels.T, labels.T[::-1]):
+        assert np.array_equal(image, labels)
+    # a triangle is symmetric under the diagonal swap alone
+    active = np.tril(np.ones((12, 12), dtype=bool))
+    orbit, sizes = _orbits(DomainMask(GridSpec(cells=(12, 12), spacing=0.1,
+                                               origin=(0.0, 0.0)), active))
+    assert sizes.max() == 2
+
+
+def test_asymmetric_masks_get_the_trivial_group(ball24_form):
+    rng = np.random.default_rng(5)
+    ell = np.ones((12, 12), dtype=bool)
+    ell[6:, 8:] = False
+    masks = [ball24_form.mask,
+             DomainMask(GridSpec(cells=(12, 12), spacing=0.1,
+                                 origin=(0.0, 0.0)), ell),
+             DomainMask(GridSpec(cells=(20,), spacing=0.1, origin=(0.0,)),
+                        np.arange(20) != 3)]
+    for dim in (2, 3):
+        active = rng.random((9,) * dim) < 0.8
+        masks.append(DomainMask(GridSpec(cells=(9,) * dim, spacing=0.1,
+                                         origin=(0.0,) * dim), active))
+    for mask in masks:
+        assert len(mask.interior_idx) > 0
+        assert _orbits(mask) is None
+
+
+@pytest.mark.parametrize("case", ["ball3d", "positive2d"])
+def test_forms_with_positive_couplings_are_never_folded(case, solved_orders):
+    # a symmetric mask whose form has a positive off-diagonal entry: a 3-d
+    # ball (positive face couplings) and a 2-d ball at sigma 1/4 (offset
+    # (1, 0)); the result is bitwise the unfolded solve's
+    if case == "ball3d":
+        grid = GridSpec(cells=(12, 12, 12), spacing=2.0 / 12,
+                        origin=(-1.0, -1.0, -1.0))
+        form = assemble(make_mask(grid, Ball(center=(0.0,) * 3,
+                                             radius=0.75)),
+                        0.5, table=build_near_table(3, 0.5))
+    else:
+        grid = GridSpec(cells=(24, 24), spacing=2.0 / 24, origin=(-1.0, -1.0))
+        form = assemble(make_mask(grid, Ball(center=(0.0, 0.0), radius=0.8)),
+                        0.25, table=build_near_table(2, 0.25))
+    matrix = form.matrix()
+    assert form.size > regfrac.spectral._DENSE_ORDER
+    assert _orbits(form.mask) is not None
+    assert (matrix - np.diag(np.diag(matrix))).max() > 0.0
+    res = smallest_eigenpair(form, tol=1e-8, seed=1)
+    assert solved_orders == [form.size]
+    ref = _solve_pencil(matrix, form.mass, 1e-8, 1)
+    for f in dataclasses.fields(EigenResult):
+        assert _same_bits(np.asarray(getattr(res, f.name)),
+                          np.asarray(getattr(ref, f.name))), f.name
+
+
+def test_fold_rejected_when_the_matrix_breaks_invariance(centred_ball24_form,
+                                                         solved_orders):
+    # the centred ball's mask keeps its symmetries, but one node's
+    # diagonal entry is raised by a tenth: the matrix is still a
+    # symmetric positive definite Z-matrix, the fold is tried and its
+    # pair misses the tolerance on the full matrix, so the result is
+    # bitwise the unfolded solve's
+    form = centred_ball24_form
+    matrix = form.matrix().copy()
+    matrix[7, 7] *= 1.1
+    form = dataclasses.replace(form, _matrix=matrix)
+    res = smallest_eigenpair(form, tol=1e-8, seed=0)
+    assert solved_orders == [39, form.size]
+    assert res.converged
+    ref = _solve_pencil(matrix, form.mass, 1e-8, 0)
+    for f in dataclasses.fields(EigenResult):
+        assert _same_bits(np.asarray(getattr(res, f.name)),
+                          np.asarray(getattr(ref, f.name))), f.name
+
+
+def test_folded_reruns_bitwise(box48_form, factored):
+    # the fold reads the form's matrix and never factors or writes it
+    matrix = box48_form.matrix()
+    before = matrix.copy()
+    a = smallest_eigenpair(box48_form, tol=1e-8, seed=0)
+    b = smallest_eigenpair(box48_form, tol=1e-8, seed=0)
+    assert not factored
+    assert _same_bits(matrix, before)
+    for f in dataclasses.fields(EigenResult):
+        assert _same_bits(np.asarray(getattr(a, f.name)),
+                          np.asarray(getattr(b, f.name))), f.name
+
+
+def test_fold_rejected_when_its_vector_changes_sign(centred_ball24_form,
+                                                   solved_orders,
+                                                   monkeypatch):
+    # the folded solve is made to return its second eigenpair: an exact
+    # eigenpair of the full matrix too, within tolerance, but one that
+    # changes sign, so it is not the ground pair and the result is
+    # bitwise the unfolded solve's
+    form = centred_ball24_form
+    real = regfrac.spectral.eigh
+
+    def second(a, **kwargs):
+        return real(a, **dict(kwargs, subset_by_index=[1, 1]))
+
+    monkeypatch.setattr(regfrac.spectral, "eigh", second)
+    res = smallest_eigenpair(form, tol=1e-8, seed=0)
+    assert solved_orders == [39, form.size]
+    ref = _solve_pencil(form.matrix(), form.mass, 1e-8, 0)
+    for f in dataclasses.fields(EigenResult):
+        assert _same_bits(np.asarray(getattr(res, f.name)),
+                          np.asarray(getattr(ref, f.name))), f.name
+    # the rejected pair met the tolerance: only its sign rejected it
+    orbit, sizes = _orbits(form.mask)
+    lam, v, _ = regfrac.spectral._ground_pair(
+        regfrac.spectral._fold(form.matrix(), orbit, sizes), form.mass, 1e-8,
+        0)
+    rejected = regfrac.spectral._result(form.matrix(), form.mass, 1e-8, lam,
+                                        v[orbit] / np.sqrt(sizes[orbit]), 0)
+    assert rejected.converged and rejected.vector.min() < 0.0
